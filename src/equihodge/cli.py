@@ -27,6 +27,7 @@ import sys
 from .equivariant import cartan_d, extend, moment_map, verify_extension
 from .errors import EquihodgeError
 from .serialization import (
+    _parse_params,
     backend_from_tag,
     format_report,
     parse_form,
@@ -97,15 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _override_truncation(tag: str, truncation: int) -> str:
     if truncation is None:
         return tag
-    if tag.startswith("sphere:"):
-        parts = dict(p.split("=") for p in tag[len("sphere:"):].split(","))
-        parts["N"] = str(truncation)
-        return "sphere:" + ",".join("%s=%s" % kv for kv in parts.items())
-    if tag.startswith("torus:"):
-        parts = dict(p.split("=") for p in tag[len("torus:"):].split(","))
-        parts["K"] = str(truncation)
-        return "torus:" + ",".join("%s=%s" % kv for kv in parts.items())
-    raise EquihodgeError("--truncation applies to sphere and torus backends")
+    kind, _, body = tag.strip().partition(":")
+    if kind not in ("sphere", "torus"):
+        raise EquihodgeError("--truncation applies to sphere and torus backends")
+    params = _parse_params(kind, body)
+    params["N" if kind == "sphere" else "K"] = str(truncation)
+    return kind + ":" + ",".join("%s=%s" % kv for kv in params.items())
 
 
 def _resolve_input(args):

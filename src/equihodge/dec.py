@@ -22,7 +22,7 @@ from typing import List
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MeshError, SolverError
+from .errors import BackendMismatch, MeshError, SolverError
 from .forms import Backend, GeneratorSpec, InvariantForm
 from .mesh import SymmetricMesh
 
@@ -289,9 +289,6 @@ class DecBackend(Backend):
 
     # -- contract operations --------------------------------------------------
 
-    def cochain(self, q: int, values) -> InvariantForm:
-        return self.form(q, values)
-
     def d(self, w: InvariantForm) -> InvariantForm:
         if self.dimension(w.degree) == 0 or w.degree >= 2:
             return self.zero(w.degree + 1)
@@ -303,12 +300,10 @@ class DecBackend(Backend):
             return self.zero(w.degree - 1)
         return InvariantForm(self, w.degree - 1, self._delta[w.degree] @ w.coeffs)
 
-    def star(self, w: InvariantForm):
-        """Dual-cochain values (length equals the primal count of degree q)."""
-        return self._stars[w.degree] * w.coeffs
-
-    def star_diagonal(self, q: int) -> np.ndarray:
-        return self._stars[q].copy()
+    def star(self, w: InvariantForm) -> InvariantForm:
+        """Raises :class:`BackendMismatch`: stars are dual cochains, not forms."""
+        raise BackendMismatch("the DEC star of a %d-cochain is a dual cochain, "
+                              "not a form of this backend" % w.degree)
 
     def laplacian(self, w: InvariantForm) -> InvariantForm:
         return InvariantForm(self, w.degree, self._lap[w.degree] @ w.coeffs)

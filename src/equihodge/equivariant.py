@@ -13,17 +13,18 @@ extension step is the degree-zero operator
 and the canonical extension of a closed invariant form alpha is the
 finite Neumann series alpha_hat = alpha + P(alpha) + P^2(alpha) + ...
 
-Before Green's operator is invoked, every contracted coefficient form is
-checked for a harmonic component.  A nonzero harmonic part certifies that
-the form is not exact, i.e. that extendability fails for this input; the
-loop then aborts with diagnostics instead of silently projecting the
+The stage (I (x) d* G) lives in one private function that ``extend``,
+``p_operator``, ``extend_partial`` and ``moment_map`` all call.  Before
+Green's operator is invoked, it checks every contracted coefficient form
+for a harmonic component.  A nonzero harmonic part certifies that the
+form is not exact, i.e. that extendability fails for this input; the
+stage then raises with diagnostics instead of silently projecting the
 harmonic part away.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import (
@@ -198,15 +199,30 @@ def cartan_d(x: EquivariantElement) -> EquivariantElement:
     return coefficient_d(x) - partial_d(x)
 
 
+def _d_star_green(backend: Backend, boundary: Mapping[Monomial, InvariantForm],
+                  stage: int) -> Dict[Monomial, InvariantForm]:
+    """(I (x) d* G) on boundary coefficients, after the harmonic test.
+
+    Raises :class:`ObstructionDetected` for ``stage`` with the largest
+    harmonic-component norm when some coefficient is not exact; Green's
+    operator never silently projects a harmonic part away.
+    """
+    harmonic = [backend.harmonic_projection(f) for f in boundary.values()]
+    residuals = [backend.norm(h) for h in harmonic if not backend.is_zero(h)]
+    if residuals:
+        raise ObstructionDetected(stage, max(residuals))
+    return {key: backend.codifferential(backend.green(form))
+            for key, form in boundary.items()}
+
+
 def p_operator(x: EquivariantElement) -> EquivariantElement:
-    """P = (I (x) d* G) boundary; every coefficient of the result is coexact."""
-    backend = x.backend
-    px = partial_d(x)
-    terms = {
-        mono: backend.codifferential(backend.green(form))
-        for mono, form in px.terms.items()
-    }
-    return EquivariantElement(backend, x.total_degree, terms)
+    """P = (I (x) d* G) boundary; every coefficient of the result is coexact.
+
+    Raises :class:`ObstructionDetected` when a boundary coefficient has a
+    nonzero harmonic part.
+    """
+    terms = _d_star_green(x.backend, partial_d(x).terms, 0)
+    return EquivariantElement(x.backend, x.total_degree, terms)
 
 
 @dataclass
@@ -229,20 +245,6 @@ class ExtensionReport:
         return acc
 
 
-def _max_harmonic_residual(backend: Backend, element: EquivariantElement):
-    """Largest harmonic-component norm among the coefficients; None if all
-    harmonic parts vanish (exact zero on exact backends)."""
-    worst = 0.0
-    clean = True
-    for form in element.terms.values():
-        h = backend.harmonic_projection(form)
-        if backend.is_zero(h):
-            continue
-        clean = False
-        worst = max(worst, backend.norm(h))
-    return None if clean else worst
-
-
 def extend(alpha: InvariantForm) -> ExtensionReport:
     """Canonical equivariant extension of a closed invariant form.
 
@@ -260,35 +262,20 @@ def extend(alpha: InvariantForm) -> ExtensionReport:
     current = EquivariantElement.from_form(alpha)
     terms = [current]
     obstructions: List[float] = []
-    stage = 0
     status = "extended"
-    obstruction_stage = None
     # hard guard; for torus generators P^m = 0 once 2m > deg(alpha)
-    max_stages = alpha.degree + 2
-    while stage <= max_stages:
-        boundary = partial_d(current)
-        if boundary.is_zero:
-            obstructions.append(0.0)
-            break
-        residual = _max_harmonic_residual(backend, boundary)
-        if residual is not None:
-            obstructions.append(residual)
+    for stage in range(alpha.degree + 3):
+        try:
+            coeffs = _d_star_green(backend, partial_d(current).terms, stage)
+        except ObstructionDetected as ex:
+            obstructions.append(ex.residual)
             status = "obstructed"
-            obstruction_stage = stage
             break
         obstructions.append(0.0)
-        current = EquivariantElement(
-            backend,
-            current.total_degree,
-            {
-                mono: backend.codifferential(backend.green(form))
-                for mono, form in boundary.terms.items()
-            },
-        )
+        current = EquivariantElement(backend, current.total_degree, coeffs)
         if current.is_zero:
             break
         terms.append(current)
-        stage += 1
     else:
         raise AssertionError("extension loop exceeded the termination bound")
 
@@ -299,7 +286,7 @@ def extend(alpha: InvariantForm) -> ExtensionReport:
         final_residual_norm=0.0,
         terminated_at_stage=stage,
         status=status,
-        obstruction_stage=obstruction_stage,
+        obstruction_stage=stage if status == "obstructed" else None,
     )
     if status == "extended":
         report.final_residual_norm = cartan_d(report.alpha_hat()).norm()
@@ -313,9 +300,7 @@ def verify_extension(report: ExtensionReport) -> float:
     """
     if report.status != "extended":
         raise ValueError("verify_extension needs a successful report")
-    alpha_hat = report.alpha_hat()
-    residual = coefficient_d(alpha_hat) - partial_d(alpha_hat)
-    return residual.norm()
+    return cartan_d(report.alpha_hat()).norm()
 
 
 def obstruction_residual(beta: InvariantForm) -> float:
@@ -336,18 +321,16 @@ def moment_map(omega: InvariantForm) -> InvariantForm:
     For a circle action with generator 0, returns mu = d* G (i_V omega),
     the unique solution of d(mu) = i_V(omega) with vanishing harmonic
     (average) part.  Raises :class:`ObstructionDetected` when i_V(omega)
-    is not exact.
+    is not exact and :class:`BackendMismatch` when omega is not a 2-form.
     """
     backend = omega.backend
     if omega.degree != 2:
-        raise ValueError("moment map requires a 2-form")
+        raise BackendMismatch(
+            "moment map requires a 2-form, got degree %d" % omega.degree)
     if not backend.is_zero(backend.d(omega)):
         raise NotClosed("moment map requires a closed form")
-    beta = backend.contraction(0, omega)
-    h = backend.harmonic_projection(beta)
-    if not backend.is_zero(h):
-        raise ObstructionDetected(0, backend.norm(h))
-    return backend.codifferential(backend.green(beta))
+    t1 = _bump((0,) * backend.generator_spec.rank, 0)
+    return _d_star_green(backend, {t1: backend.contraction(0, omega)}, 0)[t1]
 
 
 def extend_partial(a_terms: Sequence[EquivariantElement], m: int) -> EquivariantElement:
@@ -366,8 +349,5 @@ def extend_partial(a_terms: Sequence[EquivariantElement], m: int) -> Equivariant
     for j in range(1, m + 1):
         if coefficient_d(a_terms[j]) != partial_d(a_terms[j - 1]):
             raise PreconditionViolated(j)
-    boundary = partial_d(a_terms[m])
-    residual = _max_harmonic_residual(backend, boundary)
-    if residual is not None:
-        raise ObstructionDetected(m, residual)
-    return p_operator(a_terms[m])
+    terms = _d_star_green(backend, partial_d(a_terms[m]).terms, m)
+    return EquivariantElement(backend, a_terms[m].total_degree, terms)

@@ -5,8 +5,11 @@ class EquihodgeError(Exception):
     """Base class for all library errors."""
 
 
-class BackendMismatch(EquihodgeError):
-    """Forms from different backends (or wrong degrees) were combined."""
+class BackendMismatch(EquihodgeError, ValueError):
+    """Forms from different backends (or wrong degrees) were combined.
+
+    Also a :class:`ValueError`, since the culprit is always an argument.
+    """
 
 
 class NotClosed(EquihodgeError):

@@ -5,19 +5,23 @@ extension iteration, with its multi-index monomials, can be exercised.
 
 Pure tensors w1 (x) w2 are stored blockwise: the degree-q space is the
 direct sum over q1 + q2 = q of (factor-1 degree q1) (x) (factor-2 degree
-q2), flattened row-major.  Every operator is generated from the factor
-operators and the Koszul sign rule
+q2), flattened row-major.  One kernel applies sums of signed tensor
+products of factor operators block by block, and every operator is a
+few lines over it: d and the contractions follow the Koszul sign rule
 
-    op(w1 (x) w2) = op1(w1) (x) w2 + (-1)^(deg w1) w1 (x) op2(w2)
+    op(w1 (x) w2) = op1(w1) (x) w2 + (-1)^(deg w1) w1 (x) op2(w2),
 
-for the odd operators d, d* and the contractions; the Hodge star uses
-``star(w1 (x) w2) = (-1)^(q2 (n1 - q1)) star1(w1) (x) star2(w2)``.
-Nothing is hand-written per backend pair.
+the Hodge star is
+``star(w1 (x) w2) = (-1)^(q2 (n1 - q1)) star1(w1) (x) star2(w2)``, and the
+Gram matrix is gram1 (x) gram2.  The codifferential is the signed star
+conjugate of d inherited from :class:`ExactBackend`.  Nothing is
+hand-written per backend pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import BackendMismatch
@@ -65,13 +69,7 @@ class ProductBackend(ExactBackend):
         return self._spec
 
     def dimension(self, q: int) -> int:
-        if not (0 <= q <= self.n):
-            return 0
-        blocks = self._blocks[q]
-        if not blocks:
-            return 0
-        q1, q2, offset, d1, d2 = blocks[-1]
-        return offset + d1 * d2
+        return sum(d1 * d2 for _, _, _, d1, d2 in self._blocks.get(q, []))
 
     def block_layout(self, q: int):
         """Blocks of the degree-q space as (q1, q2, offset, dim1, dim2)."""
@@ -97,120 +95,66 @@ class ProductBackend(ExactBackend):
                         out[base + j] = a * bcoef
         return InvariantForm(self, q, tuple(out))
 
-    def block_chunk(self, w: InvariantForm, q1: int, q2: int):
-        """Coefficient matrix (dim1 x dim2 nested lists) of one block."""
-        for bq1, bq2, offset, d1, d2 in self._blocks[w.degree]:
-            if bq1 == q1 and bq2 == q2:
-                return [
-                    list(w.coeffs[offset + i * d2: offset + (i + 1) * d2])
-                    for i in range(d1)
-                ]
-        return None
+    def _apply(self, w: InvariantForm, out_q: int, *terms) -> InvariantForm:
+        """Apply sum of sign(q1, q2) * (op1 (x) op2) to w, block by block.
 
-    def _add_block(self, out, q: int, q1: int, q2: int, mat, sign: int):
-        for bq1, bq2, offset, d1, d2 in self._blocks.get(q, []):
-            if bq1 == q1 and bq2 == q2:
-                for i in range(d1):
-                    row = mat[i]
-                    base = offset + i * d2
-                    for j in range(d2):
-                        if row[j]:
-                            out[base + j] += sign * row[j]
-                return
-        if any(any(row) for row in mat):
-            raise AssertionError("block (%d,%d) missing in degree %d" % (q1, q2, q))
-
-    def _apply_left(self, backend_op, q1: int, mat, d2: int):
-        """Apply a factor-1 operator down the columns; returns (q1', mat')."""
-        out_mat = None
-        out_q = None
-        for j in range(d2):
-            col = [mat[i][j] for i in range(len(mat))]
-            w = InvariantForm(self.b1, q1, tuple(col))
-            res = backend_op(w)
-            if out_mat is None:
-                out_q = res.degree
-                out_mat = [[Fraction(0)] * d2
-                           for _ in range(self.b1.dimension(res.degree))]
-            for i, c in enumerate(res.coeffs):
-                if c:
-                    out_mat[i][j] = c
-        return out_q, out_mat
-
-    def _apply_right(self, backend_op, q2: int, mat):
-        """Apply a factor-2 operator along the rows; returns (q2', mat')."""
-        out_mat = []
-        out_q = None
-        for row in mat:
-            w = InvariantForm(self.b2, q2, tuple(row))
-            res = backend_op(w)
-            out_q = res.degree
-            out_mat.append(list(res.coeffs))
-        return out_q, out_mat
-
-    def _koszul_op(self, w: InvariantForm, op1, op2, shift: int) -> InvariantForm:
-        """Odd operator from factor operators with the Koszul sign rule."""
-        q = w.degree
-        out_deg = q + shift
-        out = [Fraction(0)] * self.dimension(out_deg)
-        for q1, q2, offset, d1, d2 in self._blocks.get(q, []):
-            mat = self.block_chunk(w, q1, q2)
-            if op1 is not None:
-                nq1, nmat = self._apply_left(op1, q1, mat, d2)
-                if nmat is not None and self.b1.dimension(nq1) > 0:
-                    self._add_block(out, out_deg, nq1, q2, nmat, 1)
-            if op2 is not None:
-                nq2, nmat = self._apply_right(op2, q2, mat)
-                if nmat and self.b2.dimension(nq2) > 0:
-                    sign = -1 if q1 % 2 else 1
-                    self._add_block(out, out_deg, q1, nq2, nmat, sign)
-        return InvariantForm(self, out_deg, tuple(out))
+        Each term is ``(op1, op2, sign)``.  op1 and op2 map forms of the
+        factors to forms of the factors, and ``None`` is the identity; op2
+        acts along the rows of each (q1, q2) block and op1 down its
+        columns.  A sign of ``None`` is +1.
+        """
+        out = [Fraction(0)] * self.dimension(out_q)
+        targets = {(q1, q2): (offset, d2)
+                   for q1, q2, offset, _, d2 in self._blocks.get(out_q, [])}
+        for q1, q2, offset, d1, d2 in self._blocks.get(w.degree, []):
+            block = [w.coeffs[offset + i * d2: offset + (i + 1) * d2]
+                     for i in range(d1)]
+            for op1, op2, sign in terms:
+                p1, p2, rows = q1, q2, block
+                if op2 is not None:
+                    res = [op2(InvariantForm(self.b2, q2, row)) for row in rows]
+                    p2, rows = res[0].degree, [r.coeffs for r in res]
+                if op1 is not None and self.b2.dimension(p2) > 0:
+                    res = [op1(InvariantForm(self.b1, q1, col))
+                           for col in zip(*rows)]
+                    p1, rows = res[0].degree, list(zip(*(r.coeffs for r in res)))
+                if (p1, p2) not in targets:  # a factor space of dimension 0
+                    if any(map(any, rows)):
+                        raise AssertionError("block (%d,%d) missing in degree %d"
+                                             % (p1, p2, out_q))
+                    continue
+                base, width = targets[p1, p2]
+                negate = sign is not None and sign(q1, q2) < 0
+                for row in rows:
+                    for j, c in enumerate(row):
+                        if c:
+                            k = base + j
+                            out[k] = out[k] - c if negate else out[k] + c
+                    base += width
+        return InvariantForm(self, out_q, tuple(out))
 
     # -- operators ---------------------------------------------------------
 
     def d(self, w: InvariantForm) -> InvariantForm:
-        if self.dimension(w.degree) == 0:
-            return self.zero(w.degree + 1)
-        return self._koszul_op(w, self.b1.d, self.b2.d, +1)
-
-    def codifferential(self, w: InvariantForm) -> InvariantForm:
-        if self.dimension(w.degree) == 0:
-            return self.zero(w.degree - 1)
-        return self._koszul_op(
-            w, self.b1.codifferential, self.b2.codifferential, -1
-        )
+        return self._apply(w, w.degree + 1, (self.b1.d, None, None),
+                           (None, self.b2.d, _koszul))
 
     def star(self, w: InvariantForm) -> InvariantForm:
-        if self.dimension(w.degree) == 0:
-            return self.zero(self.n - w.degree)
-        q = w.degree
-        out_deg = self.n - q
-        out = [Fraction(0)] * self.dimension(out_deg)
-        for q1, q2, offset, d1, d2 in self._blocks.get(q, []):
-            mat = self.block_chunk(w, q1, q2)
-            nq1, m1 = self._apply_left(self.b1.star, q1, mat, d2)
-            if m1 is None:
-                continue
-            nq2, m2 = self._apply_right(self.b2.star, q2, m1)
-            sign = -1 if (q2 * (self.b1.n - q1)) % 2 else 1
-            self._add_block(out, out_deg, nq1, nq2, m2, sign)
-        return InvariantForm(self, out_deg, tuple(out))
+        n1 = self.b1.n
+        return self._apply(w, self.n - w.degree,
+                           (self.b1.star, self.b2.star,
+                            lambda q1, q2: -1 if q2 * (n1 - q1) % 2 else 1))
 
     def contraction(self, j: int, w: InvariantForm) -> InvariantForm:
         r1 = self.b1.generator_spec.rank
         if not 0 <= j < self._spec.rank:
             raise IndexError("generator index out of range")
-        deg = self._spec.degrees[j]
-        shift = -(deg - 1)
-        if self.dimension(w.degree) == 0:
-            return self.zero(w.degree + shift)
+        out_q = w.degree - (self._spec.degrees[j] - 1)
         if j < r1:
-            return self._koszul_op(
-                w, lambda f: self.b1.contraction(j, f), None, shift
-            )
-        return self._koszul_op(
-            w, None, lambda f: self.b2.contraction(j - r1, f), shift
-        )
+            return self._apply(w, out_q, (partial(self.b1.contraction, j),
+                                          None, None))
+        return self._apply(w, out_q, (None, partial(self.b2.contraction, j - r1),
+                                      _koszul))
 
     def harmonic_basis(self, q: int) -> List[InvariantForm]:
         out = []
@@ -227,25 +171,8 @@ class ProductBackend(ExactBackend):
         return self.b1._pi_power() + self.b2._pi_power()
 
     def _gram_apply(self, q: int, vec: Sequence[Fraction]) -> List[Fraction]:
-        out = [Fraction(0)] * len(vec)
-        for q1, q2, offset, d1, d2 in self._blocks.get(q, []):
-            mat = [
-                list(vec[offset + i * d2: offset + (i + 1) * d2])
-                for i in range(d1)
-            ]
-            # columns through gram of factor 1
-            cols = []
-            for j in range(d2):
-                col = [mat[i][j] for i in range(d1)]
-                cols.append(self.b1._gram_apply(q1, col))
-            # rows through gram of factor 2
-            for i in range(d1):
-                row = [cols[j][i] for j in range(d2)]
-                res = self.b2._gram_apply(q2, row)
-                base = offset + i * d2
-                for j in range(d2):
-                    out[base + j] = res[j]
-        return out
+        w = InvariantForm(self, q, vec)
+        return list(self._apply(w, q, (_gram, _gram, None)).coeffs)
 
     def _eigen_entries(self, q: int) -> List[_Eig]:
         eig = []
@@ -265,6 +192,17 @@ class ProductBackend(ExactBackend):
                         )
                     )
         return eig
+
+
+def _koszul(q1: int, q2: int) -> int:
+    """Sign of moving an odd factor-2 operator past a degree-q1 factor."""
+    return -1 if q1 % 2 else 1
+
+
+def _gram(w: InvariantForm) -> InvariantForm:
+    """The Gram matrix of a factor applied to w, as a form of that factor."""
+    return InvariantForm(w.backend, w.degree,
+                         w.backend._gram_apply(w.degree, w.coeffs))
 
 
 def make_product_backend(b1: ExactBackend, b2: ExactBackend) -> ProductBackend:

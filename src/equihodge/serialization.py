@@ -40,47 +40,64 @@ REPORT_HEADER = "equihodge-report v1"
 
 # -- backend tags -----------------------------------------------------------
 
+#: backend family -> (required, optional) tag parameters
+_TAG_PARAMS = {
+    "sphere": (("N",), ("stages",)),
+    "torus": (("n", "K", "v"), ()),
+    "dec": (("nsym", "level"), ("zigzag",)),
+}
+
+
 def backend_from_tag(tag: str) -> Backend:
-    """Reconstruct a backend instance from its textual tag."""
+    """Reconstruct a backend instance from its textual tag.
+
+    Raises :class:`FormatError` for an unknown family, a missing, unknown
+    or malformed parameter, and parameter values the backend rejects.
+    """
     tag = tag.strip()
-    if tag.startswith("sphere:"):
-        params = _parse_params(tag[len("sphere:"):], {"N", "stages"})
-        from .sphere import SphereBackend
-
-        return SphereBackend(int(params["N"]), stages=int(params.get("stages", 3)))
-    if tag.startswith("torus:"):
-        params = _parse_params(tag[len("torus:"):], {"n", "K", "v"})
-        from .torus import TorusBackend
-
-        v = tuple(int(x) for x in params["v"].split(":"))
-        return TorusBackend(int(params["n"]), int(params["K"]), v)
     if tag.startswith("product:[") and tag.endswith("]"):
         from .product import ProductBackend
 
         left, right = _split_product(tag[len("product:["):-1])
         return ProductBackend(backend_from_tag(left), backend_from_tag(right))
-    if tag.startswith("dec:"):
-        params = _parse_params(tag[len("dec:"):], {"nsym", "level", "zigzag"})
-        from .dec import DecBackend
+    kind, _, body = tag.partition(":")
+    if kind not in _TAG_PARAMS:
+        raise FormatError("unknown backend tag %r" % tag)
+    params = _parse_params(kind, body)
+    try:
+        if kind == "sphere":
+            from .sphere import SphereBackend
 
-        mesh = build_symmetric_sphere(
-            int(params["nsym"]),
-            int(params["level"]),
-            zigzag=float(params.get("zigzag", 0.0)),
-        )
-        return DecBackend(mesh)
-    raise FormatError("unknown backend tag %r" % tag)
+            return SphereBackend(int(params["N"]),
+                                 stages=int(params.get("stages", 3)))
+        if kind == "torus":
+            from .torus import TorusBackend
+
+            v = tuple(int(x) for x in params["v"].split(":"))
+            return TorusBackend(int(params["n"]), int(params["K"]), v)
+        nsym, level = int(params["nsym"]), int(params["level"])
+        zigzag = float(params.get("zigzag", 0.0))
+    except ValueError as ex:
+        raise FormatError("bad backend tag %r: %s" % (tag, ex)) from ex
+    from .dec import DecBackend
+
+    return DecBackend(build_symmetric_sphere(nsym, level, zigzag=zigzag))
 
 
-def _parse_params(text: str, allowed):
+def _parse_params(kind: str, text: str):
+    """The ``key=value`` parameters of a sphere, torus or dec tag body."""
+    required, optional = _TAG_PARAMS[kind]
     params = {}
     for piece in text.split(","):
         if "=" not in piece:
             raise FormatError("malformed backend parameter %r" % piece)
         key, value = piece.split("=", 1)
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise FormatError("unknown backend parameter %r" % key)
         params[key] = value
+    for key in required:
+        if key not in params:
+            raise FormatError("%s tag lacks parameter %r" % (kind, key))
     return params
 
 
@@ -169,7 +186,10 @@ def _read_form(reader: _Reader, backend: Backend = None) -> InvariantForm:
                           reader.lineno)
     tag = reader.field("backend")
     if backend is None:
-        backend = backend_from_tag(tag)
+        try:
+            backend = backend_from_tag(tag)
+        except FormatError as ex:
+            raise FormatError(str(ex), reader.lineno) from ex
     elif backend.tag != tag:
         raise FormatError(
             "form was written for backend %r, not %r" % (tag, backend.tag),

@@ -125,3 +125,18 @@ def test_dec_preset_extends(capsys):
     code, out, err = run(capsys, "extend", "--preset", "dec/volume")
     assert code == 0
     assert "extended" in out
+
+
+@pytest.mark.parametrize("preset", ["torus-free/dx",
+                                    "product/symplectic-product"])
+def test_moment_map_of_a_non_two_form_is_an_error(capsys, preset):
+    code, out, err = run(capsys, "moment-map", "--preset", preset)
+    assert code == 1
+    assert err.startswith("error (moment-map): ")
+
+
+def test_truncation_the_backend_rejects_is_an_error(capsys):
+    code, out, err = run(capsys, "extend", "--preset", "sphere/symplectic",
+                         "--truncation", "1")
+    assert code == 1
+    assert err.startswith("error (extend): ")

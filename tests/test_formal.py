@@ -6,6 +6,7 @@ from equihodge import (
     EquivariantElement,
     FormalGenerator,
     PreconditionViolated,
+    backend_from_tag,
     cartan_d,
     extend,
     make_sphere_backend,
@@ -109,3 +110,16 @@ def test_foreign_backend_result_is_rejected():
     w = wrapped.form(2, base.two_form((1,)).coeffs)
     with pytest.raises(PreconditionViolated):
         wrapped.contraction(1, w)
+
+
+def test_star_over_dec_raises_a_typed_error():
+    # DEC stars are dual cochains, not forms; the wrapper must not receive
+    # a bare array from the base backend
+    from equihodge import BackendMismatch
+
+    base = backend_from_tag("dec:nsym=4,level=1,zigzag=0.1")
+    wrapped = with_formal_generators(
+        base, [FormalGenerator(4, "p4", zero_operator(base))])
+    w = wrapped.form(2, base.volume_form_cochain().coeffs)
+    with pytest.raises(BackendMismatch):
+        wrapped.star(w)

@@ -44,6 +44,20 @@ def test_unknown_tag_rejected():
         backend_from_tag("product:[sphere:N=4,stages=1]")
 
 
+@pytest.mark.parametrize("tag", [
+    "sphere:N=x",
+    "sphere:stages=3",
+    "sphere:N=1",
+    "torus:n=4,K=1,v=1:0:0:0",
+    "torus:n=2,K=2,v=1:a",
+])
+def test_malformed_backend_tag_is_a_format_error(tag):
+    text = "equihodge-form v1\nbackend: %s\ndegree: 0\ndim: 1\n" % tag
+    with pytest.raises(FormatError) as exc:
+        parse_form(text)
+    assert exc.value.line == 2
+
+
 def test_exact_form_round_trip():
     b = make_sphere_backend(4, stages=1)
     w = b.one_form((Fraction(1, 3), 0, Fraction(-7, 2)), (2,))
