@@ -27,8 +27,8 @@ import sys
 from .equivariant import cartan_d, extend, moment_map, verify_extension
 from .errors import EquihodgeError
 from .serialization import (
+    _from_tag,
     _parse_params,
-    backend_from_tag,
     format_report,
     parse_form,
     serialize_form,
@@ -111,20 +111,16 @@ def _resolve_input(args):
     if args.preset is not None:
         tag, make = PRESETS[args.preset]
         tag = _override_truncation(tag, args.truncation)
-        backend = backend_from_tag(tag)
-        if args.tol is not None and hasattr(backend, "tol") and not backend.is_exact:
-            backend.tol = args.tol
+        backend = _from_tag(tag, args.tol)
         return backend, make(backend)
     if args.infile is not None:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read()
         backend = None
         if args.backend is not None:
-            backend = backend_from_tag(
-                _override_truncation(args.backend, args.truncation))
-        form = parse_form(text, backend)
-        if args.tol is not None and not form.backend.is_exact:
-            form.backend.tol = args.tol
+            backend = _from_tag(
+                _override_truncation(args.backend, args.truncation), args.tol)
+        form = parse_form(text, backend, tol=args.tol)
         return form.backend, form
     raise EquihodgeError("provide --preset or --in")
 
@@ -186,7 +182,8 @@ def _run_convergence(args) -> int:
     for level in range(args.levels + 1):
         mesh = build_symmetric_sphere(CONVERGENCE_NSYM, level,
                                       zigzag=CONVERGENCE_ZIGZAG)
-        backend = DecBackend(mesh, tol=args.tol) if args.tol else DecBackend(mesh)
+        backend = (DecBackend(mesh) if args.tol is None
+                   else DecBackend(mesh, tol=args.tol))
         report = extend(backend.volume_form_cochain())
         residual = cartan_d(report.alpha_hat()).norm()
         ratio = None if prev is None else residual / prev

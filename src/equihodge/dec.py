@@ -9,9 +9,17 @@ known harmonic space (dimensions 1, 0, 1) deflated.
 
 The discrete interior product with the rotational Killing field samples
 Whitney-interpolated values at circumcenters and integrates back to
-simplices.  All geometric matrices are assembled on symmetry-orbit
-representatives and replicated, so every operator matrix commutes with
-the mesh symmetry permutation exactly.
+simplices.
+
+Assembly takes time linear in the mesh size.  Every geometric quantity
+(areas, normals, circumcenters, corner cotangents, barycentric gradients,
+Whitney samples and their pairing with the Killing field) is computed once
+per triangle in vectorized numpy and scattered to vertices and edges over
+the mesh's incidence arrays.  The stars then give each symmetry orbit its
+representative's value, and the interior-product matrices are built on the
+representative rows and replicated along the orbits (poles averaged over
+their stabilizer), so every operator matrix commutes with the mesh symmetry
+permutation exactly.
 """
 
 from __future__ import annotations
@@ -24,12 +32,12 @@ import scipy.sparse as sp
 
 from .errors import BackendMismatch, MeshError, SolverError
 from .forms import Backend, GeneratorSpec, InvariantForm
-from .mesh import SymmetricMesh
+from .mesh import SymmetricMesh, _dot
 
 
 def _killing_field(p: np.ndarray) -> np.ndarray:
-    """The rotation field about the z-axis at point p."""
-    return np.array([-p[1], p[0], 0.0])
+    """The rotation field about the z-axis at the point(s) p."""
+    return np.stack([-p[..., 1], p[..., 0], np.zeros_like(p[..., 0])], axis=-1)
 
 
 class DecBackend(Backend):
@@ -67,45 +75,46 @@ class DecBackend(Backend):
     def _assemble(self):
         mesh = self.mesh
         V, E, F = (mesh.simplex_count(q) for q in range(3))
+        rep = mesh.orbit_rep
 
-        rows, cols, vals = [], [], []
-        for i, (u, v) in enumerate(mesh.edges):
-            rows += [i, i]
-            cols += [u, v]
-            vals += [-1.0, 1.0]
-        self.d0 = sp.csr_matrix((vals, (rows, cols)), shape=(E, V))
+        self.d0 = sp.csr_matrix(
+            (np.tile([-1.0, 1.0], E),
+             (np.repeat(np.arange(E), 2), mesh.edge_vertices.ravel())),
+            shape=(E, V),
+        )
+        self.d1 = sp.csr_matrix(
+            (mesh.tri_edge_signs.ravel().astype(float),
+             (np.repeat(np.arange(F), 3), mesh.tri_edges.ravel())),
+            shape=(F, E),
+        )
 
-        rows, cols, vals = [], [], []
-        for t, (a, b, c) in enumerate(mesh.tris):
-            for u, v in ((a, b), (b, c), (c, a)):
-                e = (min(u, v), max(u, v))
-                rows.append(t)
-                cols.append(mesh.edge_index[e])
-                vals.append(1.0 if u < v else -1.0)
-        self.d1 = sp.csr_matrix((vals, (rows, cols)), shape=(F, E))
+        # per-triangle geometry; entry i of a leading axis of length 3 is
+        # side i, which runs from corner i to corner i + 1 and faces corner
+        # i + 2 (``tails`` and ``heads`` are its vertices)
+        corners = mesh.tri_vectors(np.arange(F))                   # (3, F, 3)
+        sides = np.roll(corners, -1, axis=0) - corners
+        tails = mesh.tri_vertices.T
+        heads = np.roll(tails, -1, axis=0)
+        cross = np.cross(sides[0], -sides[2])      # (pb - pa) x (pc - pa)
+        twice_area = np.sqrt(_dot(cross, cross))
+        area = 0.5 * twice_area
+        normal = cross / twice_area[:, None]
+        circum = mesh.tri_circumcenter(np.arange(F))
+        # cotangent of the corner facing each side, from the two edges that
+        # leave that corner
+        out, back = np.roll(sides, -2, axis=0), -np.roll(sides, -1, axis=0)
+        corner_cross = np.cross(out, back)
+        cot = _dot(out, back) / np.sqrt(_dot(corner_cross, corner_cross))
 
-        self._tri_area = np.empty(F)
-        self._tri_normal = np.empty((F, 3))
-        self._circum = np.empty((F, 3))
-        for t in range(F):
-            area, nrm = mesh.tri_area_normal(t)
-            self._tri_area[t] = area
-            self._tri_normal[t] = nrm
-            self._circum[t] = mesh.tri_circumcenter(t)
-
-        # diagonal stars, computed on orbit representatives and replicated
-        star0 = np.empty(V)
-        for orbit in mesh.orbits[0]:
-            rep = orbit[0]
-            star0[orbit] = self._voronoi_area(rep)
-        star1 = np.empty(E)
-        for orbit in mesh.orbits[1]:
-            rep = orbit[0]
-            star1[orbit] = self._cotan_weight(rep)
-        star2 = np.empty(F)
-        for orbit in mesh.orbits[2]:
-            rep = orbit[0]
-            star2[orbit] = 1.0 / self._tri_area[rep]
+        # diagonal stars: the Voronoi area gains |side|^2 cot / 8 at both
+        # ends of a side, the cotan weight of an edge is half the sum of the
+        # cotangents facing it, and every orbit takes its representative's
+        # value
+        voronoi = (_dot(sides, sides) * cot / 8.0).ravel()
+        star0 = (np.bincount(tails.ravel(), voronoi, V)
+                 + np.bincount(heads.ravel(), voronoi, V))[rep[0]]
+        star1 = 0.5 * np.bincount(mesh.tri_edges.T.ravel(), cot.ravel(), E)[rep[1]]
+        star2 = 1.0 / area[rep[2]]
         if star0.min() <= 0 or star1.min() <= 0:
             raise MeshError("nonpositive circumcentric dual ratio")
         self._stars = (star0, star1, star2)
@@ -126,111 +135,50 @@ class DecBackend(Backend):
             2: (self.d1 @ self._delta[2]).tocsr(),
         }
 
-        self._c10 = self._assemble_contraction_10()
-        self._c21 = self._assemble_contraction_21()
+        # Whitney 1-form of each side at the circumcenter, from the
+        # barycentric gradients, paired with the Killing field there
+        field = _killing_field(circum)
+        grads = np.cross(normal, np.roll(sides, -1, axis=0)) / twice_area[:, None]
+        lam = 1.0 + _dot(grads, circum - corners)
+        whitney = (lam[:, :, None] * np.roll(grads, -1, axis=0)
+                   - np.roll(lam, -1, axis=0)[:, :, None] * grads)
+        flux = mesh.tri_edge_signs * _dot(whitney, field).T        # (F, 3)
+
+        self._c10 = self._assemble_contraction_10(area, flux)
+        self._c21 = self._assemble_contraction_21(area, normal, field)
 
         # harmonic bases: constants in degree 0, area cochain in degree 2
-        h0 = np.ones(V)
-        h2 = self._tri_area.copy()
-        self._harmonic = {0: [h0], 1: [], 2: [h2]}
+        self._harmonic = {0: [np.ones(V)], 1: [], 2: [area]}
 
-    def _tris_at_vertex(self, v: int) -> List[int]:
-        return [t for t, tri in enumerate(self.mesh.tris) if v in tri]
-
-    def _cotan_weight(self, e: int) -> float:
-        mesh = self.mesh
-        u, v = mesh.edges[e]
-        cots = []
-        for t, tri in enumerate(mesh.tris):
-            if u in tri and v in tri:
-                w = next(x for x in tri if x not in (u, v))
-                e1 = mesh.positions[u] - mesh.positions[w]
-                e2 = mesh.positions[v] - mesh.positions[w]
-                cots.append(float(e1 @ e2) / float(np.linalg.norm(np.cross(e1, e2))))
-        return 0.5 * sum(cots)
-
-    def _voronoi_area(self, v: int) -> float:
-        mesh = self.mesh
-        total = 0.0
-        for t in self._tris_at_vertex(v):
-            tri = mesh.tris[t]
-            others = [x for x in tri if x != v]
-            pv = mesh.positions[v]
-            for w, opp in ((others[0], others[1]), (others[1], others[0])):
-                edge = mesh.positions[w] - pv
-                e1 = pv - mesh.positions[opp]
-                e2 = mesh.positions[w] - mesh.positions[opp]
-                cot = float(e1 @ e2) / float(np.linalg.norm(np.cross(e1, e2)))
-                total += float(edge @ edge) * cot / 8.0
-        return total
-
-    def _barycentric_gradients(self, t: int):
-        """Gradients of the three barycentric coordinates of triangle t."""
-        mesh = self.mesh
-        tri = mesh.tris[t]
-        n = self._tri_normal[t]
-        area = self._tri_area[t]
-        grads = []
-        for i in range(3):
-            pj = mesh.positions[tri[(i + 1) % 3]]
-            pk = mesh.positions[tri[(i + 2) % 3]]
-            grads.append(np.cross(n, pk - pj) / (2.0 * area))
-        return tri, grads
-
-    def _whitney_sample(self, t: int):
-        """Whitney 1-form of each triangle edge evaluated at the circumcenter.
-
-        Returns a list of (edge index, orientation sign, vector).
-        """
-        mesh = self.mesh
-        tri, grads = self._barycentric_gradients(t)
-        c = self._circum[t]
-        pa, pb, pc = (mesh.positions[v] for v in tri)
-        # barycentric coordinates of the circumcenter
-        lam = np.empty(3)
-        for i in range(3):
-            lam[i] = 1.0 + float(grads[i] @ (c - mesh.positions[tri[i]]))
-        out = []
-        for i in range(3):
-            u, v = tri[i], tri[(i + 1) % 3]
-            vec = lam[i] * grads[(i + 1) % 3] - lam[(i + 1) % 3] * grads[i]
-            e = (min(u, v), max(u, v))
-            sign = 1.0 if u < v else -1.0
-            out.append((mesh.edge_index[e], sign, vec))
-        return out
-
-    def _assemble_contraction_10(self) -> sp.csr_matrix:
-        """Interior product: 1-cochains to 0-cochains, orbit-replicated."""
+    def _assemble_contraction_10(self, area, flux) -> sp.csr_matrix:
+        """Interior product: 1-cochains to 0-cochains.  The row of a vertex
+        is the area-weighted mean of the Whitney fluxes of the triangles
+        around it."""
         mesh = self.mesh
         V, E = mesh.simplex_count(0), mesh.simplex_count(1)
-        rows, cols, vals = [], [], []
-        for orbit in mesh.orbits[0]:
-            rep = orbit[0]
-            entries = {}
-            weight_sum = 0.0
-            for t in self._tris_at_vertex(rep):
-                w = self._tri_area[t]
-                weight_sum += w
-                field = _killing_field(self._circum[t])
-                for e, sign, vec in self._whitney_sample(t):
-                    entries[e] = entries.get(e, 0.0) + w * sign * float(vec @ field)
-            entries = {e: v / weight_sum for e, v in entries.items()}
-            # a vertex fixed by part of the symmetry (a pole) touches whole
-            # edge orbits; average its row over the stabilizer so replicated
-            # entries are bit-identical and the matrix commutes exactly
-            stab = mesh.n_sym // len(orbit)
-            if stab > 1:
-                entries = self._stabilizer_average(entries, len(orbit), stab)
-            for e, val in entries.items():
-                vi, ei, s = rep, e, 1
-                for k in range(len(orbit)):
-                    rows.append(vi)
-                    cols.append(ei)
-                    vals.append(s * val)
-                    s *= int(mesh.esign[ei])
-                    vi = int(mesh.vperm[vi])
-                    ei = int(mesh.eperm[ei])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(V, E))
+        v = np.repeat(np.arange(V), np.diff(mesh.vertex_tri_ptr))
+        keep = mesh.orbit_rep[0][v] == v
+        v, t = v[keep], mesh.vertex_tris[keep]
+        sums = sp.csr_matrix(                   # sums the fluxes of each edge
+            ((area[:, None] * flux)[t].ravel(),
+             (np.repeat(v, 3), mesh.tri_edges[t].ravel())),
+            shape=(V, E),
+        ).tocoo()
+        r, c = sums.row, sums.col
+        vals = sums.data / np.bincount(v, area[t], V)[r]
+        # a vertex fixed by part of the symmetry (a pole) touches whole
+        # edge orbits; average its row over the stabilizer so replicated
+        # entries are bit-identical and the matrix commutes exactly
+        period = np.bincount(mesh.orbit_rep[0], minlength=V)
+        for pole in np.flatnonzero((period > 0) & (period < mesh.n_sym)):
+            mine = r == pole
+            row = self._stabilizer_average(
+                dict(zip(c[mine].tolist(), vals[mine].tolist())),
+                int(period[pole]), mesh.n_sym // int(period[pole]))
+            r = np.append(r[~mine], [pole] * len(row))
+            c = np.append(c[~mine], list(row))
+            vals = np.append(vals[~mine], list(row.values()))
+        return self._replicate(r, c, vals, 0, 1)
 
     def _stabilizer_average(self, entries, period: int, stab: int):
         """Average an edge-indexed row over the subgroup generated by
@@ -255,37 +203,37 @@ class DecBackend(Backend):
                 done.add(ce)
         return out
 
-    def _assemble_contraction_21(self) -> sp.csr_matrix:
-        """Interior product: 2-cochains to 1-cochains, orbit-replicated."""
+    def _assemble_contraction_21(self, area, normal, field) -> sp.csr_matrix:
+        """Interior product: 2-cochains to 1-cochains.  An edge takes the
+        mean over its two triangles of (field x edge) . normal / area."""
         mesh = self.mesh
-        E, F = mesh.simplex_count(1), mesh.simplex_count(2)
-        rows, cols, vals = [], [], []
-        tris_of_edge = {}
-        for t, (a, b, c) in enumerate(mesh.tris):
-            for u, v in ((a, b), (b, c), (c, a)):
-                tris_of_edge.setdefault(
-                    mesh.edge_index[(min(u, v), max(u, v))], []
-                ).append(t)
-        for orbit in mesh.orbits[1]:
-            rep = orbit[0]
-            u, v = mesh.edges[rep]
-            evec = mesh.positions[v] - mesh.positions[u]
-            adjacent = tris_of_edge[rep]
-            for t in adjacent:
-                field = _killing_field(self._circum[t])
-                val = (
-                    float(self._tri_normal[t] @ np.cross(field, evec))
-                    / (len(adjacent) * self._tri_area[t])
-                )
-                ei, ti, s = rep, t, 1
-                for k in range(len(orbit)):
-                    rows.append(ei)
-                    cols.append(ti)
-                    vals.append(s * val)
-                    s *= int(mesh.esign[ei])
-                    ei = int(mesh.eperm[ei])
-                    ti = int(mesh.tperm[ti])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(E, F))
+        E = mesh.simplex_count(1)
+        edges = np.flatnonzero(mesh.orbit_rep[1] == np.arange(E))
+        tris = mesh.edge_tris[edges]                                 # (R, 2)
+        ends = mesh.positions[mesh.edge_vertices[edges]]
+        evec = (ends[:, 1] - ends[:, 0])[:, None, :]
+        vals = _dot(normal[tris], np.cross(field[tris], evec)) / (2.0 * area[tris])
+        return self._replicate(np.repeat(edges, 2), tris.reshape(-1),
+                               vals.reshape(-1), 1, 2)
+
+    def _replicate(self, rows, cols, vals, q_row: int, q_col: int):
+        """The matrix whose representative rows hold the given entries and
+        whose other rows are their images: entry (r, c) yields
+        (sigma^k r, sigma^k c) for k below the orbit length of r, times the
+        sign sigma^k picks up on the edge index.  Images of one entry are
+        therefore equal bit for bit up to sign."""
+        mesh = self.mesh
+        perms = (mesh.vperm, mesh.eperm, mesh.tperm)
+        shape = (mesh.simplex_count(q_row), mesh.simplex_count(q_col))
+        length = np.bincount(mesh.orbit_rep[q_row], minlength=shape[0])[rows]
+        out = []
+        for k in range(mesh.n_sym):
+            keep = k < length
+            out.append((rows[keep], cols[keep], vals[keep]))
+            vals = vals * mesh.esign[rows if q_row == 1 else cols]
+            rows, cols = perms[q_row][rows], perms[q_col][cols]
+        r, c, v = (np.concatenate(x) for x in zip(*out))
+        return sp.csr_matrix((v, (r, c)), shape=shape)
 
     # -- contract operations --------------------------------------------------
 
@@ -403,10 +351,9 @@ class DecBackend(Backend):
         representatives and replicated, so the cochain is exactly
         symmetry-invariant.
         """
-        vals = np.empty(self.mesh.num_tris)
-        for orbit in self.mesh.orbits[2]:
-            vals[orbit] = -self.mesh.solid_angle(orbit[0])
-        return InvariantForm(self, 2, vals)
+        mesh = self.mesh
+        vals = -mesh.solid_angle(np.arange(mesh.num_tris))
+        return InvariantForm(self, 2, vals[mesh.orbit_rep[2]])
 
     def vertex_heights(self) -> np.ndarray:
         """The z-coordinate sampled at the mesh vertices."""

@@ -19,18 +19,26 @@ import numpy as np
 from .errors import MeshError
 
 
-def _canon_tri(t: Tuple[int, int, int]) -> Tuple[int, int, int]:
-    """Rotate cyclically so the smallest vertex comes first (orientation kept)."""
-    a, b, c = t
-    m = min(t)
-    while t[0] != m:
-        t = (t[1], t[2], t[0])
-    return t
+def _canon_tris(tris: np.ndarray) -> np.ndarray:
+    """Rotate each row cyclically so its smallest vertex comes first
+    (orientation kept)."""
+    shift = np.argmin(tris, axis=1)[:, None]
+    return np.take_along_axis(tris, (shift + np.arange(3)) % 3, axis=1)
 
 
 @dataclass
 class SymmetricMesh:
-    """Oriented triangulated sphere with an exact cyclic symmetry."""
+    """Oriented triangulated sphere with an exact cyclic symmetry.
+
+    Besides the simplex lists it holds the incidence arrays the discrete
+    operators are assembled from: side ``i`` of triangle ``t`` runs from
+    ``tris[t][i]`` to ``tris[t][(i + 1) % 3]``, is edge ``tri_edges[t, i]``
+    and agrees with that edge's (low, high) orientation when
+    ``tri_edge_signs[t, i]`` is +1.  The triangles around vertex ``v`` are
+    ``vertex_tris[vertex_tri_ptr[v]:vertex_tri_ptr[v + 1]]``, in increasing
+    order.  ``orbit_rep[q][i]`` is the first member of the orbit of the
+    q-simplex ``i``.
+    """
 
     positions: np.ndarray          # (V, 3) unit vectors
     tris: List[Tuple[int, int, int]]  # canonical cyclic, outward oriented
@@ -40,27 +48,47 @@ class SymmetricMesh:
     zigzag: float = 0.0            # latitude stagger of the base rings
 
     edges: List[Tuple[int, int]] = field(init=False)
-    edge_index: Dict[Tuple[int, int], int] = field(init=False)
-    tri_index: Dict[Tuple[int, int, int], int] = field(init=False)
+    tri_vertices: np.ndarray = field(init=False)    # (F, 3) rows of tris
+    edge_vertices: np.ndarray = field(init=False)   # (E, 2) rows of edges
+    tri_edges: np.ndarray = field(init=False)       # (F, 3) edge of each side
+    tri_edge_signs: np.ndarray = field(init=False)  # (F, 3) +1 or -1
+    edge_tris: np.ndarray = field(init=False)       # (E, 2) triangles at an edge
+    vertex_tri_ptr: np.ndarray = field(init=False)  # (V + 1,) offsets
+    vertex_tris: np.ndarray = field(init=False)     # (3F,) triangles at vertices
     eperm: np.ndarray = field(init=False)
     esign: np.ndarray = field(init=False)
     tperm: np.ndarray = field(init=False)
     orbits: Dict[int, List[List[int]]] = field(init=False)
+    orbit_rep: Dict[int, np.ndarray] = field(init=False)  # orbit[0] per simplex
 
     def __post_init__(self):
-        self.tris = [_canon_tri(tuple(t)) for t in self.tris]
-        edge_set = set()
-        for a, b, c in self.tris:
-            for u, v in ((a, b), (b, c), (c, a)):
-                edge_set.add((min(u, v), max(u, v)))
-        self.edges = sorted(edge_set)
-        self.edge_index = {e: i for i, e in enumerate(self.edges)}
-        self.tri_index = {t: i for i, t in enumerate(self.tris)}
+        tv = _canon_tris(np.asarray(self.tris, dtype=np.int64).reshape(-1, 3))
+        self.tri_vertices = tv
+        self.tris = list(map(tuple, tv.tolist()))
+        nv, nt = len(self.positions), len(tv)
+        tail, head = tv, np.roll(tv, -1, axis=1)
+        keys, side_edge = np.unique(
+            np.minimum(tail, head) * nv + np.maximum(tail, head),
+            return_inverse=True,
+        )
+        self.edge_vertices = np.stack([keys // nv, keys % nv], axis=1)
+        self.edges = list(map(tuple, self.edge_vertices.tolist()))
         if self.euler_characteristic() != 2:
             raise MeshError(
                 "Euler characteristic %d != 2" % self.euler_characteristic()
             )
-        self._build_permutations()
+        side_edge = side_edge.reshape(-1)
+        if np.any(np.bincount(side_edge, minlength=len(keys)) != 2):
+            raise MeshError("an edge does not lie in exactly two triangles")
+        self.tri_edges = side_edge.reshape(nt, 3)
+        self.tri_edge_signs = np.where(tail < head, 1, -1)
+        self.edge_tris = (np.argsort(side_edge, kind="stable") // 3).reshape(-1, 2)
+        corners = tv.reshape(-1)
+        self.vertex_tris = np.argsort(corners, kind="stable") // 3
+        self.vertex_tri_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(corners, minlength=nv)))
+        )
+        self._build_permutations(keys)
         self._build_orbits()
 
     # -- combinatorics ------------------------------------------------------
@@ -83,41 +111,44 @@ class SymmetricMesh:
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_tris
 
-    def _build_permutations(self):
-        vp = self.vperm
-        eperm = np.empty(self.num_edges, dtype=int)
-        esign = np.empty(self.num_edges, dtype=int)
-        for i, (u, v) in enumerate(self.edges):
-            iu, iv = int(vp[u]), int(vp[v])
-            if iu < iv:
-                eperm[i], esign[i] = self.edge_index[(iu, iv)], 1
-            else:
-                eperm[i], esign[i] = self.edge_index[(iv, iu)], -1
-        tperm = np.empty(self.num_tris, dtype=int)
-        for i, (a, b, c) in enumerate(self.tris):
-            img = _canon_tri((int(vp[a]), int(vp[b]), int(vp[c])))
-            if img not in self.tri_index:
-                raise MeshError("symmetry does not map triangles to triangles")
-            tperm[i] = self.tri_index[img]
-        self.eperm, self.esign, self.tperm = eperm, esign, tperm
+    def _build_permutations(self, edge_keys: np.ndarray):
+        nv = self.num_vertices
+        img = self.vperm[self.edge_vertices]
+        eperm = _lookup(edge_keys, img.min(axis=1) * nv + img.max(axis=1))
+        if eperm is None:
+            raise MeshError("symmetry does not map edges to edges")
+        esign = np.where(img[:, 0] < img[:, 1], 1, -1)
+
+        def tri_keys(tv):
+            return (tv[:, 0] * nv + tv[:, 1]) * nv + tv[:, 2]
+
+        own = tri_keys(self.tri_vertices)
+        order = np.argsort(own)
+        found = _lookup(own[order],
+                        tri_keys(_canon_tris(self.vperm[self.tri_vertices])))
+        if found is None:
+            raise MeshError("symmetry does not map triangles to triangles")
+        self.eperm, self.esign, self.tperm = eperm, esign, order[found]
 
     def _build_orbits(self):
-        self.orbits = {}
+        """Orbits in increasing order of their smallest member, each listed
+        from that member along the permutation."""
+        self.orbits, self.orbit_rep = {}, {}
         for q, perm in ((0, self.vperm), (1, self.eperm), (2, self.tperm)):
-            seen = [False] * len(perm)
-            orbits = []
-            for i in range(len(perm)):
-                if seen[i]:
-                    continue
-                orbit = [i]
-                seen[i] = True
-                j = int(perm[i])
-                while j != i:
-                    seen[j] = True
-                    orbit.append(j)
-                    j = int(perm[j])
-                orbits.append(orbit)
-            self.orbits[q] = orbits
+            images = [np.arange(len(perm))]
+            for _ in range(self.n_sym):
+                images.append(perm[images[-1]])
+            if not np.array_equal(images.pop(), images[0]):
+                raise MeshError("symmetry does not have order dividing n_sym")
+            images = np.array(images)          # images[k, i] = sigma^k(i)
+            rep = images.min(axis=0)
+            reps = np.flatnonzero(rep == images[0])
+            length = np.bincount(rep, minlength=len(perm))[reps]
+            self.orbits[q] = [
+                orbit[:n] for orbit, n
+                in zip(images[:, reps].T.tolist(), length.tolist())
+            ]
+            self.orbit_rep[q] = rep
 
     def permutation_sign(self, q: int, k: int, i: int):
         """Image and sign of simplex i of dimension q under sigma^k."""
@@ -130,33 +161,41 @@ class SymmetricMesh:
         return i, sign
 
     # -- geometry -----------------------------------------------------------
+    #
+    # ``t`` is one triangle index or an index array; with an array each
+    # returned vector or number becomes an array over those triangles.
 
-    def tri_vectors(self, t: int):
-        a, b, c = self.tris[t]
-        return self.positions[a], self.positions[b], self.positions[c]
+    def tri_vectors(self, t):
+        """The three corner positions of triangle(s) t."""
+        return np.moveaxis(self.positions[self.tri_vertices[t]], -2, 0)
 
-    def tri_area_normal(self, t: int):
-        """Chordal area and outward unit normal of a triangle."""
-        pa, pb, pc = self.tri_vectors(t)
-        cr = np.cross(pb - pa, pc - pa)
-        nrm = float(np.linalg.norm(cr))
-        return 0.5 * nrm, cr / nrm
-
-    def tri_circumcenter(self, t: int) -> np.ndarray:
+    def tri_circumcenter(self, t) -> np.ndarray:
         pa, pb, pc = self.tri_vectors(t)
         ab, ac = pb - pa, pc - pa
-        g11, g12, g22 = float(ab @ ab), float(ab @ ac), float(ac @ ac)
+        g11, g12, g22 = _dot(ab, ab), _dot(ab, ac), _dot(ac, ac)
         det = g11 * g22 - g12 * g12
         alpha = (g22 * g11 / 2.0 - g12 * g22 / 2.0) / det
         beta = (g11 * g22 / 2.0 - g12 * g11 / 2.0) / det
-        return pa + alpha * ab + beta * ac
+        return pa + alpha[..., None] * ab + beta[..., None] * ac
 
-    def solid_angle(self, t: int) -> float:
+    def solid_angle(self, t):
         """Signed spherical area (positive for outward orientation)."""
-        a, b, c = (self.positions[v] for v in self.tris[t])
-        num = float(np.dot(a, np.cross(b, c)))
-        den = 1.0 + float(a @ b) + float(b @ c) + float(c @ a)
-        return 2.0 * math.atan2(num, den)
+        a, b, c = self.tri_vectors(t)
+        num = _dot(a, np.cross(b, c))
+        den = 1.0 + _dot(a, b) + _dot(b, c) + _dot(c, a)
+        return 2.0 * np.arctan2(num, den)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, rounded as ``x @ y`` rounds."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
+    """Positions of ``keys`` in ``sorted_keys``, or None if one is missing."""
+    pos = np.searchsorted(sorted_keys, keys)
+    pos[pos == len(sorted_keys)] = 0
+    return pos if np.array_equal(sorted_keys[pos], keys) else None
 
 
 def build_symmetric_sphere(n_sym: int, level: int,
@@ -243,42 +282,31 @@ def build_symmetric_sphere(n_sym: int, level: int,
 
 
 def _orient_outward(positions, tris):
-    out = []
-    for a, b, c in tris:
-        pa, pb, pc = positions[a], positions[b], positions[c]
-        n = np.cross(pb - pa, pc - pa)
-        centroid = (pa + pb + pc) / 3.0
-        if float(n @ centroid) < 0:
-            a, b, c = a, c, b
-        out.append((a, b, c))
-    return out
+    tris = np.array(tris)
+    pa, pb, pc = np.moveaxis(positions[tris], 1, 0)
+    inward = _dot(np.cross(pb - pa, pc - pa), (pa + pb + pc) / 3.0) < 0
+    tris[inward] = tris[inward][:, [0, 2, 1]]
+    return tris
 
 
 def subdivide(mesh: SymmetricMesh) -> SymmetricMesh:
-    """One 1-to-4 refinement step, projected back to the unit sphere."""
-    V = mesh.num_vertices
-    positions = [mesh.positions[i] for i in range(V)]
-    mid = {}
-    for i, (u, v) in enumerate(mesh.edges):
-        p = mesh.positions[u] + mesh.positions[v]
-        positions.append(p / np.linalg.norm(p))
-        mid[i] = V + i
-    vperm = list(mesh.vperm) + [0] * mesh.num_edges
-    for i in range(mesh.num_edges):
-        vperm[V + i] = V + int(mesh.eperm[i])
-    tris = []
-    for a, b, c in mesh.tris:
-        mab = mid[mesh.edge_index[(min(a, b), max(a, b))]]
-        mbc = mid[mesh.edge_index[(min(b, c), max(b, c))]]
-        mca = mid[mesh.edge_index[(min(c, a), max(c, a))]]
-        tris.extend(
-            [(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)]
-        )
+    """One 1-to-4 refinement step, projected back to the unit sphere.
+
+    The midpoint of edge ``e`` becomes vertex ``V + e``."""
+    nv = mesh.num_vertices
+    mid = mesh.positions[mesh.edge_vertices].sum(axis=1)
+    a, b, c = mesh.tri_vertices.T
+    mab, mbc, mca = (nv + mesh.tri_edges).T
+    tris = np.stack(
+        [a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1
+    ).reshape(-1, 3)
     return SymmetricMesh(
-        positions=np.array(positions),
+        positions=np.vstack(
+            [mesh.positions, mid / np.sqrt(_dot(mid, mid))[:, None]]
+        ),
         tris=tris,
         n_sym=mesh.n_sym,
         level=mesh.level + 1,
-        vperm=np.array(vperm, dtype=int),
+        vperm=np.concatenate([mesh.vperm, nv + mesh.eperm]),
         zigzag=mesh.zigzag,
     )

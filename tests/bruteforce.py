@@ -21,10 +21,15 @@ sphere  (z, phi), metric (1-z^2)^{-1} dz^2 + (1-z^2) dphi^2, V = d/dphi:
 torus   flat T^2, V = v . d/dx, forms are sums f_I(x) dx_I with
     orthonormal covectors; star permutes index sets with the permutation
     sign; codifferential = -(star d star); integrals over [0, 2 pi]^2.
+
+The DEC reference at the end is numeric, not symbolic: it evaluates the
+discrete formulas simplex by simplex with plain loops over the mesh's
+vertex, edge and triangle lists.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import sympy as sp
 
 # ---------------------------------------------------------------------------
@@ -380,3 +385,144 @@ class TorusOracle:
             out_q, res = apply(self._from_index(q, i))
             cols.append(self._to_coeffs(out_q, res))
         return cols
+
+
+# ---------------------------------------------------------------------------
+# DEC reference
+# ---------------------------------------------------------------------------
+
+def _killing(p):
+    return np.array([-p[1], p[0], 0.0])
+
+
+def _circumcenter(pa, pb, pc):
+    """The point of the triangle's plane equidistant from its corners."""
+    ab, ac = pb - pa, pc - pa
+    n = np.cross(ab, ac)
+    return pa + (float(ab @ ab) * np.cross(ac, n)
+                 + float(ac @ ac) * np.cross(n, ab)) / (2.0 * float(n @ n))
+
+
+def dec_reference(mesh):
+    """Dense DEC matrices of a symmetric mesh, one simplex at a time.
+
+    Returns a dict with the coboundaries ``d0`` and ``d1``, the diagonal
+    stars ``star0`` (Voronoi areas), ``star1`` (cotan weights) and
+    ``star2`` (inverse areas), the codifferentials ``delta1`` and
+    ``delta2``, and the interior products ``c10`` (area-weighted mean of
+    the Whitney samples at the circumcenters of the triangles around a
+    vertex) and ``c21`` (mean over the two triangles of an edge of
+    normal . (field x edge) / area).  ``star0`` and ``star1`` give each
+    symmetry orbit the value of its first member, as the backend's stars
+    must: the cotan weight of an edge facing two nearly right angles is a
+    small difference, which rounding at another orbit member would change
+    by much more than 1e-13 of itself.  Every row of ``c10`` and ``c21`` is
+    computed on its own.  The row of ``c10`` at a vertex fixed by part of
+    the symmetry (a pole) is averaged over its stabilizer, with edge
+    images and signs worked out from the vertex permutation.
+    """
+    P = mesh.positions
+    V, E, F = mesh.num_vertices, mesh.num_edges, mesh.num_tris
+    edge_of = {e: i for i, e in enumerate(mesh.edges)}
+    tris_at = {v: [] for v in range(V)}
+    tris_of_edge = {e: [] for e in range(E)}
+
+    def sides(tri):
+        """(edge index, orientation sign, tail, head) of each side."""
+        a, b, c = tri
+        return [(edge_of[(min(u, v), max(u, v))], 1.0 if u < v else -1.0, u, v)
+                for u, v in ((a, b), (b, c), (c, a))]
+
+    for t, tri in enumerate(mesh.tris):
+        for v in tri:
+            tris_at[v].append(t)
+        for e, _, _, _ in sides(tri):
+            tris_of_edge[e].append(t)
+
+    def cot(w, u, v):
+        """Cotangent of the corner at w of the triangle (w, u, v)."""
+        e1, e2 = P[u] - P[w], P[v] - P[w]
+        return float(e1 @ e2) / float(np.linalg.norm(np.cross(e1, e2)))
+
+    area, normal, center = np.empty(F), np.empty((F, 3)), np.empty((F, 3))
+    for t, (a, b, c) in enumerate(mesh.tris):
+        cr = np.cross(P[b] - P[a], P[c] - P[a])
+        area[t] = 0.5 * np.linalg.norm(cr)
+        normal[t] = cr / np.linalg.norm(cr)
+        center[t] = _circumcenter(P[a], P[b], P[c])
+
+    d0 = np.zeros((E, V))
+    for i, (u, v) in enumerate(mesh.edges):
+        d0[i, u], d0[i, v] = -1.0, 1.0
+    d1 = np.zeros((F, E))
+    for t, tri in enumerate(mesh.tris):
+        for e, sign, _, _ in sides(tri):
+            d1[t, e] = sign
+
+    # the stars take each orbit representative's value on its whole orbit
+    star0 = np.zeros(V)
+    for orbit in mesh.orbits[0]:
+        v = orbit[0]
+        for t in tris_at[v]:
+            w, opp = [x for x in mesh.tris[t] if x != v]
+            for near, far in ((w, opp), (opp, w)):
+                edge = P[near] - P[v]
+                star0[orbit] += float(edge @ edge) * cot(far, v, near) / 8.0
+    star1 = np.zeros(E)
+    for orbit in mesh.orbits[1]:
+        u, v = mesh.edges[orbit[0]]
+        for t in tris_of_edge[orbit[0]]:
+            w = next(x for x in mesh.tris[t] if x not in (u, v))
+            star1[orbit] += 0.5 * cot(w, u, v)
+    star2 = 1.0 / area
+
+    def whitney(t):
+        """Whitney 1-form of each side of t at its circumcenter, as
+        (edge index, sign, vector)."""
+        tri = mesh.tris[t]
+        grads = [np.cross(normal[t], P[tri[(i + 2) % 3]] - P[tri[(i + 1) % 3]])
+                 / (2.0 * area[t]) for i in range(3)]
+        lam = [1.0 + float(grads[i] @ (center[t] - P[tri[i]])) for i in range(3)]
+        return [(e, sign, lam[i] * grads[(i + 1) % 3] - lam[(i + 1) % 3] * grads[i])
+                for i, (e, sign, _, _) in enumerate(sides(tri))]
+
+    c10 = np.zeros((V, E))
+    for v in range(V):
+        for t in tris_at[v]:
+            for e, sign, vec in whitney(t):
+                c10[v, e] += area[t] * sign * float(vec @ _killing(center[t]))
+        c10[v] /= sum(area[t] for t in tris_at[v])
+
+    def rotate_edge(e, k):
+        """Image and orientation sign of edge e under sigma^k."""
+        u, v = mesh.edges[e]
+        for _ in range(k):
+            u, v = int(mesh.vperm[u]), int(mesh.vperm[v])
+        return edge_of[(min(u, v), max(u, v))], (1.0 if u < v else -1.0)
+
+    for v in range(V):
+        period, w = 1, int(mesh.vperm[v])
+        while w != v:
+            period, w = period + 1, int(mesh.vperm[w])
+        stab = mesh.n_sym // period
+        if stab > 1:
+            row = np.zeros(E)
+            for e in range(E):
+                for j in range(stab):
+                    image, sign = rotate_edge(e, j * period)
+                    row[e] += sign * c10[v, image] / stab
+            c10[v] = row
+
+    c21 = np.zeros((E, F))
+    for e, (u, v) in enumerate(mesh.edges):
+        adjacent = tris_of_edge[e]
+        for t in adjacent:
+            c21[e, t] = (float(normal[t] @ np.cross(_killing(center[t]), P[v] - P[u]))
+                         / (len(adjacent) * area[t]))
+
+    return {
+        "d0": d0, "d1": d1, "star0": star0, "star1": star1, "star2": star2,
+        "delta1": np.diag(1.0 / star0) @ d0.T @ np.diag(star1),
+        "delta2": np.diag(1.0 / star1) @ d1.T @ np.diag(star2),
+        "c10": c10, "c21": c21,
+    }

@@ -121,6 +121,15 @@ def test_convergence_short_run(capsys):
     assert residuals[1] < residuals[0]
 
 
+def test_convergence_study_to_level_3(capsys):
+    code, out, err = run(capsys, "convergence", "--levels", "3")
+    assert code == 0
+    lines = [l for l in out.splitlines() if l and l[0].isdigit()]
+    assert len(lines) == 4
+    residuals = [float(l.split()[2]) for l in lines]
+    assert all(b < a for a, b in zip(residuals, residuals[1:]))
+
+
 def test_dec_preset_extends(capsys):
     code, out, err = run(capsys, "extend", "--preset", "dec/volume")
     assert code == 0
@@ -140,3 +149,28 @@ def test_truncation_the_backend_rejects_is_an_error(capsys):
                          "--truncation", "1")
     assert code == 1
     assert err.startswith("error (extend): ")
+
+
+@pytest.mark.parametrize("argv,tol", [
+    (["convergence", "--levels", "0", "--tol", "0"], 0.0),
+    (["extend", "--preset", "dec/volume", "--tol", "1e-6"], 1e-6),
+    (["extend", "--in", "{form}", "--tol", "1e-7"], 1e-7),
+])
+def test_tol_is_passed_to_the_dec_backend_constructor(capsys, monkeypatch,
+                                                      tmp_path, argv, tol):
+    from equihodge import DecBackend, build_symmetric_sphere
+
+    form = tmp_path / "form.txt"
+    mesh = build_symmetric_sphere(4, 1, zigzag=0.1)
+    form.write_text(serialize_form(DecBackend(mesh).volume_form_cochain()))
+    seen = []
+    init = DecBackend.__init__
+
+    def recording_init(self, mesh, tol=1e-9, **kwargs):
+        seen.append(tol)
+        init(self, mesh, tol=tol, **kwargs)
+
+    monkeypatch.setattr(DecBackend, "__init__", recording_init)
+    code, out, err = run(capsys, *(a.format(form=form) for a in argv))
+    assert code == 0
+    assert seen == [tol]

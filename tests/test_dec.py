@@ -5,6 +5,7 @@ import pytest
 
 from equihodge import (
     DecBackend,
+    MeshError,
     SolverError,
     build_symmetric_sphere,
     cartan_d,
@@ -129,3 +130,47 @@ def test_extension_and_moment_map(dec):
     z = dec.vertex_heights()
     target = -(z - z.mean())
     assert np.max(np.abs(mu.coeffs - target)) < 0.1
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("n_sym,zigzag", [(4, 0.0), (4, 0.1), (5, 0.0), (5, 0.1)])
+def test_assembly_matches_the_per_simplex_reference(n_sym, zigzag, level):
+    from bruteforce import dec_reference
+
+    mesh = build_symmetric_sphere(n_sym, level, zigzag=zigzag)
+    ref = dec_reference(mesh)
+    if ref["star0"].min() <= 0 or ref["star1"].min() <= 0:
+        # obtuse enough for a negative dual ratio: the backend refuses it
+        with pytest.raises(MeshError):
+            DecBackend(mesh)
+        return
+    dec = DecBackend(mesh)
+    got = {
+        "d0": dec.d0, "d1": dec.d1, "delta1": dec._delta[1],
+        "delta2": dec._delta[2], "c10": dec._c10, "c21": dec._c21,
+        "star0": dec._stars[0], "star1": dec._stars[1], "star2": dec._stars[2],
+    }
+    for name, mat in got.items():
+        mat = mat.toarray() if hasattr(mat, "toarray") else mat
+        scale = np.max(np.abs(ref[name]))
+        assert np.max(np.abs(mat - ref[name])) <= 1e-13 * scale, name
+
+
+def _chordal_areas(mesh):
+    p = mesh.positions[np.array(mesh.tris)]
+    return 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
+                                axis=1)
+
+
+@pytest.mark.parametrize("n_sym,level,zigzag", [(4, 1, 0.1), (5, 2, 0.0)])
+def test_stars_satisfy_the_triangle_identities(n_sym, level, zigzag):
+    """Voronoi areas tile the surface, sum(cot * |e|^2) = 4 A per triangle
+    gives sum(star1 * |e|^2) = 2 * total area, and star2 is 1 / area."""
+    mesh = build_symmetric_sphere(n_sym, level, zigzag=zigzag)
+    star0, star1, star2 = DecBackend(mesh)._stars
+    areas = _chordal_areas(mesh)
+    ends = mesh.positions[np.array(mesh.edges)]
+    length2 = np.sum((ends[:, 1] - ends[:, 0]) ** 2, axis=1)
+    assert np.sum(star0) == pytest.approx(np.sum(areas), rel=1e-12)
+    assert np.sum(star1 * length2) == pytest.approx(2 * np.sum(areas), rel=1e-12)
+    assert np.allclose(star2, 1.0 / areas, rtol=1e-12, atol=0)
