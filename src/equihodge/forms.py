@@ -9,9 +9,10 @@ On top of that contract this module builds, once and for all:
 
 * the codifferential as the signed star conjugate of ``d``,
 * the Laplacian ``d d* + d* d``,
-* Green's operator and harmonic projection (spectral, exact, for the
-  rational backends; the mesh backend overrides them with an iterative
-  solve),
+* Green's operator, harmonic projection, the inner product and the
+  harmonic basis of the rational backends, all in the coordinates of an
+  exact Laplacian eigenbasis (the mesh backend supplies its own, with an
+  iterative Green solve),
 * the three-way Hodge decomposition.
 
 Exact backends use :class:`fractions.Fraction` coefficients throughout,
@@ -253,32 +254,26 @@ class Backend(ABC):
         return math.sqrt(max(0.0, float(self.inner_product(w, w))))
 
 
-class _Eig:
-    """One member of an exact orthogonal eigenbasis of the Laplacian."""
-
-    __slots__ = ("eigenvalue", "entries", "norm_sq")
-
-    def __init__(self, eigenvalue: Fraction, entries, norm_sq: Fraction):
-        self.eigenvalue = Fraction(eigenvalue)
-        # sparse vector: list of (index, Fraction)
-        self.entries = list(entries)
-        self.norm_sq = Fraction(norm_sq)
-
-
 class ExactBackend(Backend):
     """Backend with exact rational coefficients and a spectral Hodge engine.
 
-    Subclasses supply, per degree, a sparse Gram matrix action and an
-    orthogonal eigenbasis of the Laplacian with exact rational eigenvectors
-    and eigenvalues.  Green's operator and harmonic projection are then
-    exact eigen-expansions; harmonic means eigenvalue exactly zero.
+    Every degree has an orthogonal eigenbasis of the Laplacian with exact
+    rational vectors, eigenvalues and squared norms.  The engine reaches it
+    through three per-degree hooks: :meth:`_to_eigen` (the coordinates of a
+    form in the eigenbasis), :meth:`_from_eigen` (the form with given
+    coordinates) and :meth:`_spectrum` (eigenvalues and squared norms).  In
+    those coordinates Green's operator divides by the nonzero eigenvalues,
+    harmonic projection keeps the coordinates of eigenvalue exactly zero,
+    and the inner product is ``sum n_k a_k b_k``.  The default hooks solve
+    over the triangular sparse eigenbasis a subclass lists in
+    :meth:`_eigen_entries`; a product overrides them with factor transforms.
     """
 
     is_exact = True
     tol = 0.0
 
     def __init__(self):
-        self._eig_cache: Dict[int, List[_Eig]] = {}
+        self._eig_cache: Dict[int, tuple] = {}
 
     # -- subclass obligations ---------------------------------------------
 
@@ -286,65 +281,97 @@ class ExactBackend(Backend):
     def _pi_power(self) -> int:
         """Power of pi carried by every inner product of this backend."""
 
-    @abstractmethod
-    def _gram_apply(self, q: int, vec: Sequence[Fraction]) -> List[Fraction]:
-        """Apply the degree-q Gram matrix (rational part) to a vector."""
+    def _eigen_entries(self, q: int) -> List[Tuple[Fraction, list, Fraction]]:
+        """Orthogonal Laplacian eigenbasis of degree q, for the default hooks.
 
-    @abstractmethod
-    def _eigen_entries(self, q: int) -> List[_Eig]:
-        """Orthogonal Laplacian eigenbasis of the degree-q space."""
+        One ``(eigenvalue, entries, squared norm)`` per vector, ``entries``
+        a sparse list of ``(index, Fraction)`` and the squared norm without
+        its power of pi.  The vectors' largest indices must be distinct, so
+        that the basis is triangular.
+        """
+        raise NotImplementedError
+
+    # -- spectral hooks ----------------------------------------------------
+
+    def _eigen(self, q: int):
+        """Cached ``(vectors, back-substitution steps, spectrum)`` of degree q."""
+        if q not in self._eig_cache:
+            dim = self.dimension(q)
+            eig = self._eigen_entries(q) if dim else []
+            if len(eig) != dim:
+                raise AssertionError(
+                    "eigenbasis does not span degree %d (%d vs %d)"
+                    % (q, len(eig), dim)
+                )
+            lams, vectors, norms = zip(*eig) if eig else ((), (), ())
+            pivots = [max(vec) for vec in vectors]  # (largest index, entry)
+            if len({lead for lead, _ in pivots}) != dim:
+                raise AssertionError(
+                    "eigenbasis of degree %d has repeated leading indices" % q)
+            steps = sorted(((lead, k, pivot, vectors[k])
+                            for k, (lead, pivot) in enumerate(pivots)),
+                           reverse=True)
+            self._eig_cache[q] = (vectors, steps, (lams, norms))
+        return self._eig_cache[q]
+
+    def _to_eigen(self, w: InvariantForm) -> Tuple[Fraction, ...]:
+        """Coordinates of w in the degree's eigenbasis, by back-substitution."""
+        _, steps, _ = self._eigen(w.degree)
+        r = list(w.coeffs)
+        out = [Fraction(0)] * len(r)
+        for lead, k, pivot, vec in steps:
+            if r[lead]:
+                a = out[k] = r[lead] / pivot
+                for i, v in vec:
+                    r[i] -= a * v
+        return tuple(out)
+
+    def _from_eigen(self, q: int, c: Sequence[Fraction]) -> InvariantForm:
+        """The degree-q form whose eigen-coordinates are c."""
+        vectors, _, _ = self._eigen(q)
+        out = [Fraction(0)] * self.dimension(q)
+        for ck, entries in zip(c, vectors):
+            if ck:
+                for i, v in entries:
+                    out[i] += ck * v
+        return InvariantForm(self, q, tuple(out))
+
+    def _spectrum(self, q: int):
+        """Eigenvalues and squared norms (no power of pi) of degree q."""
+        return self._eigen(q)[2]
 
     # -- engine ------------------------------------------------------------
 
-    def _eigen(self, q: int) -> List[_Eig]:
-        if q not in self._eig_cache:
-            eig = self._eigen_entries(q)
-            if len(eig) != self.dimension(q):
-                raise AssertionError(
-                    "eigenbasis does not span degree %d (%d vs %d)"
-                    % (q, len(eig), self.dimension(q))
-                )
-            self._eig_cache[q] = eig
-        return self._eig_cache[q]
-
     def inner_product(self, a: InvariantForm, b: InvariantForm) -> PiScalar:
         a._check_compatible(b)
-        if self.dimension(a.degree) == 0:
-            return PiScalar(Fraction(0), self._pi_power())
-        mb = self._gram_apply(a.degree, b.coeffs)
-        val = sum((x * y for x, y in zip(a.coeffs, mb)), Fraction(0))
+        _, norms = self._spectrum(a.degree)
+        x = self._to_eigen(a)
+        y = x if b is a else self._to_eigen(b)
+        val = sum((n * s * t for n, s, t in zip(norms, x, y) if s and t),
+                  Fraction(0))
         return PiScalar(val, self._pi_power())
 
-    def _expand(self, w: InvariantForm):
-        """Yield (eig, rational coefficient) pairs of the eigen-expansion."""
-        u = self._gram_apply(w.degree, w.coeffs)
-        for eig in self._eigen(w.degree):
-            c = sum((val * u[idx] for idx, val in eig.entries), Fraction(0))
-            if c != 0:
-                yield eig, c / eig.norm_sq
-
-    def _accumulate(self, q: int, pieces) -> InvariantForm:
-        acc = [Fraction(0)] * self.dimension(q)
-        for eig, c in pieces:
-            for idx, val in eig.entries:
-                acc[idx] += c * val
-        return InvariantForm(self, q, tuple(acc))
-
     def green(self, w: InvariantForm) -> InvariantForm:
-        if self.dimension(w.degree) == 0:
-            return self.zero(w.degree)
-        pieces = (
-            (eig, c / eig.eigenvalue)
-            for eig, c in self._expand(w)
-            if eig.eigenvalue != 0
-        )
-        return self._accumulate(w.degree, pieces)
+        lams, _ = self._spectrum(w.degree)
+        c = self._to_eigen(w)
+        return self._from_eigen(w.degree, [
+            a / lam if a and lam else Fraction(0) for a, lam in zip(c, lams)])
 
     def harmonic_projection(self, w: InvariantForm) -> InvariantForm:
-        if self.dimension(w.degree) == 0:
-            return self.zero(w.degree)
-        pieces = ((eig, c) for eig, c in self._expand(w) if eig.eigenvalue == 0)
-        return self._accumulate(w.degree, pieces)
+        lams, _ = self._spectrum(w.degree)
+        c = self._to_eigen(w)
+        return self._from_eigen(w.degree, [
+            Fraction(0) if lam else a for a, lam in zip(c, lams)])
+
+    def harmonic_basis(self, q: int) -> List[InvariantForm]:
+        lams, _ = self._spectrum(q)
+        out = []
+        for k, lam in enumerate(lams):
+            if lam == 0:
+                unit = [Fraction(0)] * len(lams)
+                unit[k] = Fraction(1)
+                out.append(self._from_eigen(q, unit))
+        return out
 
     def codifferential(self, w: InvariantForm) -> InvariantForm:
         # d* = (-1)^(n(q+1)+1) * d *  on an oriented Riemannian n-manifold

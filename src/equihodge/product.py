@@ -13,7 +13,10 @@ few lines over it: d and the contractions follow the Koszul sign rule
 
 the Hodge star is
 ``star(w1 (x) w2) = (-1)^(q2 (n1 - q1)) star1(w1) (x) star2(w2)``, and the
-Gram matrix is gram1 (x) gram2.  The codifferential is the signed star
+eigen-coordinate transforms of the spectral engine are the tensor products
+of the factors' transforms, since the eigenvectors e1 (x) e2 of the
+product have eigenvalue lam1 + lam2 and squared norm n1 n2.  No product
+eigenvector is ever built.  The codifferential is the signed star
 conjugate of d inherited from :class:`ExactBackend`.  Nothing is
 hand-written per backend pair.
 """
@@ -25,7 +28,7 @@ from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import BackendMismatch
-from .forms import ExactBackend, GeneratorSpec, InvariantForm, _Eig
+from .forms import ExactBackend, GeneratorSpec, InvariantForm
 
 
 class ProductBackend(ExactBackend):
@@ -156,42 +159,29 @@ class ProductBackend(ExactBackend):
         return self._apply(w, out_q, (None, partial(self.b2.contraction, j - r1),
                                       _koszul))
 
-    def harmonic_basis(self, q: int) -> List[InvariantForm]:
-        out = []
-        for q1 in range(0, self.b1.n + 1):
-            q2 = q - q1
-            for h1 in self.b1.harmonic_basis(q1):
-                for h2 in self.b2.harmonic_basis(q2):
-                    out.append(self.tensor(h1, h2))
-        return out
-
     # -- spectral data -----------------------------------------------------
 
     def _pi_power(self) -> int:
         return self.b1._pi_power() + self.b2._pi_power()
 
-    def _gram_apply(self, q: int, vec: Sequence[Fraction]) -> List[Fraction]:
-        w = InvariantForm(self, q, vec)
-        return list(self._apply(w, q, (_gram, _gram, None)).coeffs)
+    def _to_eigen(self, w: InvariantForm) -> Tuple[Fraction, ...]:
+        return self._apply(w, w.degree, (_coords, _coords, None)).coeffs
 
-    def _eigen_entries(self, q: int) -> List[_Eig]:
-        eig = []
-        for q1, q2, offset, d1, d2 in self._blocks.get(q, []):
-            for e1 in self.b1._eigen(q1):
-                for e2 in self.b2._eigen(q2):
-                    entries = [
-                        (offset + i1 * d2 + i2, v1 * v2)
-                        for i1, v1 in e1.entries
-                        for i2, v2 in e2.entries
-                    ]
-                    eig.append(
-                        _Eig(
-                            e1.eigenvalue + e2.eigenvalue,
-                            entries,
-                            e1.norm_sq * e2.norm_sq,
-                        )
-                    )
-        return eig
+    def _from_eigen(self, q: int, c: Sequence[Fraction]) -> InvariantForm:
+        return self._apply(InvariantForm(self, q, tuple(c)), q,
+                           (_image, _image, None))
+
+    def _spectrum(self, q: int):
+        # ordered as the coordinates: by block, row-major within a block
+        if q not in self._eig_cache:
+            lams, norms = [], []
+            for q1, q2, _, _, _ in self._blocks.get(q, []):
+                lam1, norm1 = self.b1._spectrum(q1)
+                lam2, norm2 = self.b2._spectrum(q2)
+                lams += [a + b for a in lam1 for b in lam2]
+                norms += [a * b for a in norm1 for b in norm2]
+            self._eig_cache[q] = (tuple(lams), tuple(norms))
+        return self._eig_cache[q]
 
 
 def _koszul(q1: int, q2: int) -> int:
@@ -199,10 +189,14 @@ def _koszul(q1: int, q2: int) -> int:
     return -1 if q1 % 2 else 1
 
 
-def _gram(w: InvariantForm) -> InvariantForm:
-    """The Gram matrix of a factor applied to w, as a form of that factor."""
-    return InvariantForm(w.backend, w.degree,
-                         w.backend._gram_apply(w.degree, w.coeffs))
+def _coords(w: InvariantForm) -> InvariantForm:
+    """A factor's eigen-coordinates of w, held as a form of that factor."""
+    return InvariantForm(w.backend, w.degree, w.backend._to_eigen(w))
+
+
+def _image(c: InvariantForm) -> InvariantForm:
+    """The factor form whose eigen-coordinates are held in c."""
+    return c.backend._from_eigen(c.degree, c.coeffs)
 
 
 def make_product_backend(b1: ExactBackend, b2: ExactBackend) -> ProductBackend:

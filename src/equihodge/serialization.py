@@ -339,7 +339,11 @@ def parse_report(text: str) -> ExtensionReport:
     if header != REPORT_HEADER:
         raise FormatError("expected %r, got %r" % (REPORT_HEADER, header),
                           reader.lineno)
-    backend = backend_from_tag(reader.field("backend"))
+    tag = reader.field("backend")
+    try:
+        backend = backend_from_tag(tag)
+    except FormatError as ex:
+        raise FormatError(str(ex), reader.lineno) from ex
     status = reader.field("status")
     if status not in ("extended", "obstructed"):
         raise FormatError("unknown status %r" % status, reader.lineno)

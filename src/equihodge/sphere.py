@@ -21,10 +21,11 @@ and star, with the same eigenvalues.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from math import comb
+from typing import Sequence, Tuple
 
 from .errors import TruncationError
-from .forms import ExactBackend, GeneratorSpec, InvariantForm, _Eig
+from .forms import ExactBackend, GeneratorSpec, InvariantForm
 
 Poly = Tuple[Fraction, ...]
 
@@ -36,15 +37,6 @@ def _trim(p: Sequence[Fraction]) -> Poly:
     while p and p[-1] == 0:
         p.pop()
     return tuple(p)
-
-
-def poly_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
 
 
 def poly_scale(p: Sequence[Fraction], c) -> Poly:
@@ -71,24 +63,15 @@ _ONE_MINUS_Z2: Poly = (Fraction(1), Fraction(0), Fraction(-1))
 
 
 def legendre(l: int) -> Poly:
-    """Coefficients of the Legendre polynomial P_l (exact rationals)."""
-    if l == 0:
-        return (Fraction(1),)
-    prev: Poly = (Fraction(1),)
-    cur: Poly = (Fraction(0), Fraction(1))
-    for k in range(1, l):
-        nxt = poly_add(
-            poly_scale(poly_mul((Fraction(0), Fraction(1)), cur),
-                       Fraction(2 * k + 1, k + 1)),
-            poly_scale(prev, Fraction(-k, k + 1)),
-        )
-        prev, cur = cur, nxt
-    return cur
+    """Coefficients of the Legendre polynomial P_l (exact rationals).
 
-
-def _even_moment(m: int) -> Fraction:
-    """Integral of z^m over [-1, 1]."""
-    return Fraction(2, m + 1) if m % 2 == 0 else Fraction(0)
+    ``P_l = 2^-l sum_k (-1)^k C(l, k) C(2l - 2k, l) z^(l - 2k)``.
+    """
+    out = [Fraction(0)] * (l + 1)
+    for k in range(l // 2 + 1):
+        out[l - 2 * k] = Fraction((-1) ** k * comb(l, k) * comb(2 * l - 2 * k, l),
+                                  2 ** l)
+    return tuple(out)
 
 
 class SphereBackend(ExactBackend):
@@ -111,7 +94,6 @@ class SphereBackend(ExactBackend):
         self.truncation = truncation
         self.capacity = truncation + 4 * stages
         self._spec = GeneratorSpec(degrees=(2,), labels=("rotation",))
-        self._gram_cache = {}
 
     @property
     def tag(self) -> str:
@@ -199,54 +181,12 @@ class SphereBackend(ExactBackend):
         c = self._polys(w)
         return self.one_form(poly_scale(c, -1), ())
 
-    def harmonic_basis(self, q: int) -> List[InvariantForm]:
-        if q == 0:
-            return [self.zero_form((1,))]
-        if q == 2:
-            return [self.two_form((1,))]
-        return []
-
     # -- spectral data -----------------------------------------------------
 
     def _pi_power(self) -> int:
         return 1
 
-    def _gram_rows(self, q: int):
-        if q in self._gram_cache:
-            return self._gram_cache[q]
-        m = self.capacity + 1
-        rows = []
-        if q in (0, 2):
-            # <z^i, z^j> = 2*pi * int z^(i+j) dz  -> rational part 2 * moment
-            for i in range(m):
-                rows.append(
-                    [(j, 2 * _even_moment(i + j))
-                     for j in range(m) if (i + j) % 2 == 0]
-                )
-        else:
-            # block diagonal: dz part and (1-z^2) dphi part share the weight
-            # <z^i, z^j> = 2*pi * int z^(i+j) (1-z^2) dz
-            block = []
-            for i in range(m):
-                block.append(
-                    [(j, 2 * (_even_moment(i + j) - _even_moment(i + j + 2)))
-                     for j in range(m) if (i + j) % 2 == 0]
-                )
-            for i in range(m):
-                rows.append(block[i])
-            for i in range(m):
-                rows.append([(j + m, v) for j, v in block[i]])
-        self._gram_cache[q] = rows
-        return rows
-
-    def _gram_apply(self, q: int, vec: Sequence[Fraction]) -> List[Fraction]:
-        rows = self._gram_rows(q)
-        out = []
-        for row in rows:
-            out.append(sum((v * vec[j] for j, v in row), Fraction(0)))
-        return out
-
-    def _eigen_entries(self, q: int) -> List[_Eig]:
+    def _eigen_entries(self, q: int):
         m = self.capacity + 1
         eig = []
         if q in (0, 2):
@@ -254,17 +194,17 @@ class SphereBackend(ExactBackend):
                 p = legendre(l)
                 entries = [(i, c) for i, c in enumerate(p) if c]
                 # <P_l, P_l> rational part: 2 * 2/(2l+1)
-                eig.append(_Eig(Fraction(l * (l + 1)), entries,
-                                Fraction(4, 2 * l + 1)))
+                eig.append((Fraction(l * (l + 1)), entries,
+                            Fraction(4, 2 * l + 1)))
         else:
             # exact family d(P_l) = P_l' dz and the star-conjugate coexact
             # family P_l' (1-z^2) dphi, both with eigenvalue l(l+1)
+            derivs = [poly_deriv(legendre(l)) for l in range(1, m + 1)]
             for offset in (0, m):
-                for l in range(1, m + 1):
-                    dp = poly_deriv(legendre(l))
+                for l, dp in enumerate(derivs, 1):
                     entries = [(offset + i, c) for i, c in enumerate(dp) if c]
                     lam = Fraction(l * (l + 1))
-                    eig.append(_Eig(lam, entries, lam * Fraction(4, 2 * l + 1)))
+                    eig.append((lam, entries, lam * Fraction(4, 2 * l + 1)))
         return eig
 
     # -- named scenario ----------------------------------------------------

@@ -16,7 +16,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, List, Sequence, Tuple
 
-from .forms import ExactBackend, GeneratorSpec, InvariantForm, _Eig
+from .errors import BackendMismatch
+from .forms import ExactBackend, GeneratorSpec, InvariantForm
 
 COS, SIN = 0, 1
 
@@ -202,18 +203,6 @@ class TorusBackend(ExactBackend):
                 out[index[(fi, J)]] += sign * self.v[axis] * c
         return InvariantForm(self, q - 1, tuple(out))
 
-    def harmonic_basis(self, q: int) -> List[InvariantForm]:
-        if not (0 <= q <= self.n):
-            return []
-        out = []
-        for i, (fi, I) in enumerate(self._basis[q]):
-            mi, phase = self._funcs[fi]
-            if not any(self._modes[mi]) and phase == COS:
-                coeffs = [Fraction(0)] * self.dimension(q)
-                coeffs[i] = Fraction(1)
-                out.append(InvariantForm(self, q, tuple(coeffs)))
-        return out
-
     # -- spectral data -----------------------------------------------------
 
     def _pi_power(self) -> int:
@@ -225,33 +214,42 @@ class TorusBackend(ExactBackend):
         base = Fraction(2 ** self.n)
         return base if not any(self._modes[mi]) else base / 2
 
-    def _gram_apply(self, q: int, vec: Sequence[Fraction]) -> List[Fraction]:
-        basis = self._basis[q]
-        return [self._mode_norm_sq(basis[i][0]) * c for i, c in enumerate(vec)]
-
-    def _eigen_entries(self, q: int) -> List[_Eig]:
+    def _eigen_entries(self, q: int):
         eig = []
         for i, (fi, I) in enumerate(self._basis[q]):
             mi, _ = self._funcs[fi]
             k = self._modes[mi]
             lam = Fraction(sum(c * c for c in k))
-            eig.append(_Eig(lam, [(i, Fraction(1))], self._mode_norm_sq(fi)))
+            eig.append((lam, [(i, Fraction(1))], self._mode_norm_sq(fi)))
         return eig
 
     # -- convenience constructors ------------------------------------------
 
     def basis_form(self, q: int, k: Sequence[int], phase: int,
                    I: Sequence[int], coeff=1) -> InvariantForm:
-        """The form ``coeff * trig(k.x) dx_I`` (trig = cos or sin)."""
+        """The form ``coeff * trig(k.x) dx_I`` (trig = cos or sin).
+
+        Raises :class:`BackendMismatch` when the mode is not in the basis
+        (``k . v != 0`` or some ``|k_i| > K``), the phase is neither COS
+        nor SIN, or I is not a set of q distinct axes.
+        """
         k = tuple(int(x) for x in k)
         kc, s = _canonical(k)
+        I = tuple(sorted(I))
+        if (kc not in self._modes or phase not in (COS, SIN) or len(I) != q
+                or len(set(I)) != q or not all(0 <= a < self.n for a in I)):
+            raise BackendMismatch(
+                "no degree-%d basis form with k=%s, phase %r, I=%s on %s: k "
+                "needs k.v = 0 for v=%s and |k_i| <= %d, I needs %d distinct "
+                "axes below %d" % (q, k, phase, I, self.tag, self.v, self.K, q,
+                                   self.n))
         if phase == SIN:
             coeff = Fraction(coeff) * s
             if not any(kc):
                 return self.zero(q)
         mi = self._modes.index(kc)
         fi = self._func_index[(mi, phase)]
-        i = self._index[q][(fi, tuple(sorted(I)))]
+        i = self._index[q][(fi, I)]
         coeffs = [Fraction(0)] * self.dimension(q)
         coeffs[i] = Fraction(coeff)
         return InvariantForm(self, q, tuple(coeffs))

@@ -101,6 +101,13 @@ class SphereOracle:
             integrand = u * w
         return 2 * sp.integrate(sp.expand(integrand), (_z, -1, 1))
 
+    def _harmonic(self, q, w):
+        """Harmonic part: the mean in degrees 0 and 2, none in degree 1."""
+        if q == 1:
+            return (sp.Integer(0), sp.Integer(0))
+        one = sp.Integer(1)
+        return self._inner(q, w, one) / self._inner(q, one, one)
+
     # -- matrix plumbing ----------------------------------------------------
 
     def domain_basis(self, q):
@@ -139,6 +146,7 @@ class SphereOracle:
             "contraction": lambda w: (q - 1, self._contraction(q, w)),
             "green": lambda w: (q, self._green(q, w)),
             "p": lambda w: (q - 2, self._p(q, w)),
+            "harmonic": lambda w: (q, self._harmonic(q, w)),
         }[op]
         cols = []
         for w in self.domain_basis(q):
@@ -305,6 +313,12 @@ class TorusOracle:
                                          (_x[0], 0, 2 * sp.pi)),
                             (_x[1], 0, 2 * sp.pi))
 
+    def _harmonic(self, q, w):
+        """Harmonic part: the mean of every component over the torus."""
+        one = sp.Integer(1)
+        vol = self._inner_scalar(one, one)
+        return {I: self._inner_scalar(e, one) / vol for I, e in w.items()}
+
     def _project(self, q, w):
         """Coefficient vector of a form in the degree-q basis (sympy)."""
         out = []
@@ -379,6 +393,7 @@ class TorusOracle:
             "contraction": lambda w: (q - 1, self._contraction(q, w)),
             "green": lambda w: (q, self._green(q, w)),
             "p": lambda w: (q - 2, self._p(q, w)),
+            "harmonic": lambda w: (q, self._harmonic(q, w)),
         }[op]
         cols = []
         for i in range(len(self._basis[q])):

@@ -58,6 +58,21 @@ def test_malformed_backend_tag_is_a_format_error(tag):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("tag", [
+    "sphere:N=abc,stages=1",
+    "torus:n=2,K=2,v=1:a",
+    "product:[sphere:N=3,stages=1|torus:n=2,K=2]",
+])
+def test_malformed_backend_tag_in_a_report_is_a_format_error(tag):
+    text = serialize_report(extend(make_sphere_backend(3, stages=1)
+                                   .two_form((1,))))
+    lines = text.splitlines()
+    lines[1] = "backend: %s" % tag
+    with pytest.raises(FormatError) as exc:
+        parse_report("\n".join(lines) + "\n")
+    assert exc.value.line == 2
+
+
 def test_exact_form_round_trip():
     b = make_sphere_backend(4, stages=1)
     w = b.one_form((Fraction(1, 3), 0, Fraction(-7, 2)), (2,))

@@ -124,3 +124,22 @@ def test_invariance_constraint_enforced():
     b = make_torus_backend(2, 1, (1, 1))
     # modes orthogonal to (1, 1) within |k_i| <= 1: (0,0) and (1,-1)
     assert b._modes == [(0, 0), (1, -1)]
+
+
+@pytest.mark.parametrize("q,k,I", [
+    (1, (1, 0), (0,)),      # k.v != 0
+    (1, (0, 3), (0,)),      # |k_i| > K
+    (1, (0, 1), (2,)),      # axis out of range
+    (2, (0, 1), (0, 0)),    # repeated axis
+    (2, (0, 1), (1,)),      # wrong number of axes
+])
+def test_basis_form_outside_the_basis_is_a_backend_mismatch(torus, q, k, I):
+    from equihodge import BackendMismatch
+
+    with pytest.raises(BackendMismatch) as exc:
+        torus.basis_form(q, k, COS, I)
+    assert isinstance(exc.value, ValueError)
+    message = str(exc.value)
+    assert "k=%s" % (k,) in message
+    assert "I=%s" % (tuple(sorted(I)),) in message
+    assert "v=(1, 0)" in message
