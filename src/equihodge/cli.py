@@ -120,6 +120,8 @@ def _resolve_input(args):
         if args.backend is not None:
             backend = _from_tag(
                 _override_truncation(args.backend, args.truncation), args.tol)
+        elif args.truncation is not None:
+            raise EquihodgeError("--truncation needs --backend with --in")
         form = parse_form(text, backend, tol=args.tol)
         return form.backend, form
     raise EquihodgeError("provide --preset or --in")

@@ -17,8 +17,8 @@ Whitney samples and their pairing with the Killing field) is computed once
 per triangle in vectorized numpy and scattered to vertices and edges over
 the mesh's incidence arrays.  The stars then give each symmetry orbit its
 representative's value, and the interior-product matrices are built on the
-representative rows and replicated along the orbits (poles averaged over
-their stabilizer), so every operator matrix commutes with the mesh symmetry
+representative rows and replicated along the orbits (pole rows averaged
+over each edge orbit), so every operator matrix commutes with the mesh symmetry
 permutation exactly.
 """
 
@@ -35,6 +35,10 @@ from .forms import Backend, GeneratorSpec, InvariantForm
 from .mesh import SymmetricMesh, _dot
 
 
+#: relative residual, in the star norm, at which Green's solve stops
+CG_TOL = 1e-10
+
+
 def _killing_field(p: np.ndarray) -> np.ndarray:
     """The rotation field about the z-axis at the point(s) p."""
     return np.stack([-p[..., 1], p[..., 0], np.zeros_like(p[..., 0])], axis=-1)
@@ -47,10 +51,9 @@ class DecBackend(Backend):
     is_exact = False
 
     def __init__(self, mesh: SymmetricMesh, tol: float = 1e-9,
-                 cg_tol: float = 1e-10, max_iter: int = None):
+                 max_iter: int = None):
         self.mesh = mesh
         self.tol = tol
-        self.cg_tol = cg_tol
         self.max_iter = max_iter
         self._spec = GeneratorSpec(degrees=(2,), labels=("rotation",))
         self._assemble()
@@ -147,8 +150,12 @@ class DecBackend(Backend):
         self._c10 = self._assemble_contraction_10(area, flux)
         self._c21 = self._assemble_contraction_21(area, normal, field)
 
-        # harmonic bases: constants in degree 0, area cochain in degree 2
-        self._harmonic = {0: [np.ones(V)], 1: [], 2: [area]}
+        # harmonic bases (constants in degree 0, the area cochain in degree
+        # 2), each vector h with star * h and <h, h> for the projection
+        self._harmonic = {
+            q: [(h, self._stars[q] * h, float(h @ (self._stars[q] * h)))
+                for h in basis]
+            for q, basis in ((0, [np.ones(V)]), (1, []), (2, [area]))}
 
     def _assemble_contraction_10(self, area, flux) -> sp.csr_matrix:
         """Interior product: 1-cochains to 0-cochains.  The row of a vertex
@@ -166,42 +173,22 @@ class DecBackend(Backend):
         ).tocoo()
         r, c = sums.row, sums.col
         vals = sums.data / np.bincount(v, area[t], V)[r]
-        # a vertex fixed by part of the symmetry (a pole) touches whole
-        # edge orbits; average its row over the stabilizer so replicated
-        # entries are bit-identical and the matrix commutes exactly
-        period = np.bincount(mesh.orbit_rep[0], minlength=V)
-        for pole in np.flatnonzero((period > 0) & (period < mesh.n_sym)):
-            mine = r == pole
-            row = self._stabilizer_average(
-                dict(zip(c[mine].tolist(), vals[mine].tolist())),
-                int(period[pole]), mesh.n_sym // int(period[pole]))
-            r = np.append(r[~mine], [pole] * len(row))
-            c = np.append(c[~mine], list(row))
-            vals = np.append(vals[~mine], list(row.values()))
+        # a vertex with a short orbit (a pole) is fixed by the whole group
+        # and touches whole edge orbits; give each edge the signed mean over
+        # its orbit, so replicated entries are bit-identical up to sign and
+        # the matrix commutes exactly.  sign[e] is the sign the symmetry
+        # picks up carrying the orbit's first member to edge e.
+        erep = mesh.orbit_rep[1]
+        sign = np.ones(E)
+        e = np.flatnonzero(erep == np.arange(E))
+        for _ in range(mesh.n_sym - 1):
+            sign[mesh.eperm[e]] = sign[e] * mesh.esign[e]
+            e = mesh.eperm[e]
+        pole = np.bincount(mesh.orbit_rep[0], minlength=V)[r] < mesh.n_sym
+        _, orbit = np.unique(r[pole] * E + erep[c[pole]], return_inverse=True)
+        mean = np.bincount(orbit, sign[c[pole]] * vals[pole]) / mesh.n_sym
+        vals[pole] = sign[c[pole]] * mean[orbit]
         return self._replicate(r, c, vals, 0, 1)
-
-    def _stabilizer_average(self, entries, period: int, stab: int):
-        """Average an edge-indexed row over the subgroup generated by
-        sigma^period, writing one value per chain so equal entries match
-        bit for bit."""
-        mesh = self.mesh
-        out = {}
-        done = set()
-        for e in entries:
-            if e in done:
-                continue
-            chain = []
-            ei, s = e, 1
-            for _ in range(stab):
-                chain.append((ei, s))
-                nxt, ds = mesh.permutation_sign(1, period, ei)
-                s *= ds
-                ei = nxt
-            avg = sum(sv * entries.get(ce, 0.0) for ce, sv in chain) / stab
-            for ce, sv in chain:
-                out[ce] = sv * avg
-                done.add(ce)
-        return out
 
     def _assemble_contraction_21(self, area, normal, field) -> sp.csr_matrix:
         """Interior product: 2-cochains to 1-cochains.  An edge takes the
@@ -272,13 +259,12 @@ class DecBackend(Backend):
     def harmonic_basis(self, q: int) -> List[InvariantForm]:
         if not 0 <= q <= 2:
             return []
-        return [InvariantForm(self, q, h.copy()) for h in self._harmonic[q]]
+        return [InvariantForm(self, q, h.copy()) for h, _, _ in self._harmonic[q]]
 
     def harmonic_projection(self, w: InvariantForm) -> InvariantForm:
-        out = np.zeros_like(w.coeffs)
-        star = self._stars[w.degree]
-        for h in self._harmonic.get(w.degree, []):
-            out += (float(w.coeffs @ (star * h)) / float(h @ (star * h))) * h
+        out = np.zeros(len(w.coeffs))
+        for h, star_h, hh in self._harmonic.get(w.degree, []):
+            out += (float(w.coeffs @ star_h) / hh) * h
         return InvariantForm(self, w.degree, out)
 
     def green(self, w: InvariantForm) -> InvariantForm:
@@ -286,12 +272,11 @@ class DecBackend(Backend):
         q = w.degree
         lap = self._lap[q]
         star = self._stars[q]
-        harmonics = self._harmonic.get(q, [])
 
         def deflate(x):
-            for h in harmonics:
-                x = x - (float(x @ (star * h)) / float(h @ (star * h))) * h
-            return x
+            if not self._harmonic[q]:  # degree 1 has no harmonic forms
+                return x
+            return x - self.harmonic_projection(InvariantForm(self, q, x)).coeffs
 
         b = deflate(np.asarray(w.coeffs, dtype=float))
         bnorm = math.sqrt(float(b @ (star * b)))
@@ -308,7 +293,7 @@ class DecBackend(Backend):
             x = x + alpha * p
             r = r - alpha * ap
             rr_new = float(r @ (star * r))
-            if math.sqrt(rr_new) <= self.cg_tol * bnorm:
+            if math.sqrt(rr_new) <= CG_TOL * bnorm:
                 return InvariantForm(self, q, deflate(x))
             p = r + (rr_new / rr) * p
             rr = rr_new

@@ -24,6 +24,7 @@ harmonic part away.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -111,22 +112,29 @@ class EquivariantElement:
         """The degree-zero-in-t part."""
         return self.coefficient((0,) * self.backend.generator_spec.rank)
 
-    def __add__(self, other: "EquivariantElement") -> "EquivariantElement":
+    def _combine(self, other: "EquivariantElement", op,
+                 only_other) -> "EquivariantElement":
+        """``op`` of the coefficients, monomial by monomial; a monomial of
+        other alone gets ``only_other`` of its coefficient.  A zero operand
+        takes the other operand's total degree."""
         if self.backend is not other.backend:
             raise BackendMismatch("elements belong to different backends")
-        if self.is_zero:
-            return other
         if other.is_zero:
             return self
-        if self.total_degree != other.total_degree:
-            raise BackendMismatch("cannot add elements of different total degree")
+        if not self.is_zero and self.total_degree != other.total_degree:
+            raise BackendMismatch(
+                "cannot combine elements of different total degree")
         terms = dict(self.terms)
         for mono, form in other.terms.items():
-            terms[mono] = terms[mono] + form if mono in terms else form
-        return EquivariantElement(self.backend, self.total_degree, terms)
+            terms[mono] = (op(terms[mono], form) if mono in terms
+                           else only_other(form))
+        return EquivariantElement(self.backend, other.total_degree, terms)
+
+    def __add__(self, other: "EquivariantElement") -> "EquivariantElement":
+        return self._combine(other, operator.add, lambda form: form)
 
     def __sub__(self, other: "EquivariantElement") -> "EquivariantElement":
-        return self + other.scale(-1)
+        return self._combine(other, operator.sub, operator.neg)
 
     def scale(self, c) -> "EquivariantElement":
         return EquivariantElement(

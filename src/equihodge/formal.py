@@ -52,7 +52,6 @@ class FormalGeneratorBackend(Backend):
         self.extra = extra
         self.n = base.n
         self.is_exact = base.is_exact
-        self.tol = base.tol
         s = base.generator_spec
         self._spec = GeneratorSpec(
             degrees=s.degrees + tuple(g.degree for g in extra),

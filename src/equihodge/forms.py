@@ -7,7 +7,8 @@ operators for the action generators, and the harmonic structure.
 
 On top of that contract this module builds, once and for all:
 
-* the codifferential as the signed star conjugate of ``d``,
+* the codifferential as the signed star conjugate of ``d`` by default
+  (a product backend overrides it with the Koszul rule over its factors),
 * the Laplacian ``d d* + d* d``,
 * Green's operator, harmonic projection, the inner product and the
   harmonic basis of the rational backends, all in the coordinates of an
@@ -22,6 +23,7 @@ so "zero" means identically zero, never merely small.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,10 +59,6 @@ class GeneratorSpec:
     def rank(self) -> int:
         return len(self.degrees)
 
-    @property
-    def is_torus(self) -> bool:
-        return all(deg == 2 for deg in self.degrees)
-
 
 class InvariantForm:
     """An invariant differential form in a backend coefficient basis.
@@ -86,19 +84,27 @@ class InvariantForm:
                 "degree mismatch: %d vs %d" % (self.degree, other.degree)
             )
 
-    def __add__(self, other: "InvariantForm") -> "InvariantForm":
+    def _combine(self, other: "InvariantForm", op) -> "InvariantForm":
+        """The form whose coefficients are ``op`` of self's and other's."""
         self._check_compatible(other)
         if isinstance(self.coeffs, tuple):
-            coeffs = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            coeffs = tuple(map(op, self.coeffs, other.coeffs))
         else:
-            coeffs = self.coeffs + other.coeffs
+            coeffs = op(self.coeffs, other.coeffs)
         return InvariantForm(self.backend, self.degree, coeffs)
 
+    def __add__(self, other: "InvariantForm") -> "InvariantForm":
+        return self._combine(other, operator.add)
+
     def __sub__(self, other: "InvariantForm") -> "InvariantForm":
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "InvariantForm":
-        return self.scale(-1)
+        if isinstance(self.coeffs, tuple):
+            coeffs = tuple(-a for a in self.coeffs)
+        else:
+            coeffs = -self.coeffs
+        return InvariantForm(self.backend, self.degree, coeffs)
 
     def scale(self, c) -> "InvariantForm":
         if isinstance(self.coeffs, tuple):
@@ -159,8 +165,6 @@ class Backend(ABC):
     n: int
     #: True when coefficients are exact rationals
     is_exact: bool
-    #: zero threshold for norms (0 is meaningful only on exact backends)
-    tol: float
 
     @property
     @abstractmethod
@@ -270,7 +274,6 @@ class ExactBackend(Backend):
     """
 
     is_exact = True
-    tol = 0.0
 
     def __init__(self):
         self._eig_cache: Dict[int, tuple] = {}
@@ -375,9 +378,8 @@ class ExactBackend(Backend):
 
     def codifferential(self, w: InvariantForm) -> InvariantForm:
         # d* = (-1)^(n(q+1)+1) * d *  on an oriented Riemannian n-manifold
-        sign = -1 if (self.n * (w.degree + 1) + 1) % 2 else 1
         res = self.star(self.d(self.star(w)))
-        return res.scale(sign)
+        return -res if (self.n * (w.degree + 1) + 1) % 2 else res
 
     def is_zero(self, w: InvariantForm) -> bool:
         return all(c == 0 for c in w.coeffs)

@@ -150,16 +150,6 @@ class SymmetricMesh:
             ]
             self.orbit_rep[q] = rep
 
-    def permutation_sign(self, q: int, k: int, i: int):
-        """Image and sign of simplex i of dimension q under sigma^k."""
-        perm = (self.vperm, self.eperm, self.tperm)[q]
-        sign = 1
-        for _ in range(k % self.n_sym):
-            if q == 1:
-                sign *= int(self.esign[i])
-            i = int(perm[i])
-        return i, sign
-
     # -- geometry -----------------------------------------------------------
     #
     # ``t`` is one triangle index or an index array; with an array each

@@ -16,9 +16,10 @@ the Hodge star is
 eigen-coordinate transforms of the spectral engine are the tensor products
 of the factors' transforms, since the eigenvectors e1 (x) e2 of the
 product have eigenvalue lam1 + lam2 and squared norm n1 n2.  No product
-eigenvector is ever built.  The codifferential is the signed star
-conjugate of d inherited from :class:`ExactBackend`.  Nothing is
-hand-written per backend pair.
+eigenvector is ever built.  The codifferential, the adjoint of d for the
+product inner product, follows the same Koszul rule with the factors'
+codifferentials in one pass of the kernel, so it never goes through the
+star.  Nothing is hand-written per backend pair.
 """
 
 from __future__ import annotations
@@ -141,6 +142,10 @@ class ProductBackend(ExactBackend):
     def d(self, w: InvariantForm) -> InvariantForm:
         return self._apply(w, w.degree + 1, (self.b1.d, None, None),
                            (None, self.b2.d, _koszul))
+
+    def codifferential(self, w: InvariantForm) -> InvariantForm:
+        return self._apply(w, w.degree - 1, (self.b1.codifferential, None, None),
+                           (None, self.b2.codifferential, _koszul))
 
     def star(self, w: InvariantForm) -> InvariantForm:
         n1 = self.b1.n

@@ -52,16 +52,6 @@ class PiScalar:
 
     __rmul__ = __mul__
 
-    def ratio(self, other: "PiScalar") -> Fraction:
-        """Exact rational ``self / other``; powers of pi must cancel."""
-        if other.coeff == 0:
-            raise ZeroDivisionError("ratio by zero pi-scalar")
-        if self.is_zero:
-            return Fraction(0)
-        if self.pi_power != other.pi_power:
-            raise ValueError("pi powers do not cancel in ratio")
-        return self.coeff / other.coeff
-
     def __repr__(self):
         if self.pi_power == 0 or self.coeff == 0:
             return "PiScalar(%s)" % (self.coeff,)

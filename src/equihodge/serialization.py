@@ -30,7 +30,12 @@ import numpy as np
 
 from .errors import FormatError
 from .forms import Backend, InvariantForm
-from .equivariant import ExtensionReport, EquivariantElement, format_monomial
+from .equivariant import (
+    ExtensionReport,
+    EquivariantElement,
+    format_monomial,
+    monomial_degree,
+)
 from .mesh import SymmetricMesh, build_symmetric_sphere
 
 FORM_HEADER = "equihodge-form v1"
@@ -302,9 +307,7 @@ def parse_mesh(text: str) -> SymmetricMesh:
             raise FormatError("vperm length %d != vertex count %d" % (npm, nv),
                               reader.lineno)
         vperm = np.array([int(reader.next("vperm entry")) for _ in range(nv)])
-    except (ValueError, FormatError) as ex:
-        if isinstance(ex, FormatError):
-            raise
+    except ValueError as ex:
         raise FormatError(str(ex), reader.lineno)
     return SymmetricMesh(positions=positions, tris=tris, n_sym=n_sym,
                          level=level, vperm=vperm, zigzag=zigzag)
@@ -374,11 +377,18 @@ def parse_report(text: str) -> ExtensionReport:
                 mono = tuple(int(x) for x in mono_text.split(","))
             except ValueError:
                 raise FormatError("bad monomial %r" % mono_text, reader.lineno)
+            if min(mono) < 0:
+                raise FormatError("negative exponent in monomial %r"
+                                  % mono_text, reader.lineno)
+            mono_line = reader.lineno
             form = _read_form(reader, backend)
             mapping[mono] = form
-            from .equivariant import monomial_degree
-
-            total = monomial_degree(mono, backend.generator_spec) + form.degree
+            degree = monomial_degree(mono, backend.generator_spec) + form.degree
+            if total is None:
+                total = terms[0].total_degree if terms else degree
+            if degree != total:
+                raise FormatError("monomial %r gives total degree %d, not %d"
+                                  % (mono_text, degree, total), mono_line)
         if total is None:
             raise FormatError("term with no monomials", reader.lineno)
         terms.append(EquivariantElement(backend, total, mapping))

@@ -125,17 +125,6 @@ class TorusBackend(ExactBackend):
             return len(self._basis[q])
         return 0
 
-    def basis_label(self, q: int, i: int) -> str:
-        fi, I = self._basis[q][i]
-        mi, phase = self._funcs[fi]
-        k = self._modes[mi]
-        name = "1" if not any(k) else "%s(%s)" % (
-            "cos" if phase == COS else "sin",
-            "+".join("%dx%d" % (c, ax) for ax, c in enumerate(k) if c),
-        )
-        dx = "^".join("dx%d" % ax for ax in I)
-        return name if not dx else "%s %s" % (name, dx)
-
     # -- scalar function helpers -------------------------------------------
 
     def _deriv(self, fi: int, axis: int):

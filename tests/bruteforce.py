@@ -242,6 +242,7 @@ class TorusOracle:
     def __init__(self, backend):
         self.n = backend.n
         self.v = backend.v
+        self._integrals = {}  # expanded integrand -> its exact integral
         # (q, i) -> (I, sympy function) read straight from the basis labels
         self._basis = {}
         for q in range(self.n + 1):
@@ -308,10 +309,17 @@ class TorusOracle:
         return out
 
     def _inner_scalar(self, f, g):
-        """Integral of f * g over [0, 2 pi]^2, exact, divided by nothing."""
-        return sp.integrate(sp.integrate(sp.expand_trig(sp.expand(f * g)),
-                                         (_x[0], 0, 2 * sp.pi)),
-                            (_x[1], 0, 2 * sp.pi))
+        """Integral of f * g over [0, 2 pi]^2, exact, divided by nothing.
+
+        Memoized by the expanded integrand: the oracle's matrices integrate
+        the same few dozen products over and over.
+        """
+        integrand = sp.expand_trig(sp.expand(f * g))
+        if integrand not in self._integrals:
+            self._integrals[integrand] = sp.integrate(
+                sp.integrate(integrand, (_x[0], 0, 2 * sp.pi)),
+                (_x[1], 0, 2 * sp.pi))
+        return self._integrals[integrand]
 
     def _harmonic(self, q, w):
         """Harmonic part: the mean of every component over the torus."""

@@ -174,3 +174,15 @@ def test_tol_is_passed_to_the_dec_backend_constructor(capsys, monkeypatch,
     code, out, err = run(capsys, *(a.format(form=form) for a in argv))
     assert code == 0
     assert seen == [tol]
+
+
+def test_truncation_with_an_in_file_needs_a_backend(capsys, tmp_path):
+    from equihodge import make_sphere_backend
+
+    path = tmp_path / "form.txt"
+    path.write_text(serialize_form(make_sphere_backend(8).two_form((1,))))
+    code, out, err = run(capsys, "extend", "--in", str(path),
+                         "--truncation", "4")
+    assert code == 1
+    assert err.startswith("error (extend): --truncation")
+    assert out == ""

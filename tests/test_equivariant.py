@@ -10,10 +10,12 @@ from conftest import random_exact_form
 from equihodge import (
     COS,
     SIN,
+    DecBackend,
     EquivariantElement,
     NotClosed,
     ObstructionDetected,
     PreconditionViolated,
+    build_symmetric_sphere,
     cartan_d,
     coefficient_d,
     extend,
@@ -221,3 +223,48 @@ def test_extend_partial_raises_on_obstruction(torus):
         extend_partial([embed(vol)], 0)
     assert exc.value.stage == 0
     assert exc.value.residual > 0
+
+
+def test_zero_minus_element_is_its_negative(product):
+    rng = np.random.default_rng(40)
+    x = random_element(rng, product, 4)
+    zero = EquivariantElement(product, 0, {})
+    diff = zero - x
+    assert diff == x.scale(-1)
+    assert diff.total_degree == x.total_degree == 4
+
+
+def test_element_minus_itself_is_zero(sphere, torus, product):
+    rng = np.random.default_rng(41)
+    for backend in (sphere, torus, product):
+        x = random_element(rng, backend, 2)
+        assert not x.is_zero
+        assert (x - x).is_zero
+
+
+def test_subtraction_keeps_monomials_of_the_right_operand_only(product):
+    rng = np.random.default_rng(42)
+    a = random_exact_form(rng, product, 2)
+    b = random_exact_form(rng, product, 0)
+    x = EquivariantElement(product, 2, {(0, 0): a})
+    y = EquivariantElement(product, 2, {(0, 0): a, (1, 0): b})
+    assert x - y == EquivariantElement(product, 2, {(1, 0): b.scale(-1)})
+    assert y - x == EquivariantElement(product, 2, {(1, 0): b})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_sphere_backend(4),
+    lambda: make_torus_backend(2, 2, (1, 0)),
+    lambda: DecBackend(build_symmetric_sphere(4, 1, zigzag=0.1)),
+], ids=["sphere", "torus", "dec"])
+def test_form_subtraction_adds_the_negative(make):
+    backend = make()
+    rng = np.random.default_rng(43)
+    for q in range(backend.n + 1):
+        if backend.is_exact:
+            a, b = (random_exact_form(rng, backend, q) for _ in range(2))
+        else:
+            a, b = (backend.form(q, rng.standard_normal(backend.dimension(q)))
+                    for _ in range(2))
+        assert a - b == a + b.scale(-1)
+        assert -b == b.scale(-1)

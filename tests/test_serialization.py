@@ -183,3 +183,26 @@ def test_report_rejects_bad_status():
     text = serialize_report(extend(b.two_form((1,))))
     with pytest.raises(FormatError):
         parse_report(text.replace("status: extended", "status: maybe"))
+
+
+@pytest.mark.parametrize("exponent,message", [
+    ("-1", "negative exponent"),
+    ("2", "total degree 4, not 2"),
+])
+def test_report_rejects_impossible_monomials(exponent, message):
+    b = make_sphere_backend(6)
+    text = serialize_report(extend(b.two_form((1,))))
+    lines = text.splitlines()
+    lineno = lines.index("monomial: 1") + 1
+    lines[lineno - 1] = "monomial: " + exponent
+    with pytest.raises(FormatError) as exc:
+        parse_report("\n".join(lines) + "\n")
+    assert exc.value.line == lineno
+    assert message in str(exc.value)
+
+
+def test_mesh_value_errors_are_format_errors_with_a_line():
+    text = serialize_mesh(build_symmetric_sphere(4, 0))
+    with pytest.raises(FormatError) as exc:
+        parse_mesh(text.replace("level: 0", "level: zero"))
+    assert exc.value.line == 3
