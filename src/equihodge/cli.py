@@ -24,11 +24,11 @@ import argparse
 import os
 import sys
 
-from .equivariant import cartan_d, extend, moment_map, verify_extension
+from .equivariant import extend, moment_map, verify_extension
 from .errors import EquihodgeError
 from .serialization import (
-    _from_tag,
     _parse_params,
+    backend_from_tag,
     format_report,
     parse_form,
     serialize_form,
@@ -77,19 +77,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "via Hodge theory.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="write machine-readable output here")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--backend", help="backend tag, e.g. sphere:N=8,stages=3")
     common.add_argument("--preset", choices=sorted(PRESETS),
                         help="named input scenario")
     common.add_argument("--in", dest="infile", help="serialized form file")
-    common.add_argument("--out", help="write machine-readable output here")
-    common.add_argument("--tol", type=float,
-                        help="zero threshold override (mesh backend)")
     common.add_argument("--truncation", type=int,
                         help="truncation override (sphere N / torus K)")
     for verb in ("extend", "hodge", "moment-map", "verify"):
         sub.add_parser(verb, parents=[common])
-    conv = sub.add_parser("convergence", parents=[common])
+    conv = sub.add_parser("convergence", parents=[output])
     conv.add_argument("--levels", type=int, default=3,
                       help="finest refinement level (default 3)")
     return parser
@@ -109,20 +108,22 @@ def _override_truncation(tag: str, truncation: int) -> str:
 def _resolve_input(args):
     """Build (backend, form) from --preset / --in / --backend."""
     if args.preset is not None:
+        if args.backend is not None:
+            raise EquihodgeError("--backend applies only to an --in file")
         tag, make = PRESETS[args.preset]
         tag = _override_truncation(tag, args.truncation)
-        backend = _from_tag(tag, args.tol)
+        backend = backend_from_tag(tag)
         return backend, make(backend)
     if args.infile is not None:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read()
         backend = None
         if args.backend is not None:
-            backend = _from_tag(
-                _override_truncation(args.backend, args.truncation), args.tol)
+            backend = backend_from_tag(
+                _override_truncation(args.backend, args.truncation))
         elif args.truncation is not None:
             raise EquihodgeError("--truncation needs --backend with --in")
-        form = parse_form(text, backend, tol=args.tol)
+        form = parse_form(text, backend)
         return form.backend, form
     raise EquihodgeError("provide --preset or --in")
 
@@ -184,10 +185,9 @@ def _run_convergence(args) -> int:
     for level in range(args.levels + 1):
         mesh = build_symmetric_sphere(CONVERGENCE_NSYM, level,
                                       zigzag=CONVERGENCE_ZIGZAG)
-        backend = (DecBackend(mesh) if args.tol is None
-                   else DecBackend(mesh, tol=args.tol))
+        backend = DecBackend(mesh)
         report = extend(backend.volume_form_cochain())
-        residual = cartan_d(report.alpha_hat()).norm()
+        residual = report.final_residual_norm
         ratio = None if prev is None else residual / prev
         if ratio is not None and ratio >= 1.0:
             monotone = False

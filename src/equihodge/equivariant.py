@@ -82,7 +82,7 @@ class EquivariantElement:
                     "term %s of form degree %d breaks homogeneity (total %d)"
                     % (format_monomial(mono), form.degree, total_degree)
                 )
-            if backend.dimension(form.degree) == 0 or form.is_zero:
+            if form.is_zero:
                 continue
             clean[mono] = form
         self.backend = backend
@@ -185,7 +185,7 @@ def partial_d(x: EquivariantElement) -> EquivariantElement:
     for mono, form in x.terms.items():
         for j in range(spec.rank):
             w = backend.contraction(j, form)
-            if backend.dimension(w.degree) == 0 or w.is_zero:
+            if w.is_zero:
                 continue
             key = _bump(mono, j)
             terms[key] = terms[key] + w if key in terms else w
@@ -208,19 +208,21 @@ def cartan_d(x: EquivariantElement) -> EquivariantElement:
 
 
 def _d_star_green(backend: Backend, boundary: Mapping[Monomial, InvariantForm],
-                  stage: int) -> Dict[Monomial, InvariantForm]:
+                  stage: int, source) -> Dict[Monomial, InvariantForm]:
     """(I (x) d* G) on boundary coefficients, after the harmonic test.
 
     Raises :class:`ObstructionDetected` for ``stage`` with the largest
     harmonic-component norm when some coefficient is not exact; Green's
-    operator never silently projects a harmonic part away.
+    operator never silently projects a harmonic part away.  The test is
+    relative to ``source``, the run's input.  A 0-form has d* G = 0 and is
+    left out.
     """
     harmonic = [backend.harmonic_projection(f) for f in boundary.values()]
-    residuals = [backend.norm(h) for h in harmonic if not backend.is_zero(h)]
+    residuals = [backend.norm(h) for h in harmonic if not backend.is_zero(h, source)]
     if residuals:
         raise ObstructionDetected(stage, max(residuals))
     return {key: backend.codifferential(backend.green(form))
-            for key, form in boundary.items()}
+            for key, form in boundary.items() if form.degree > 0}
 
 
 def p_operator(x: EquivariantElement) -> EquivariantElement:
@@ -229,7 +231,7 @@ def p_operator(x: EquivariantElement) -> EquivariantElement:
     Raises :class:`ObstructionDetected` when a boundary coefficient has a
     nonzero harmonic part.
     """
-    terms = _d_star_green(x.backend, partial_d(x).terms, 0)
+    terms = _d_star_green(x.backend, partial_d(x).terms, 0, x)
     return EquivariantElement(x.backend, x.total_degree, terms)
 
 
@@ -265,7 +267,7 @@ def extend(alpha: InvariantForm) -> ExtensionReport:
     Raises :class:`NotClosed` when d(alpha) != 0.
     """
     backend = alpha.backend
-    if not backend.is_zero(backend.d(alpha)):
+    if not backend.is_zero(backend.d(alpha), alpha):
         raise NotClosed("extend requires a closed input form")
     current = EquivariantElement.from_form(alpha)
     terms = [current]
@@ -274,7 +276,7 @@ def extend(alpha: InvariantForm) -> ExtensionReport:
     # hard guard; for torus generators P^m = 0 once 2m > deg(alpha)
     for stage in range(alpha.degree + 3):
         try:
-            coeffs = _d_star_green(backend, partial_d(current).terms, stage)
+            coeffs = _d_star_green(backend, partial_d(current).terms, stage, alpha)
         except ObstructionDetected as ex:
             obstructions.append(ex.residual)
             status = "obstructed"
@@ -318,7 +320,7 @@ def obstruction_residual(beta: InvariantForm) -> float:
     zero test).  Raises :class:`NotClosed` when d(beta) != 0.
     """
     backend = beta.backend
-    if not backend.is_zero(backend.d(beta)):
+    if not backend.is_zero(backend.d(beta), beta):
         raise NotClosed("obstruction residual requires a closed form")
     return backend.norm(backend.harmonic_projection(beta))
 
@@ -335,10 +337,10 @@ def moment_map(omega: InvariantForm) -> InvariantForm:
     if omega.degree != 2:
         raise BackendMismatch(
             "moment map requires a 2-form, got degree %d" % omega.degree)
-    if not backend.is_zero(backend.d(omega)):
+    if not backend.is_zero(backend.d(omega), omega):
         raise NotClosed("moment map requires a closed form")
     t1 = _bump((0,) * backend.generator_spec.rank, 0)
-    return _d_star_green(backend, {t1: backend.contraction(0, omega)}, 0)[t1]
+    return _d_star_green(backend, {t1: backend.contraction(0, omega)}, 0, omega)[t1]
 
 
 def extend_partial(a_terms: Sequence[EquivariantElement], m: int) -> EquivariantElement:
@@ -352,10 +354,11 @@ def extend_partial(a_terms: Sequence[EquivariantElement], m: int) -> Equivariant
     if m < 0 or m >= len(a_terms):
         raise ValueError("need terms a_0..a_m")
     backend = a_terms[0].backend
-    if not coefficient_d(a_terms[0]).is_zero:
+    if not all(backend.is_zero(f, a_terms[0])
+               for f in coefficient_d(a_terms[0]).terms.values()):
         raise PreconditionViolated(0, "d(a_0) != 0")
     for j in range(1, m + 1):
         if coefficient_d(a_terms[j]) != partial_d(a_terms[j - 1]):
             raise PreconditionViolated(j)
-    terms = _d_star_green(backend, partial_d(a_terms[m]).terms, m)
+    terms = _d_star_green(backend, partial_d(a_terms[m]).terms, m, a_terms[0])
     return EquivariantElement(backend, a_terms[m].total_degree, terms)

@@ -137,6 +137,9 @@ class InvariantForm:
     def is_zero(self) -> bool:
         return self.backend.is_zero(self)
 
+    def norm(self) -> float:
+        return self.backend.norm(self)
+
     def __repr__(self):
         return "InvariantForm(degree=%d, backend=%s)" % (self.degree, self.backend.tag)
 
@@ -212,11 +215,12 @@ class Backend(ABC):
     def harmonic_projection(self, w: InvariantForm) -> InvariantForm:
         """Orthogonal projection onto the harmonic forms."""
 
-    @abstractmethod
-    def is_zero(self, w: InvariantForm) -> bool:
-        """Exact zero test (exact backends) or norm below tolerance (DEC)."""
-
     # -- derived operators -------------------------------------------------
+
+    def is_zero(self, w: InvariantForm, relative_to=None) -> bool:
+        """Identically zero; given the run's input (a form or element) as
+        ``relative_to``, the float backend compares norms instead."""
+        return all(c == 0 for c in w.coeffs)
 
     def zero(self, q: int) -> InvariantForm:
         dim = self.dimension(q)
@@ -380,6 +384,3 @@ class ExactBackend(Backend):
         # d* = (-1)^(n(q+1)+1) * d *  on an oriented Riemannian n-manifold
         res = self.star(self.d(self.star(w)))
         return -res if (self.n * (w.degree + 1) + 1) % 2 else res
-
-    def is_zero(self, w: InvariantForm) -> bool:
-        return all(c == 0 for c in w.coeffs)

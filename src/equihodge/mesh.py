@@ -10,6 +10,7 @@ assembled orbit-by-orbit and commute with the symmetry exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -47,7 +48,6 @@ class SymmetricMesh:
     vperm: np.ndarray              # vertex permutation of the symmetry
     zigzag: float = 0.0            # latitude stagger of the base rings
 
-    edges: List[Tuple[int, int]] = field(init=False)
     tri_vertices: np.ndarray = field(init=False)    # (F, 3) rows of tris
     edge_vertices: np.ndarray = field(init=False)   # (E, 2) rows of edges
     tri_edges: np.ndarray = field(init=False)       # (F, 3) edge of each side
@@ -58,7 +58,6 @@ class SymmetricMesh:
     eperm: np.ndarray = field(init=False)
     esign: np.ndarray = field(init=False)
     tperm: np.ndarray = field(init=False)
-    orbits: Dict[int, List[List[int]]] = field(init=False)
     orbit_rep: Dict[int, np.ndarray] = field(init=False)  # orbit[0] per simplex
 
     def __post_init__(self):
@@ -72,7 +71,6 @@ class SymmetricMesh:
             return_inverse=True,
         )
         self.edge_vertices = np.stack([keys // nv, keys % nv], axis=1)
-        self.edges = list(map(tuple, self.edge_vertices.tolist()))
         if self.euler_characteristic() != 2:
             raise MeshError(
                 "Euler characteristic %d != 2" % self.euler_characteristic()
@@ -99,11 +97,29 @@ class SymmetricMesh:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_vertices)
 
     @property
     def num_tris(self) -> int:
-        return len(self.tris)
+        return len(self.tri_vertices)
+
+    @functools.cached_property
+    def edges(self) -> List[Tuple[int, int]]:
+        """The (low, high) vertex pairs of the edges: rows of edge_vertices."""
+        return list(map(tuple, self.edge_vertices.tolist()))
+
+    @functools.cached_property
+    def orbits(self) -> Dict[int, List[List[int]]]:
+        """Orbits in increasing order of their smallest member, each listed
+        from that member along the permutation."""
+        out = {}
+        for q, perm in ((0, self.vperm), (1, self.eperm), (2, self.tperm)):
+            reps, length = np.unique(self.orbit_rep[q], return_counts=True)
+            walk = [reps]
+            for _ in range(self.n_sym - 1):
+                walk.append(perm[walk[-1]])
+            out[q] = [o[:n] for o, n in zip(np.array(walk).T.tolist(), length)]
+        return out
 
     def simplex_count(self, q: int) -> int:
         return (self.num_vertices, self.num_edges, self.num_tris)[q]
@@ -131,24 +147,14 @@ class SymmetricMesh:
         self.eperm, self.esign, self.tperm = eperm, esign, order[found]
 
     def _build_orbits(self):
-        """Orbits in increasing order of their smallest member, each listed
-        from that member along the permutation."""
-        self.orbits, self.orbit_rep = {}, {}
+        self.orbit_rep = {}
         for q, perm in ((0, self.vperm), (1, self.eperm), (2, self.tperm)):
             images = [np.arange(len(perm))]
             for _ in range(self.n_sym):
                 images.append(perm[images[-1]])
             if not np.array_equal(images.pop(), images[0]):
                 raise MeshError("symmetry does not have order dividing n_sym")
-            images = np.array(images)          # images[k, i] = sigma^k(i)
-            rep = images.min(axis=0)
-            reps = np.flatnonzero(rep == images[0])
-            length = np.bincount(rep, minlength=len(perm))[reps]
-            self.orbits[q] = [
-                orbit[:n] for orbit, n
-                in zip(images[:, reps].T.tolist(), length.tolist())
-            ]
-            self.orbit_rep[q] = rep
+            self.orbit_rep[q] = np.min(images, axis=0)
 
     # -- geometry -----------------------------------------------------------
     #

@@ -53,13 +53,11 @@ _TAG_PARAMS = {
 }
 
 
-def backend_from_tag(tag: str, *, tol: float = None) -> Backend:
+def backend_from_tag(tag: str) -> Backend:
     """Reconstruct a backend instance from its textual tag.
 
-    ``tol``, when given, is the zero threshold of a DEC backend; the exact
-    backends have none.  Raises :class:`FormatError` for an unknown family,
-    a missing, unknown or malformed parameter, and parameter values the
-    backend rejects.
+    Raises :class:`FormatError` for an unknown family, a missing, unknown or
+    malformed parameter, and parameter values the backend rejects.
     """
     tag = tag.strip()
     if tag.startswith("product:[") and tag.endswith("]"):
@@ -89,16 +87,7 @@ def backend_from_tag(tag: str, *, tol: float = None) -> Backend:
     from .dec import DecBackend
 
     mesh = build_symmetric_sphere(nsym, level, zigzag=zigzag)
-    return DecBackend(mesh) if tol is None else DecBackend(mesh, tol=tol)
-
-
-def _from_tag(tag: str, tol: float = None) -> Backend:
-    """``backend_from_tag``, passed ``tol`` only when one is given, so that
-    a one-argument wrapper installed over it (the benchmark's traced mode
-    installs one) keeps working."""
-    if tol is None:
-        return backend_from_tag(tag)
-    return backend_from_tag(tag, tol=tol)
+    return DecBackend(mesh)
 
 
 def _parse_params(kind: str, text: str):
@@ -196,8 +185,7 @@ def _parse_fraction(text: str, lineno: int) -> Fraction:
     return value
 
 
-def _read_form(reader: _Reader, backend: Backend = None,
-               tol: float = None) -> InvariantForm:
+def _read_form(reader: _Reader, backend: Backend = None) -> InvariantForm:
     header = reader.next("form header")
     if header != FORM_HEADER:
         raise FormatError("expected %r, got %r" % (FORM_HEADER, header),
@@ -205,7 +193,7 @@ def _read_form(reader: _Reader, backend: Backend = None,
     tag = reader.field("backend")
     if backend is None:
         try:
-            backend = _from_tag(tag, tol)
+            backend = backend_from_tag(tag)
         except FormatError as ex:
             raise FormatError(str(ex), reader.lineno) from ex
     elif backend.tag != tag:
@@ -254,12 +242,10 @@ def _read_form(reader: _Reader, backend: Backend = None,
     return backend.form(degree, coeffs)
 
 
-def parse_form(text: str, backend: Backend = None, *,
-               tol: float = None) -> InvariantForm:
-    """Parse a serialized form; builds the backend from the tag, with zero
-    threshold ``tol`` if given, unless one is supplied (in which case the
-    tags must agree)."""
-    return _read_form(_Reader(text), backend, tol)
+def parse_form(text: str, backend: Backend = None) -> InvariantForm:
+    """Parse a serialized form; builds the backend from the tag unless one
+    is supplied (in which case the tags must agree)."""
+    return _read_form(_Reader(text), backend)
 
 
 # -- meshes -----------------------------------------------------------------
@@ -380,6 +366,9 @@ def parse_report(text: str) -> ExtensionReport:
             if min(mono) < 0:
                 raise FormatError("negative exponent in monomial %r"
                                   % mono_text, reader.lineno)
+            if len(mono) != backend.generator_spec.rank:
+                raise FormatError("monomial %r has rank %d, not %d" % (
+                    mono_text, len(mono), backend.generator_spec.rank), reader.lineno)
             mono_line = reader.lineno
             form = _read_form(reader, backend)
             mapping[mono] = form

@@ -151,31 +151,6 @@ def test_truncation_the_backend_rejects_is_an_error(capsys):
     assert err.startswith("error (extend): ")
 
 
-@pytest.mark.parametrize("argv,tol", [
-    (["convergence", "--levels", "0", "--tol", "0"], 0.0),
-    (["extend", "--preset", "dec/volume", "--tol", "1e-6"], 1e-6),
-    (["extend", "--in", "{form}", "--tol", "1e-7"], 1e-7),
-])
-def test_tol_is_passed_to_the_dec_backend_constructor(capsys, monkeypatch,
-                                                      tmp_path, argv, tol):
-    from equihodge import DecBackend, build_symmetric_sphere
-
-    form = tmp_path / "form.txt"
-    mesh = build_symmetric_sphere(4, 1, zigzag=0.1)
-    form.write_text(serialize_form(DecBackend(mesh).volume_form_cochain()))
-    seen = []
-    init = DecBackend.__init__
-
-    def recording_init(self, mesh, tol=1e-9, **kwargs):
-        seen.append(tol)
-        init(self, mesh, tol=tol, **kwargs)
-
-    monkeypatch.setattr(DecBackend, "__init__", recording_init)
-    code, out, err = run(capsys, *(a.format(form=form) for a in argv))
-    assert code == 0
-    assert seen == [tol]
-
-
 def test_truncation_with_an_in_file_needs_a_backend(capsys, tmp_path):
     from equihodge import make_sphere_backend
 
@@ -186,3 +161,23 @@ def test_truncation_with_an_in_file_needs_a_backend(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error (extend): --truncation")
     assert out == ""
+
+
+def test_backend_flag_with_a_preset_is_an_error(capsys):
+    code, out, err = run(capsys, "extend", "--preset", "sphere/symplectic",
+                         "--backend", "torus:n=2,K=2,v=1:0")
+    assert code == 1
+    assert err.startswith("error (extend): --backend")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--levels", "0", "--truncation", "4"],
+    ["convergence", "--levels", "0", "--preset", "sphere/symplectic"],
+    ["extend", "--preset", "dec/volume", "--tol", "1e-6"],
+])
+def test_flags_a_verb_does_not_take_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

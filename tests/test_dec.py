@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equihodge import (
     DecBackend,
+    EquivariantElement,
     MeshError,
     SolverError,
     build_symmetric_sphere,
     cartan_d,
     extend,
+    extend_partial,
     moment_map,
+    obstruction_residual,
 )
 
 
@@ -130,6 +134,74 @@ def test_extension_and_moment_map(dec):
     z = dec.vertex_heights()
     target = -(z - z.mean())
     assert np.max(np.abs(mu.coeffs - target)) < 0.1
+
+
+@pytest.fixture(scope="module")
+def dec2():
+    """The level-2 zigzag backend and the t-coefficient of extend(volume)."""
+    backend = DecBackend(build_symmetric_sphere(4, 2, zigzag=0.1))
+    unit = extend(backend.volume_form_cochain()).terms[1].terms[(1,)]
+    return backend, unit.coeffs
+
+
+def assert_scaled_volume_extends(backend, unit, s):
+    report = extend(backend.volume_form_cochain().scale(s))
+    assert report.status == "extended" and len(report.terms) == 2
+    error = report.terms[1].terms[(1,)].coeffs - s * unit
+    assert np.abs(error).max() <= 1e-12 * np.abs(s * unit).max()
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e12])
+def test_extension_of_a_scaled_volume_at_the_extreme_scales(dec2, s):
+    assert_scaled_volume_extends(*dec2, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponent=st.floats(-12.0, 12.0))
+def test_extension_scales_with_the_volume_form(dec2, exponent):
+    assert_scaled_volume_extends(*dec2, 10.0 ** exponent)
+
+
+def square_height(backend):
+    """d(z^2): an exact 1-cochain."""
+    return backend.d(backend.form(0, backend.vertex_heights() ** 2))
+
+
+def extend_partial_from(alpha):
+    return extend_partial([EquivariantElement.from_form(alpha)], 0)
+
+
+@pytest.mark.parametrize("run,make,s", [
+    (extend, square_height, 1e6),
+    (extend, DecBackend.volume_form_cochain, 1e-12),
+    (extend_partial_from, square_height, 1.0),
+    (extend_partial_from, square_height, 1e6),
+    (moment_map, DecBackend.volume_form_cochain, 1e6),
+    (moment_map, DecBackend.volume_form_cochain, 1e-12),
+    (obstruction_residual, square_height, 1e6),
+    (obstruction_residual, square_height, 1e-12),
+])
+def test_the_closedness_test_does_not_depend_on_the_scale(dec2, run, make, s):
+    backend, _ = dec2
+    run(make(backend).scale(s))
+
+
+def test_a_large_exact_one_form_extends(dec2):
+    backend, _ = dec2
+    assert extend(square_height(backend).scale(1e6)).status == "extended"
+
+
+def test_the_harmonic_test_is_relative_to_the_input_not_the_coefficient():
+    """On the regular mesh i_V d(z^2) is itself rounding noise, most of it
+    harmonic; relative to the input it is zero."""
+    backend = DecBackend(build_symmetric_sphere(6, 0))
+    assert extend(square_height(backend)).status == "extended"
+
+
+def test_an_element_keeps_a_tiny_coefficient(dec):
+    vol = dec.volume_form_cochain()
+    tiny = EquivariantElement.from_form(vol.scale(1e-20 / dec.norm(vol)))
+    assert list(tiny.terms) == [(0,)]
 
 
 @pytest.mark.parametrize("level", [0, 1])

@@ -201,6 +201,17 @@ def test_report_rejects_impossible_monomials(exponent, message):
     assert message in str(exc.value)
 
 
+def test_report_rejects_a_monomial_of_the_wrong_rank_on_its_line():
+    b = make_sphere_backend(6)
+    lines = serialize_report(extend(b.two_form((1,)))).splitlines()
+    lineno = lines.index("monomial: 1") + 1
+    lines[lineno - 1] = "monomial: 1,0"
+    with pytest.raises(FormatError) as exc:
+        parse_report("\n".join(lines) + "\n")
+    assert exc.value.line == lineno
+    assert "rank 2, not 1" in str(exc.value)
+
+
 def test_mesh_value_errors_are_format_errors_with_a_line():
     text = serialize_mesh(build_symmetric_sphere(4, 0))
     with pytest.raises(FormatError) as exc:
