@@ -51,10 +51,8 @@ from .serialization import (
     backend_from_tag,
     format_report,
     parse_form,
-    parse_mesh,
     parse_report,
     serialize_form,
-    serialize_mesh,
     serialize_report,
 )
 
@@ -103,11 +101,9 @@ __all__ = [
     "obstruction_residual",
     "p_operator",
     "parse_form",
-    "parse_mesh",
     "parse_report",
     "partial_d",
     "serialize_form",
-    "serialize_mesh",
     "serialize_report",
     "subdivide",
     "verify_extension",

@@ -81,9 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", help="write machine-readable output here")
     common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--backend", help="backend tag, e.g. sphere:N=8,stages=3")
-    common.add_argument("--preset", choices=sorted(PRESETS),
+    source = common.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=sorted(PRESETS),
                         help="named input scenario")
-    common.add_argument("--in", dest="infile", help="serialized form file")
+    source.add_argument("--in", dest="infile", help="serialized form file")
     common.add_argument("--truncation", type=int,
                         help="truncation override (sphere N / torus K)")
     for verb in ("extend", "hodge", "moment-map", "verify"):

@@ -57,9 +57,8 @@ class DecBackend(Backend):
     n = 2
     is_exact = False
 
-    def __init__(self, mesh: SymmetricMesh, max_iter: int = None):
+    def __init__(self, mesh: SymmetricMesh):
         self.mesh = mesh
-        self.max_iter = max_iter
         self._spec = GeneratorSpec(degrees=(2,), labels=("rotation",))
         self._assemble()
 
@@ -291,7 +290,7 @@ class DecBackend(Backend):
         r = b.copy()
         p = r.copy()
         rr = float(r @ (star * r))
-        limit = self.max_iter or 20 * len(b)
+        limit = 20 * len(b)
         for it in range(limit):
             ap = deflate(lap @ p)
             alpha = rr / float(p @ (star * ap))

@@ -237,22 +237,43 @@ def p_operator(x: EquivariantElement) -> EquivariantElement:
 
 @dataclass
 class ExtensionReport:
-    """Everything the extension loop produced, stage by stage."""
+    """Everything the extension loop produced, stage by stage.
 
-    input: InvariantForm
+    Only the terms alpha, P(alpha), ..., the harmonic residual that stopped
+    the run (None when it extended) and the final residual |d_G(alpha_hat)|
+    are stored; the input, the status and the per-stage fields follow from
+    them.  Stage ``len(terms) - 1`` is the one where the run stopped: its
+    P-term vanished, or its boundary had a harmonic part.
+    """
+
     terms: List[EquivariantElement]
-    stage_obstructions: List[float]
-    final_residual_norm: float
-    terminated_at_stage: int
-    status: str  # "extended" | "obstructed"
-    obstruction_stage: int = None
+    obstruction: float = None
+    final_residual_norm: float = 0.0
+
+    @property
+    def input(self) -> InvariantForm:
+        return self.terms[0].base_form()
+
+    @property
+    def status(self) -> str:
+        return "extended" if self.obstruction is None else "obstructed"
+
+    @property
+    def terminated_at_stage(self) -> int:
+        return len(self.terms) - 1
+
+    @property
+    def obstruction_stage(self):
+        return None if self.obstruction is None else self.terminated_at_stage
+
+    @property
+    def stage_obstructions(self) -> List[float]:
+        """The harmonic residual of every stage; only the last can be > 0."""
+        return [0.0] * self.terminated_at_stage + [self.obstruction or 0.0]
 
     def alpha_hat(self) -> EquivariantElement:
         """The summed extension alpha + P(alpha) + P^2(alpha) + ..."""
-        acc = self.terms[0]
-        for t in self.terms[1:]:
-            acc = acc + t
-        return acc
+        return sum(self.terms[1:], self.terms[0])
 
 
 def extend(alpha: InvariantForm) -> ExtensionReport:
@@ -269,38 +290,20 @@ def extend(alpha: InvariantForm) -> ExtensionReport:
     backend = alpha.backend
     if not backend.is_zero(backend.d(alpha), alpha):
         raise NotClosed("extend requires a closed input form")
-    current = EquivariantElement.from_form(alpha)
-    terms = [current]
-    obstructions: List[float] = []
-    status = "extended"
+    terms = [EquivariantElement.from_form(alpha)]
     # hard guard; for torus generators P^m = 0 once 2m > deg(alpha)
     for stage in range(alpha.degree + 3):
         try:
-            coeffs = _d_star_green(backend, partial_d(current).terms, stage, alpha)
+            coeffs = _d_star_green(backend, partial_d(terms[-1]).terms, stage, alpha)
         except ObstructionDetected as ex:
-            obstructions.append(ex.residual)
-            status = "obstructed"
-            break
-        obstructions.append(0.0)
-        current = EquivariantElement(backend, current.total_degree, coeffs)
+            return ExtensionReport(terms, ex.residual)
+        current = EquivariantElement(backend, terms[-1].total_degree, coeffs)
         if current.is_zero:
-            break
+            report = ExtensionReport(terms)
+            report.final_residual_norm = cartan_d(report.alpha_hat()).norm()
+            return report
         terms.append(current)
-    else:
-        raise AssertionError("extension loop exceeded the termination bound")
-
-    report = ExtensionReport(
-        input=alpha,
-        terms=terms,
-        stage_obstructions=obstructions,
-        final_residual_norm=0.0,
-        terminated_at_stage=stage,
-        status=status,
-        obstruction_stage=stage if status == "obstructed" else None,
-    )
-    if status == "extended":
-        report.final_residual_norm = cartan_d(report.alpha_hat()).norm()
-    return report
+    raise AssertionError("extension loop exceeded the termination bound")
 
 
 def verify_extension(report: ExtensionReport) -> float:

@@ -1,20 +1,18 @@
-"""Text formats for forms, meshes, and extension reports.
+"""Text formats for forms and extension reports.
 
-Three line-oriented formats, each versioned with a header line:
+Two line-oriented formats, each versioned with a header line:
 
 ``equihodge-form v1``
     backend tag, degree, dimension, then sparse ``index value`` lines.
     Exact backends write values as exact fractions ``p/q``; the mesh
     backend writes ``repr`` floats, which round-trip bit for bit.
 
-``equihodge-mesh v1``
-    symmetry order, refinement level, zigzag parameter, vertex positions,
-    triangles, and the symmetry permutation.
-
 ``equihodge-report v1``
     extension-report status and per-stage data followed by one embedded
-    form block per monomial term.  This is the machine interface; the
-    matching human-readable table lives in :func:`format_report`.
+    form block per monomial term.  The status and per-stage lines follow
+    from the terms and the obstruction residual, and the parser checks
+    that they agree.  This is the machine interface; the matching
+    human-readable table lives in :func:`format_report`.
 
 Backends are reconstructed from their tags, so a serialized form is
 self-contained.  Malformed input raises :class:`FormatError` with the
@@ -36,10 +34,9 @@ from .equivariant import (
     format_monomial,
     monomial_degree,
 )
-from .mesh import SymmetricMesh, build_symmetric_sphere
+from .mesh import build_symmetric_sphere
 
 FORM_HEADER = "equihodge-form v1"
-MESH_HEADER = "equihodge-mesh v1"
 REPORT_HEADER = "equihodge-report v1"
 
 
@@ -218,7 +215,7 @@ def _read_form(reader: _Reader, backend: Backend = None) -> InvariantForm:
         coeffs = np.zeros(dim)
     while True:
         line = reader.peek()
-        if line is None or not line[:1].lstrip("-").isdigit():
+        if line is None or not line.lstrip("-")[:1].isdigit():
             break
         line = reader.next("coefficient entry")
         parts = line.split()
@@ -244,59 +241,15 @@ def _read_form(reader: _Reader, backend: Backend = None) -> InvariantForm:
 
 def parse_form(text: str, backend: Backend = None) -> InvariantForm:
     """Parse a serialized form; builds the backend from the tag unless one
-    is supplied (in which case the tags must agree)."""
-    return _read_form(_Reader(text), backend)
-
-
-# -- meshes -----------------------------------------------------------------
-
-def serialize_mesh(mesh: SymmetricMesh) -> str:
-    lines = [
-        MESH_HEADER,
-        "nsym: %d" % mesh.n_sym,
-        "level: %d" % mesh.level,
-        "zigzag: %r" % mesh.zigzag,
-        "vertices: %d" % mesh.num_vertices,
-    ]
-    for p in mesh.positions:
-        lines.append("%r %r %r" % (float(p[0]), float(p[1]), float(p[2])))
-    lines.append("triangles: %d" % mesh.num_tris)
-    for a, b, c in mesh.tris:
-        lines.append("%d %d %d" % (a, b, c))
-    lines.append("vperm: %d" % mesh.num_vertices)
-    for i in mesh.vperm:
-        lines.append("%d" % i)
-    return "\n".join(lines) + "\n"
-
-
-def parse_mesh(text: str) -> SymmetricMesh:
+    is supplied (in which case the tags must agree).  Nothing may follow
+    the form."""
     reader = _Reader(text)
-    header = reader.next("mesh header")
-    if header != MESH_HEADER:
-        raise FormatError("expected %r, got %r" % (MESH_HEADER, header),
-                          reader.lineno)
-    try:
-        n_sym = int(reader.field("nsym"))
-        level = int(reader.field("level"))
-        zigzag = float(reader.field("zigzag"))
-        nv = int(reader.field("vertices"))
-        positions = np.empty((nv, 3))
-        for i in range(nv):
-            positions[i] = [float(x) for x in reader.next("vertex").split()]
-        nt = int(reader.field("triangles"))
-        tris = []
-        for _ in range(nt):
-            a, b, c = (int(x) for x in reader.next("triangle").split())
-            tris.append((a, b, c))
-        npm = int(reader.field("vperm"))
-        if npm != nv:
-            raise FormatError("vperm length %d != vertex count %d" % (npm, nv),
-                              reader.lineno)
-        vperm = np.array([int(reader.next("vperm entry")) for _ in range(nv)])
-    except ValueError as ex:
-        raise FormatError(str(ex), reader.lineno)
-    return SymmetricMesh(positions=positions, tris=tris, n_sym=n_sym,
-                         level=level, vperm=vperm, zigzag=zigzag)
+    form = _read_form(reader, backend)
+    extra = reader.peek()
+    if extra is not None:
+        reader.next("trailing line")
+        raise FormatError("unexpected %r after the form" % extra, reader.lineno)
+    return form
 
 
 # -- reports ----------------------------------------------------------------
@@ -338,10 +291,13 @@ def parse_report(text: str) -> ExtensionReport:
         raise FormatError("unknown status %r" % status, reader.lineno)
     try:
         stage = int(reader.field("terminated-at-stage"))
+        stage_line = reader.lineno
         final_residual = float(reader.field("final-residual"))
         obs_text = reader.field("stage-obstructions")
+        obs_line = reader.lineno
         obstructions = [float(x) for x in obs_text.split()] if obs_text else []
         obs_stage_text = reader.field("obstruction-stage")
+        obs_stage_line = reader.lineno
         obstruction_stage = None if obs_stage_text == "-" else int(obs_stage_text)
         nterms = int(reader.field("terms"))
     except ValueError as ex:
@@ -383,15 +339,22 @@ def parse_report(text: str) -> ExtensionReport:
         terms.append(EquivariantElement(backend, total, mapping))
     if not terms:
         raise FormatError("report carries no terms", reader.lineno)
-    return ExtensionReport(
-        input=terms[0].base_form(),
-        terms=terms,
-        stage_obstructions=obstructions,
-        final_residual_norm=final_residual,
-        terminated_at_stage=stage,
-        status=status,
-        obstruction_stage=obstruction_stage,
-    )
+    obstruction = None
+    if status == "obstructed":
+        obstruction = obstructions[-1] if obstructions else 0.0
+    report = ExtensionReport(terms, obstruction, final_residual)
+    for name, line, found, derived in (
+            ("terminated-at-stage", stage_line, stage, report.terminated_at_stage),
+            ("stage-obstructions", obs_line, obstructions, report.stage_obstructions),
+            ("obstruction-stage", obs_stage_line, obstruction_stage,
+             report.obstruction_stage)):
+        if found != derived:
+            raise FormatError("%s %r disagrees with the %s report's %d terms"
+                              % (name, found, status, len(terms)), line)
+    if obstruction is not None and not obstruction > 0:
+        raise FormatError("an obstructed report needs a positive residual",
+                          obs_line)
+    return report
 
 
 # -- human-readable rendering ----------------------------------------------
@@ -405,8 +368,7 @@ def format_report(report: ExtensionReport) -> str:
     out.append("final residual       %g" % report.final_residual_norm)
     if report.obstruction_stage is not None:
         out.append("obstructed at stage  %d (residual %g)"
-                   % (report.obstruction_stage,
-                      report.stage_obstructions[report.obstruction_stage]))
+                   % (report.obstruction_stage, report.obstruction))
     out.append("")
     out.append("%-6s %-14s %s" % ("stage", "monomial", "coefficient norm"))
     for stage, element in enumerate(report.terms):

@@ -106,6 +106,14 @@ def test_missing_input_is_an_error(capsys):
     assert "provide --preset or --in" in err
 
 
+def test_preset_and_in_together_are_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["extend", "--preset", "sphere/symplectic",
+              "--in", "/nonexistent.txt"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_unknown_preset_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["extend", "--preset", "no-such-thing"])

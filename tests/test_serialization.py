@@ -14,10 +14,8 @@ from equihodge import (
     make_sphere_backend,
     make_torus_backend,
     parse_form,
-    parse_mesh,
     parse_report,
     serialize_form,
-    serialize_mesh,
     serialize_report,
 )
 
@@ -130,26 +128,18 @@ def test_malformed_forms_report_line_numbers():
         parse_form(wrong_dim)
 
 
-def test_mesh_round_trip():
-    mesh = build_symmetric_sphere(4, 1, zigzag=0.1)
-    again = parse_mesh(serialize_mesh(mesh))
-    assert again.n_sym == mesh.n_sym
-    assert again.level == mesh.level
-    assert again.zigzag == mesh.zigzag
-    assert np.array_equal(again.positions, mesh.positions)
-    assert again.tris == mesh.tris
-    assert np.array_equal(again.vperm, mesh.vperm)
-    assert np.array_equal(again.eperm, mesh.eperm)
-
-
-def test_mesh_header_and_length_errors():
-    mesh = build_symmetric_sphere(4, 0)
-    text = serialize_mesh(mesh)
-    with pytest.raises(FormatError):
-        parse_mesh(text.replace("equihodge-mesh", "equihodge-form"))
-    broken = text.replace("vperm: %d" % mesh.num_vertices, "vperm: 3")
-    with pytest.raises(FormatError):
-        parse_mesh(broken)
+@pytest.mark.parametrize("tail,message", [
+    ("garbage\n", "unexpected 'garbage' after the form"),
+    ("-1 5\n", "index -1 out of range"),
+    (None, "unexpected 'equihodge-form v1' after the form"),
+])
+def test_nothing_may_follow_a_form(tail, message):
+    good = serialize_form(make_sphere_backend(4, stages=1).two_form((1, 2)))
+    text = good + (good if tail is None else tail)
+    with pytest.raises(FormatError) as exc:
+        parse_form(text)
+    assert exc.value.line == len(good.splitlines()) + 1
+    assert message in str(exc.value)
 
 
 def test_report_round_trip_extended():
@@ -212,8 +202,29 @@ def test_report_rejects_a_monomial_of_the_wrong_rank_on_its_line():
     assert "rank 2, not 1" in str(exc.value)
 
 
-def test_mesh_value_errors_are_format_errors_with_a_line():
-    text = serialize_mesh(build_symmetric_sphere(4, 0))
+@pytest.mark.parametrize("old,new,lineno", [
+    ("terminated-at-stage: 1", "terminated-at-stage: 7", 4),
+    ("status: extended", "status: obstructed", 7),
+    ("stage-obstructions: 0.0 0.0", "stage-obstructions: 5.0", 6),
+    ("obstruction-stage: -", "obstruction-stage: 3", 7),
+])
+def test_report_header_must_agree_with_its_terms(old, new, lineno):
+    text = serialize_report(extend(make_sphere_backend(6).two_form((1,))))
+    assert old in text.splitlines()
     with pytest.raises(FormatError) as exc:
-        parse_mesh(text.replace("level: 0", "level: zero"))
-    assert exc.value.line == 3
+        parse_report(text.replace(old, new))
+    assert exc.value.line == lineno
+
+
+def test_obstructed_report_needs_a_positive_residual():
+    from equihodge import COS
+
+    b = make_torus_backend(2, 2, (1, 0))
+    text = serialize_report(extend(b.basis_form(2, (0, 0), COS, (0, 1))))
+    lines = text.splitlines()
+    assert lines[5] == "stage-obstructions: 6.283185307179586"
+    lines[5] = "stage-obstructions: 0.0"
+    with pytest.raises(FormatError) as exc:
+        parse_report("\n".join(lines) + "\n")
+    assert exc.value.line == 6
+    assert "positive residual" in str(exc.value)
