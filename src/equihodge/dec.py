@@ -4,8 +4,9 @@ Cochains play the role of invariant forms: degree q values live on the
 oriented q-simplices.  The coboundary is the exact integer incidence
 matrix, the Hodge star is the diagonal of circumcentric-dual ratios
 (cotan weights in degree 1, Voronoi areas in degree 0), and Green's
-operator is a conjugate-direction solve of the cochain Laplacian with the
-known harmonic space (dimensions 1, 0, 1) deflated.
+operator is a conjugate-gradient solve of the cochain Laplacian whose
+right-hand side and result are each deflated once by the known harmonic
+space (dimensions 1, 0, 1).
 
 The discrete interior product with the rotational Killing field samples
 Whitney-interpolated values at circumcenters and integrates back to
@@ -15,11 +16,11 @@ Assembly takes time linear in the mesh size.  Every geometric quantity
 (areas, normals, circumcenters, corner cotangents, barycentric gradients,
 Whitney samples and their pairing with the Killing field) is computed once
 per triangle in vectorized numpy and scattered to vertices and edges over
-the mesh's incidence arrays.  The stars then give each symmetry orbit its
-representative's value, and the interior-product matrices are built on the
-representative rows and replicated along the orbits (pole rows averaged
-over each edge orbit), so every operator matrix commutes with the mesh symmetry
-permutation exactly.
+the mesh's triangle-vertex and triangle-edge arrays.  The stars then give
+each symmetry orbit its representative's value, and the interior-product
+matrices are built on representative entries and replicated along the
+orbits by one rule, which also covers the rows of the poles, so every
+operator matrix commutes with the mesh symmetry permutation exactly.
 
 A cochain is zero only when all its values are; the closedness and harmonic
 tests instead compare its norm with ``ZERO_RTOL`` times the input's norm.
@@ -126,15 +127,9 @@ class DecBackend(Backend):
             raise MeshError("nonpositive circumcentric dual ratio")
         self._stars = (star0, star1, star2)
 
-        def diag(v):
-            return sp.diags(v)
-
-        def diag_inv(v):
-            return sp.diags(1.0 / v)
-
         self._delta = {
-            1: (diag_inv(star0) @ self.d0.T @ diag(star1)).tocsr(),
-            2: (diag_inv(star1) @ self.d1.T @ diag(star2)).tocsr(),
+            1: (sp.diags(1.0 / star0) @ self.d0.T @ sp.diags(star1)).tocsr(),
+            2: (sp.diags(1.0 / star1) @ self.d1.T @ sp.diags(star2)).tocsr(),
         }
         self._lap = {
             0: (self._delta[1] @ self.d0).tocsr(),
@@ -154,12 +149,8 @@ class DecBackend(Backend):
         self._c10 = self._assemble_contraction_10(area, flux)
         self._c21 = self._assemble_contraction_21(area, normal, field)
 
-        # harmonic bases (constants in degree 0, the area cochain in degree
-        # 2), each vector h with star * h and <h, h> for the projection
-        self._harmonic = {
-            q: [(h, self._stars[q] * h, float(h @ (self._stars[q] * h)))
-                for h in basis]
-            for q, basis in ((0, [np.ones(V)]), (1, []), (2, [area]))}
+        # harmonic bases: constants in degree 0, the area cochain in degree 2
+        self._harmonic = {0: [np.ones(V)], 1: [], 2: [area]}
 
     def _assemble_contraction_10(self, area, flux) -> sp.csr_matrix:
         """Interior product: 1-cochains to 0-cochains.  The row of a vertex
@@ -167,9 +158,9 @@ class DecBackend(Backend):
         around it."""
         mesh = self.mesh
         V, E = mesh.simplex_count(0), mesh.simplex_count(1)
-        v = np.repeat(np.arange(V), np.diff(mesh.vertex_tri_ptr))
+        v, t = mesh.tri_vertices.ravel(), np.repeat(np.arange(mesh.num_tris), 3)
         keep = mesh.orbit_rep[0][v] == v
-        v, t = v[keep], mesh.vertex_tris[keep]
+        v, t = v[keep], t[keep]
         sums = sp.csr_matrix(                   # sums the fluxes of each edge
             ((area[:, None] * flux)[t].ravel(),
              (np.repeat(v, 3), mesh.tri_edges[t].ravel())),
@@ -177,46 +168,36 @@ class DecBackend(Backend):
         ).tocoo()
         r, c = sums.row, sums.col
         vals = sums.data / np.bincount(v, area[t], V)[r]
-        # a vertex with a short orbit (a pole) is fixed by the whole group
-        # and touches whole edge orbits; give each edge the signed mean over
-        # its orbit, so replicated entries are bit-identical up to sign and
-        # the matrix commutes exactly.  sign[e] is the sign the symmetry
-        # picks up carrying the orbit's first member to edge e.
-        erep = mesh.orbit_rep[1]
-        sign = np.ones(E)
-        e = np.flatnonzero(erep == np.arange(E))
-        for _ in range(mesh.n_sym - 1):
-            sign[mesh.eperm[e]] = sign[e] * mesh.esign[e]
-            e = mesh.eperm[e]
-        pole = np.bincount(mesh.orbit_rep[0], minlength=V)[r] < mesh.n_sym
-        _, orbit = np.unique(r[pole] * E + erep[c[pole]], return_inverse=True)
-        mean = np.bincount(orbit, sign[c[pole]] * vals[pole]) / mesh.n_sym
-        vals[pole] = sign[c[pole]] * mean[orbit]
-        return self._replicate(r, c, vals, 0, 1)
+        # a vertex fixed by the symmetry (a pole) keeps its representative
+        # edges; replication fills in the rest of each edge orbit
+        keep = (mesh.vperm[r] != r) | (mesh.orbit_rep[1][c] == c)
+        return self._replicate(r[keep], c[keep], vals[keep], 0, 1)
 
     def _assemble_contraction_21(self, area, normal, field) -> sp.csr_matrix:
         """Interior product: 2-cochains to 1-cochains.  An edge takes the
         mean over its two triangles of (field x edge) . normal / area."""
         mesh = self.mesh
-        E = mesh.simplex_count(1)
-        edges = np.flatnonzero(mesh.orbit_rep[1] == np.arange(E))
-        tris = mesh.edge_tris[edges]                                 # (R, 2)
-        ends = mesh.positions[mesh.edge_vertices[edges]]
-        evec = (ends[:, 1] - ends[:, 0])[:, None, :]
-        vals = _dot(normal[tris], np.cross(field[tris], evec)) / (2.0 * area[tris])
-        return self._replicate(np.repeat(edges, 2), tris.reshape(-1),
-                               vals.reshape(-1), 1, 2)
+        e, t = mesh.tri_edges.ravel(), np.repeat(np.arange(mesh.num_tris), 3)
+        keep = mesh.orbit_rep[1][e] == e
+        e, t = e[keep], t[keep]
+        ends = mesh.positions[mesh.edge_vertices[e]]
+        evec = ends[:, 1] - ends[:, 0]
+        vals = _dot(normal[t], np.cross(field[t], evec)) / (2.0 * area[t])
+        return self._replicate(e, t, vals, 1, 2)
 
     def _replicate(self, rows, cols, vals, q_row: int, q_col: int):
-        """The matrix whose representative rows hold the given entries and
-        whose other rows are their images: entry (r, c) yields
-        (sigma^k r, sigma^k c) for k below the orbit length of r, times the
-        sign sigma^k picks up on the edge index.  Images of one entry are
+        """The matrix whose representative entries are the given ones and
+        whose other entries are their images: entry (r, c) yields
+        (sigma^k r, sigma^k c) for k below the orbit length of the pair
+        (the larger of the orbit lengths of r and c), times the sign
+        sigma^k picks up on the edge index.  Images of one entry are
         therefore equal bit for bit up to sign."""
         mesh = self.mesh
         perms = (mesh.vperm, mesh.eperm, mesh.tperm)
         shape = (mesh.simplex_count(q_row), mesh.simplex_count(q_col))
-        length = np.bincount(mesh.orbit_rep[q_row], minlength=shape[0])[rows]
+        rep = mesh.orbit_rep
+        length = np.maximum(np.bincount(rep[q_row])[rep[q_row][rows]],
+                            np.bincount(rep[q_col])[rep[q_col][cols]])
         out = []
         for k in range(mesh.n_sym):
             keep = k < length
@@ -261,28 +242,26 @@ class DecBackend(Backend):
         return float(a.coeffs @ (self._stars[a.degree] * b.coeffs))
 
     def harmonic_basis(self, q: int) -> List[InvariantForm]:
-        if not 0 <= q <= 2:
-            return []
-        return [InvariantForm(self, q, h.copy()) for h, _, _ in self._harmonic[q]]
+        return [InvariantForm(self, q, h.copy()) for h in self._harmonic.get(q, [])]
 
     def harmonic_projection(self, w: InvariantForm) -> InvariantForm:
         out = np.zeros(len(w.coeffs))
-        for h, star_h, hh in self._harmonic.get(w.degree, []):
-            out += (float(w.coeffs @ star_h) / hh) * h
+        for h in self._harmonic.get(w.degree, []):
+            star_h = self._stars[w.degree] * h
+            out += (float(w.coeffs @ star_h) / float(h @ star_h)) * h
         return InvariantForm(self, w.degree, out)
 
     def green(self, w: InvariantForm) -> InvariantForm:
-        """Deflated conjugate-direction solve of Laplacian x = w - H(w)."""
+        """Conjugate-gradient solve of Laplacian x = w - H(w).
+
+        The Laplacian is self-adjoint in the star inner product and maps
+        into the complement of the harmonic space, so the iterates stay
+        there: the right-hand side is deflated once, and the result once
+        more to clear rounding."""
         q = w.degree
         lap = self._lap[q]
         star = self._stars[q]
-
-        def deflate(x):
-            if not self._harmonic[q]:  # degree 1 has no harmonic forms
-                return x
-            return x - self.harmonic_projection(InvariantForm(self, q, x)).coeffs
-
-        b = deflate(np.asarray(w.coeffs, dtype=float))
+        b = (w - self.harmonic_projection(w)).coeffs
         bnorm = math.sqrt(float(b @ (star * b)))
         if bnorm == 0.0:
             return self.zero(q)
@@ -292,13 +271,14 @@ class DecBackend(Backend):
         rr = float(r @ (star * r))
         limit = 20 * len(b)
         for it in range(limit):
-            ap = deflate(lap @ p)
+            ap = lap @ p
             alpha = rr / float(p @ (star * ap))
-            x = x + alpha * p
-            r = r - alpha * ap
+            x += alpha * p
+            r -= alpha * ap
             rr_new = float(r @ (star * r))
             if math.sqrt(rr_new) <= CG_TOL * bnorm:
-                return InvariantForm(self, q, deflate(x))
+                g = InvariantForm(self, q, x)
+                return g - self.harmonic_projection(g)
             p = r + (rr_new / rr) * p
             rr = rr_new
         raise SolverError(math.sqrt(rr) / bnorm, limit)

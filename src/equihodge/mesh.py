@@ -31,14 +31,13 @@ def _canon_tris(tris: np.ndarray) -> np.ndarray:
 class SymmetricMesh:
     """Oriented triangulated sphere with an exact cyclic symmetry.
 
-    Besides the simplex lists it holds the incidence arrays the discrete
-    operators are assembled from: side ``i`` of triangle ``t`` runs from
-    ``tris[t][i]`` to ``tris[t][(i + 1) % 3]``, is edge ``tri_edges[t, i]``
-    and agrees with that edge's (low, high) orientation when
-    ``tri_edge_signs[t, i]`` is +1.  The triangles around vertex ``v`` are
-    ``vertex_tris[vertex_tri_ptr[v]:vertex_tri_ptr[v + 1]]``, in increasing
-    order.  ``orbit_rep[q][i]`` is the first member of the orbit of the
-    q-simplex ``i``.
+    Besides the simplex lists it holds the two incidence arrays the
+    discrete operators are assembled from, both indexed by triangle:
+    ``tri_vertices[t]`` are the corners of triangle ``t``, and side ``i``,
+    which runs from ``tris[t][i]`` to ``tris[t][(i + 1) % 3]``, is edge
+    ``tri_edges[t, i]`` and agrees with that edge's (low, high) orientation
+    when ``tri_edge_signs[t, i]`` is +1.  ``orbit_rep[q][i]`` is the first
+    member of the orbit of the q-simplex ``i``.
     """
 
     positions: np.ndarray          # (V, 3) unit vectors
@@ -52,9 +51,6 @@ class SymmetricMesh:
     edge_vertices: np.ndarray = field(init=False)   # (E, 2) rows of edges
     tri_edges: np.ndarray = field(init=False)       # (F, 3) edge of each side
     tri_edge_signs: np.ndarray = field(init=False)  # (F, 3) +1 or -1
-    edge_tris: np.ndarray = field(init=False)       # (E, 2) triangles at an edge
-    vertex_tri_ptr: np.ndarray = field(init=False)  # (V + 1,) offsets
-    vertex_tris: np.ndarray = field(init=False)     # (3F,) triangles at vertices
     eperm: np.ndarray = field(init=False)
     esign: np.ndarray = field(init=False)
     tperm: np.ndarray = field(init=False)
@@ -80,12 +76,6 @@ class SymmetricMesh:
             raise MeshError("an edge does not lie in exactly two triangles")
         self.tri_edges = side_edge.reshape(nt, 3)
         self.tri_edge_signs = np.where(tail < head, 1, -1)
-        self.edge_tris = (np.argsort(side_edge, kind="stable") // 3).reshape(-1, 2)
-        corners = tv.reshape(-1)
-        self.vertex_tris = np.argsort(corners, kind="stable") // 3
-        self.vertex_tri_ptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(corners, minlength=nv)))
-        )
         self._build_permutations(keys)
         self._build_orbits()
 

@@ -293,6 +293,7 @@ def parse_report(text: str) -> ExtensionReport:
         stage = int(reader.field("terminated-at-stage"))
         stage_line = reader.lineno
         final_residual = float(reader.field("final-residual"))
+        residual_line = reader.lineno
         obs_text = reader.field("stage-obstructions")
         obs_line = reader.lineno
         obstructions = [float(x) for x in obs_text.split()] if obs_text else []
@@ -302,6 +303,9 @@ def parse_report(text: str) -> ExtensionReport:
         nterms = int(reader.field("terms"))
     except ValueError as ex:
         raise FormatError(str(ex), reader.lineno)
+    if status == "obstructed" and final_residual != 0.0:
+        raise FormatError("an obstructed report has final residual 0.0, not %r"
+                          % final_residual, residual_line)
     terms: List[EquivariantElement] = []
     for _ in range(nterms):
         line = reader.next("term header")

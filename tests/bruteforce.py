@@ -24,13 +24,17 @@ torus   flat T^2, V = v . d/dx, forms are sums f_I(x) dx_I with
 
 The DEC reference at the end is numeric, not symbolic: it evaluates the
 discrete formulas simplex by simplex with plain loops over the mesh's
-vertex, edge and triangle lists.
+vertex, edge and triangle lists.  The DEC Green reference after it takes
+the backend's own Laplacian and stars but solves with one direct sparse
+factorisation instead of the backend's conjugate gradients.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sps
 import sympy as sp
+from scipy.sparse.linalg import spsolve
 
 # ---------------------------------------------------------------------------
 # sphere oracle
@@ -549,3 +553,26 @@ def dec_reference(mesh):
         "delta2": np.diag(1.0 / star1) @ d1.T @ np.diag(star2),
         "c10": c10, "c21": c21,
     }
+
+
+def dec_green_reference(backend, w):
+    """Green's operator of a DEC backend by one direct sparse solve.
+
+    Solves the bordered system ``[[L, H], [H^T S, 0]] [x; y] = [w; 0]``,
+    where ``L`` is the backend's degree-q Laplacian, the columns of ``H``
+    are its harmonic basis and ``S`` is its diagonal star.  The border
+    forces ``x`` to be star-orthogonal to the harmonic space, and ``H y``
+    takes up the harmonic part of ``w``, so ``L x = w - H(w)``.  Degree 1
+    has no harmonic forms, and then ``L`` alone is invertible.  Returns the
+    coefficients of ``x``.
+    """
+    q = w.degree
+    lap = backend._lap[q]
+    basis = backend.harmonic_basis(q)
+    if not basis:
+        return spsolve(lap.tocsc(), w.coeffs)
+    H = np.array([h.coeffs for h in basis]).T
+    border = sps.csr_matrix(H.T * backend._stars[q])
+    system = sps.bmat([[lap, sps.csr_matrix(H)], [border, None]], format="csc")
+    rhs = np.concatenate([w.coeffs, np.zeros(len(basis))])
+    return spsolve(system, rhs)[:len(w.coeffs)]

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (invoked in process)."""
 
+import hashlib
 import os
 
 import pytest
@@ -189,3 +190,45 @@ def test_flags_a_verb_does_not_take_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+#: SHA-256 of the exit code, stdout, stderr and ``--out`` bytes of each verb
+#: on each exact preset.  The exact backends compute in ``Fraction``s, so
+#: any change to these bytes is a change of result, not of rounding.
+EXACT_PINS = {
+    ("product/symplectic-product", "extend"): "7fc49d802bfe0d7c59804a8d918c6b244b691d4b51d5095bff38b4864ab674c8",
+    ("product/symplectic-product", "verify"): "3a74c01711fe48a22234b47c2a2fb831016f056c8ec03c976fad2011279036c4",
+    ("product/symplectic-product", "hodge"): "29e77e4bdb689c42651b9e2dcd0353d55da04e1a96d9541549225e0de28d8e42",
+    ("product/symplectic-product", "moment-map"): "4b1e657df15939323a959fc38db2c1920b3702ab0d04f573f761f521a78636e8",
+    ("product/symplectic-sum", "extend"): "8b6d2d134ea94b7efe52d74077b9e7148c9bd91faa44f6fdf7bd2ed5be1a43e3",
+    ("product/symplectic-sum", "verify"): "856e6a32ec5d35c2f3430803af28335a9136f8674855cee3c80cee298310e997",
+    ("product/symplectic-sum", "hodge"): "6e8626755e71cfebc3a15249700913f4b8ee73c9d6f07b528c892de139565a9e",
+    ("product/symplectic-sum", "moment-map"): "4d654ba7e3de77184bdbe9e99ff46d6337ad560ece1ddfe582199be6c0589a53",
+    ("sphere/symplectic", "extend"): "105d520b56650ec49d4ca148d88f87ed7d4fe9c047e4c844429c6b976334dd79",
+    ("sphere/symplectic", "verify"): "4ac26996fe6619141eddd09602f0557ae15870e60e8d76a3e7cd797120216d59",
+    ("sphere/symplectic", "hodge"): "0fb6a13db6afc464a2cb059901cb44762226732cf324ebb58ad3c5dd49af9560",
+    ("sphere/symplectic", "moment-map"): "5419fba74835a623785915dd03adfc21e3003d99165fda108c05d05c61e36004",
+    ("sphere/weighted-volume", "extend"): "04b3ff4a7b2e547d30b4279f96aad6896e2ea2e7383d022c067a09351313cfe4",
+    ("sphere/weighted-volume", "verify"): "7a336c946e3f025c137c20f515a2a37976440379475edd6c1d32bde93b0f5fb1",
+    ("sphere/weighted-volume", "hodge"): "ba226538692bcdec3233767fdc89a6c59cffe818223cfa9b9272dc4f558ae464",
+    ("sphere/weighted-volume", "moment-map"): "c8be5073a2cb2ec6d12ced6ff206ba7b61b48667e9c96831de4caf35b572eada",
+    ("torus-free/dx", "extend"): "91673ce130cbcabfbe05643d677ae9c4221eec2257ddcbfb1e8982269b896e5a",
+    ("torus-free/dx", "verify"): "91673ce130cbcabfbe05643d677ae9c4221eec2257ddcbfb1e8982269b896e5a",
+    ("torus-free/dx", "hodge"): "be8e1bde3b98c4b17cb561c4c703723a3e207b657af743a8b2c95833e1a397a6",
+    ("torus-free/dx", "moment-map"): "0bc5749c795ce3fc71de4fcedb377240dedff1343691b2e480ac6f069fce9f51",
+    ("torus-free/volume", "extend"): "761212d0da53bac9ff75f9140d790834ba65dfc3ba4a59c3473235622c441639",
+    ("torus-free/volume", "verify"): "761212d0da53bac9ff75f9140d790834ba65dfc3ba4a59c3473235622c441639",
+    ("torus-free/volume", "hodge"): "465ff0d17f4167aff4d9161ceaa5fd59d5e7b454308cd055dc82c98d640265f0",
+    ("torus-free/volume", "moment-map"): "1d9be229d356d34183e95b9c1479dae0f1083448655b8b3de50c333b348beea0",
+}
+
+
+@pytest.mark.parametrize("preset,verb", sorted(EXACT_PINS))
+def test_exact_preset_output_is_byte_identical(capsys, tmp_path, preset, verb):
+    path = tmp_path / "out.txt"
+    code, out, err = run(capsys, verb, "--preset", preset, "--out", str(path))
+    written = path.read_bytes() if path.exists() else b"-"
+    digest = hashlib.sha256()
+    for part in (str(code).encode(), out.encode(), err.encode(), written):
+        digest.update(b"%d:" % len(part) + part)
+    assert digest.hexdigest() == EXACT_PINS[preset, verb]

@@ -89,23 +89,12 @@ def test_incidence_arrays(n_sym, zigzag, level):
     V, E, F = mesh.num_vertices, mesh.num_edges, mesh.num_tris
     edge_of = {e: i for i, e in enumerate(mesh.edges)}
     d1 = np.zeros((F, E), dtype=int)
-    tris_at = {v: [] for v in range(V)}
     for t, (a, b, c) in enumerate(mesh.tris):
         for u, v in ((a, b), (b, c), (c, a)):
             d1[t, edge_of[(min(u, v), max(u, v))]] = 1 if u < v else -1
-        for v in (a, b, c):
-            tris_at[v].append(t)
     # the side indices and signs rebuild the coboundary exactly
     rebuilt = np.zeros((F, E), dtype=int)
     rebuilt[np.arange(F)[:, None], mesh.tri_edges] = mesh.tri_edge_signs
     assert np.array_equal(rebuilt, d1)
     # every edge lies in exactly two triangles
     assert np.array_equal(np.sum(d1 != 0, axis=0), np.full(E, 2))
-    assert mesh.edge_tris.shape == (E, 2)
-    for e, tris in enumerate(mesh.edge_tris):
-        assert sorted(tris) == sorted(np.flatnonzero(d1[:, e]))
-    # the vertex-triangle incidences number 3F and list each vertex's triangles
-    ptr = mesh.vertex_tri_ptr
-    assert ptr[-1] == len(mesh.vertex_tris) == 3 * F
-    for v in range(V):
-        assert list(mesh.vertex_tris[ptr[v]:ptr[v + 1]]) == tris_at[v]

@@ -228,3 +228,17 @@ def test_obstructed_report_needs_a_positive_residual():
         parse_report("\n".join(lines) + "\n")
     assert exc.value.line == 6
     assert "positive residual" in str(exc.value)
+
+
+def test_obstructed_report_has_no_final_residual():
+    from equihodge import COS
+
+    b = make_torus_backend(2, 2, (1, 0))
+    text = serialize_report(extend(b.basis_form(2, (0, 0), COS, (0, 1))))
+    lines = text.splitlines()
+    assert lines[4] == "final-residual: 0.0"
+    lines[4] = "final-residual: 7.0"
+    with pytest.raises(FormatError) as exc:
+        parse_report("\n".join(lines) + "\n")
+    assert exc.value.line == 5
+    assert "final residual 0.0, not 7.0" in str(exc.value)
