@@ -21,6 +21,7 @@ convergence monotone).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -70,7 +71,10 @@ CONVERGENCE_NSYM = 4
 CONVERGENCE_ZIGZAG = 0.1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    :func:`main` call of the process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="equihodge",
         description="Canonical equivariant extensions of invariant forms "

@@ -6,7 +6,10 @@ matrix, the Hodge star is the diagonal of circumcentric-dual ratios
 (cotan weights in degree 1, Voronoi areas in degree 0), and Green's
 operator is a conjugate-gradient solve of the cochain Laplacian whose
 right-hand side and result are each deflated once by the known harmonic
-space (dimensions 1, 0, 1).
+space (dimensions 1, 0, 1).  The extension stage solves on d* f and the
+Hodge split on d* w and d w, so neither ever solves on edges: the split of
+a 1-cochain costs one solve on vertices and one on triangles, that of a 0-
+or 2-cochain none.
 
 The discrete interior product with the rotational Killing field samples
 Whitney-interpolated values at circumcenters and integrates back to
@@ -226,6 +229,8 @@ class DecBackend(Backend):
                               "not a form of this backend" % w.degree)
 
     def laplacian(self, w: InvariantForm) -> InvariantForm:
+        if w.degree not in self._lap:
+            return self.zero(w.degree)
         return InvariantForm(self, w.degree, self._lap[w.degree] @ w.coeffs)
 
     def contraction(self, j: int, w: InvariantForm) -> InvariantForm:
@@ -259,6 +264,8 @@ class DecBackend(Backend):
         there: the right-hand side is deflated once, and the result once
         more to clear rounding."""
         q = w.degree
+        if q not in self._lap:
+            return self.zero(q)
         lap = self._lap[q]
         star = self._stars[q]
         b = (w - self.harmonic_projection(w)).coeffs

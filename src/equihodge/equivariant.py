@@ -19,7 +19,8 @@ Green's operator is invoked, it checks every contracted coefficient form
 for a harmonic component.  A nonzero harmonic part certifies that the
 form is not exact, i.e. that extendability fails for this input; the
 stage then raises with diagnostics instead of silently projecting the
-harmonic part away.
+harmonic part away.  The stage computes d* G f as G(d* f): Green's
+operator commutes with d*, and the solve then runs one degree lower.
 """
 
 from __future__ import annotations
@@ -216,12 +217,18 @@ def _d_star_green(backend: Backend, boundary: Mapping[Monomial, InvariantForm],
     operator never silently projects a harmonic part away.  The test is
     relative to ``source``, the run's input.  A 0-form has d* G = 0 and is
     left out.
+
+    Each coefficient f is mapped to G(d* f), which equals d* G(f): the
+    Laplacian commutes with d*, and d* maps harmonic forms to zero and the
+    rest into the complement of the harmonic forms, so Green's operator
+    commutes with d* too.  Solving one degree lower is cheaper on the mesh
+    backend (vertices instead of edges for a 1-form).
     """
     harmonic = [backend.harmonic_projection(f) for f in boundary.values()]
     residuals = [backend.norm(h) for h in harmonic if not backend.is_zero(h, source)]
     if residuals:
         raise ObstructionDetected(stage, max(residuals))
-    return {key: backend.codifferential(backend.green(form))
+    return {key: backend.green(backend.codifferential(form))
             for key, form in boundary.items() if form.degree > 0}
 
 

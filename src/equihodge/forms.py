@@ -14,7 +14,8 @@ On top of that contract this module builds, once and for all:
   harmonic basis of the rational backends, all in the coordinates of an
   exact Laplacian eigenbasis (the mesh backend supplies its own, with an
   iterative Green solve),
-* the three-way Hodge decomposition.
+* the three-way Hodge decomposition, with its Green solves one degree
+  below and above the form.
 
 Exact backends use :class:`fractions.Fraction` coefficients throughout,
 so "zero" means identically zero, never merely small.
@@ -250,9 +251,23 @@ class Backend(ABC):
         return self.d(self.codifferential(w)) + self.codifferential(self.d(w))
 
     def hodge_decompose(self, w: InvariantForm) -> HodgeSplit:
-        g = self.green(w)
-        exact = self.d(self.codifferential(g))
-        coexact = self.codifferential(self.d(g))
+        """Split w into harmonic, exact and coexact parts.
+
+        The exact part d d* G w is computed as d G(d* w) and the coexact
+        part d* d G w as d* G(d w), since Green's operator commutes with d
+        and d*: the solves run one degree below and one above w.  When d w
+        is identically zero the coexact part is zero and the exact part is
+        w - H(w), and symmetrically when d* w is, so a form of degree 0 or
+        n needs no solve.  The harmonic part is what remains.
+        """
+        down, up = self.codifferential(w), self.d(w)
+        if self.is_zero(up):
+            exact, coexact = w - self.harmonic_projection(w), self.zero(w.degree)
+        elif self.is_zero(down):
+            exact, coexact = self.zero(w.degree), w - self.harmonic_projection(w)
+        else:
+            exact = self.d(self.green(down))
+            coexact = self.codifferential(self.green(up))
         harmonic = w - exact - coexact
         return HodgeSplit(harmonic=harmonic, exact=exact, coexact=coexact)
 

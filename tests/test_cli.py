@@ -6,7 +6,7 @@ import os
 import pytest
 
 from equihodge import parse_form, parse_report, serialize_form
-from equihodge.cli import OUTPUT_DIR_VAR, main
+from equihodge.cli import OUTPUT_DIR_VAR, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -232,3 +232,27 @@ def test_exact_preset_output_is_byte_identical(capsys, tmp_path, preset, verb):
     for part in (str(code).encode(), out.encode(), err.encode(), written):
         digest.update(b"%d:" % len(part) + part)
     assert digest.hexdigest() == EXACT_PINS[preset, verb]
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one invocation, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_invocation_of_a_process(capsys):
+    sequence = [["extend", "--preset", "sphere/symplectic"],
+                ["hodge", "--preset", "sphere/symplectic", "--bogus"],
+                ["hodge", "--preset", "sphere/weighted-volume"]]
+    alone = []
+    for argv in sequence:
+        _build_parser.cache_clear()
+        alone.append(outcome(capsys, argv))
+    assert [code for code, _, _ in alone] == [0, 2, 0]
+    _build_parser.cache_clear()
+    assert [outcome(capsys, argv) for argv in sequence] == alone
+    assert _build_parser.cache_info().misses == 1
