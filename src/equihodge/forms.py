@@ -160,9 +160,10 @@ class HodgeSplit:
 class Backend(ABC):
     """The operator contract every model manifold implements.
 
-    Instances are immutable after construction; every operation is a pure
-    function of its inputs, so backends are safe to share between
-    concurrent tasks.
+    Every operation is a pure function of its inputs.  Exact backends fill
+    caches lazily: the eigenbasis of each degree, and on a product the
+    columns of its factors' operators.  Filling is idempotent, so backends
+    stay safe to share between concurrent tasks.
     """
 
     #: manifold dimension

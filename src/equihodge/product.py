@@ -20,12 +20,17 @@ eigenvector is ever built.  The codifferential, the adjoint of d for the
 product inner product, follows the same Koszul rule with the factors'
 codifferentials in one pass of the kernel, so it never goes through the
 star.  Nothing is hand-written per backend pair.
+
+Every factor operator is linear on a fixed degree, so the kernel applies it
+as a sparse rational matrix, one per (factor, operator, degree), cached on
+the instance.  A column is filled lazily, the first time an input has a
+nonzero entry there, by one factor call on the unit vector, so work that
+repeats on one backend makes no factor calls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import BackendMismatch
@@ -63,6 +68,7 @@ class ProductBackend(ExactBackend):
                 blocks.append((q1, q2, offset, d1, d2))
                 offset += d1 * d2
             self._blocks[q] = blocks
+        self._columns: Dict[tuple, Dict[int, tuple]] = {}  # see _act
 
     @property
     def tag(self) -> str:
@@ -102,55 +108,70 @@ class ProductBackend(ExactBackend):
     def _apply(self, w: InvariantForm, out_q: int, *terms) -> InvariantForm:
         """Apply sum of sign(q1, q2) * (op1 (x) op2) to w, block by block.
 
-        Each term is ``(op1, op2, sign)``.  op1 and op2 map forms of the
-        factors to forms of the factors, and ``None`` is the identity; op2
-        acts along the rows of each (q1, q2) block and op1 down its
-        columns.  A sign of ``None`` is +1.
+        Each term is ``(op1, op2, sign)``, op1 and op2 keys of factor
+        operators (see :func:`_factor_op`) and ``None`` the identity.  op2
+        acts along the rows of each (q1, q2) block and op1 down its columns
+        (:meth:`_act`).  A sign of ``None`` is +1.
         """
         out = [Fraction(0)] * self.dimension(out_q)
         targets = {(q1, q2): (offset, d2)
                    for q1, q2, offset, _, d2 in self._blocks.get(out_q, [])}
         for q1, q2, offset, d1, d2 in self._blocks.get(w.degree, []):
-            block = [w.coeffs[offset + i * d2: offset + (i + 1) * d2]
-                     for i in range(d1)]
+            block = {divmod(k, d2): c for k, c in
+                     enumerate(w.coeffs[offset:offset + d1 * d2]) if c}
             for op1, op2, sign in terms:
-                p1, p2, rows = q1, q2, block
+                p1, p2, entries = q1, q2, block
                 if op2 is not None:
-                    res = [op2(InvariantForm(self.b2, q2, row)) for row in rows]
-                    p2, rows = res[0].degree, [r.coeffs for r in res]
-                if op1 is not None and self.b2.dimension(p2) > 0:
-                    res = [op1(InvariantForm(self.b1, q1, col))
-                           for col in zip(*rows)]
-                    p1, rows = res[0].degree, list(zip(*(r.coeffs for r in res)))
-                if (p1, p2) not in targets:  # a factor space of dimension 0
-                    if any(map(any, rows)):
-                        raise AssertionError("block (%d,%d) missing in degree %d"
-                                             % (p1, p2, out_q))
-                    continue
-                base, width = targets[p1, p2]
-                negate = sign is not None and sign(q1, q2) < 0
-                for row in rows:
-                    for j, c in enumerate(row):
-                        if c:
-                            k = base + j
-                            out[k] = out[k] - c if negate else out[k] + c
-                    base += width
+                    p2, entries = self._act(self.b2, op2, q2, entries, 1)
+                if op1 is not None:
+                    p1, entries = self._act(self.b1, op1, q1, entries, 0)
+                if entries:  # then (p1, p2) is a block of degree out_q
+                    base, width = targets[p1, p2]
+                    negate = sign is not None and sign(q1, q2) < 0
+                    for (i, j), c in entries.items():
+                        k = base + i * width + j
+                        out[k] = out[k] - c if negate else out[k] + c
         return InvariantForm(self, out_q, tuple(out))
+
+    def _act(self, factor, op, q: int, entries, axis: int):
+        """Apply a factor operator along one axis of a block's sparse entries.
+
+        The operator is a sparse matrix on degree q, cached on the instance.
+        Its column k is filled the first time an entry's index on ``axis``
+        is k, by applying the operator to the unit vector e_k; a column that
+        raises (a truncation overflow) is not cached, so it raises again at
+        its next use.  Returns the output degree (q if nothing was applied)
+        and the nonzero entries of the image.
+        """
+        cols = self._columns.setdefault((factor, op, q), {})
+        p, acc = q, {}
+        for ij, c in entries.items():
+            k = ij[axis]
+            if k not in cols:
+                unit = [Fraction(0)] * factor.dimension(q)
+                unit[k] = Fraction(1)
+                res = _factor_op(factor, op, InvariantForm(factor, q, tuple(unit)))
+                cols[k] = res.degree, [(i, v) for i, v in enumerate(res.coeffs) if v]
+            p, col = cols[k]
+            for i, v in col:
+                key = (i, ij[1]) if axis == 0 else (ij[0], i)
+                acc[key] = acc[key] + c * v if key in acc else c * v
+        return p, {key: c for key, c in acc.items() if c}
 
     # -- operators ---------------------------------------------------------
 
     def d(self, w: InvariantForm) -> InvariantForm:
-        return self._apply(w, w.degree + 1, (self.b1.d, None, None),
-                           (None, self.b2.d, _koszul))
+        return self._apply(w, w.degree + 1, ("d", None, None),
+                           (None, "d", _koszul))
 
     def codifferential(self, w: InvariantForm) -> InvariantForm:
-        return self._apply(w, w.degree - 1, (self.b1.codifferential, None, None),
-                           (None, self.b2.codifferential, _koszul))
+        return self._apply(w, w.degree - 1, ("codifferential", None, None),
+                           (None, "codifferential", _koszul))
 
     def star(self, w: InvariantForm) -> InvariantForm:
         n1 = self.b1.n
         return self._apply(w, self.n - w.degree,
-                           (self.b1.star, self.b2.star,
+                           ("star", "star",
                             lambda q1, q2: -1 if q2 * (n1 - q1) % 2 else 1))
 
     def contraction(self, j: int, w: InvariantForm) -> InvariantForm:
@@ -159,10 +180,8 @@ class ProductBackend(ExactBackend):
             raise IndexError("generator index out of range")
         out_q = w.degree - (self._spec.degrees[j] - 1)
         if j < r1:
-            return self._apply(w, out_q, (partial(self.b1.contraction, j),
-                                          None, None))
-        return self._apply(w, out_q, (None, partial(self.b2.contraction, j - r1),
-                                      _koszul))
+            return self._apply(w, out_q, (("contraction", j), None, None))
+        return self._apply(w, out_q, (None, ("contraction", j - r1), _koszul))
 
     # -- spectral data -----------------------------------------------------
 
@@ -170,11 +189,11 @@ class ProductBackend(ExactBackend):
         return self.b1._pi_power() + self.b2._pi_power()
 
     def _to_eigen(self, w: InvariantForm) -> Tuple[Fraction, ...]:
-        return self._apply(w, w.degree, (_coords, _coords, None)).coeffs
+        return self._apply(w, w.degree, ("coords", "coords", None)).coeffs
 
     def _from_eigen(self, q: int, c: Sequence[Fraction]) -> InvariantForm:
         return self._apply(InvariantForm(self, q, tuple(c)), q,
-                           (_image, _image, None))
+                           ("image", "image", None))
 
     def _spectrum(self, q: int):
         # ordered as the coordinates: by block, row-major within a block
@@ -194,14 +213,17 @@ def _koszul(q1: int, q2: int) -> int:
     return -1 if q1 % 2 else 1
 
 
-def _coords(w: InvariantForm) -> InvariantForm:
-    """A factor's eigen-coordinates of w, held as a form of that factor."""
-    return InvariantForm(w.backend, w.degree, w.backend._to_eigen(w))
-
-
-def _image(c: InvariantForm) -> InvariantForm:
-    """The factor form whose eigen-coordinates are held in c."""
-    return c.backend._from_eigen(c.degree, c.coeffs)
+def _factor_op(factor, op, w: InvariantForm) -> InvariantForm:
+    """The factor operator ``op`` on w: ``"d"``, ``"codifferential"``,
+    ``"star"``, ``("contraction", j)``, or ``"coords"`` / ``"image"``, the
+    eigen-coordinates of w / the form with coordinates w, held as forms."""
+    if op == "coords":
+        return InvariantForm(factor, w.degree, factor._to_eigen(w))
+    if op == "image":
+        return factor._from_eigen(w.degree, w.coeffs)
+    if isinstance(op, tuple):
+        return factor.contraction(op[1], w)
+    return getattr(factor, op)(w)
 
 
 def make_product_backend(b1: ExactBackend, b2: ExactBackend) -> ProductBackend:

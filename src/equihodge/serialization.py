@@ -303,9 +303,12 @@ def parse_report(text: str) -> ExtensionReport:
         nterms = int(reader.field("terms"))
     except ValueError as ex:
         raise FormatError(str(ex), reader.lineno)
-    if status == "obstructed" and final_residual != 0.0:
-        raise FormatError("an obstructed report has final residual 0.0, not %r"
-                          % final_residual, residual_line)
+    # an exact extension is closed exactly, and an obstructed run stops
+    # before it has a sum to check
+    if (status == "obstructed" or backend.is_exact) and final_residual != 0.0:
+        raise FormatError("an obstructed report or an exact extended one has "
+                          "final residual 0.0, not %r" % final_residual,
+                          residual_line)
     terms: List[EquivariantElement] = []
     for _ in range(nterms):
         line = reader.next("term header")

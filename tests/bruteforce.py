@@ -22,19 +22,27 @@ torus   flat T^2, V = v . d/dx, forms are sums f_I(x) dx_I with
     orthonormal covectors; star permutes index sets with the permutation
     sign; codifferential = -(star d star); integrals over [0, 2 pi]^2.
 
-The DEC reference at the end is numeric, not symbolic: it evaluates the
-discrete formulas simplex by simplex with plain loops over the mesh's
-vertex, edge and triangle lists.  The DEC Green reference after it takes
-the backend's own Laplacian and stars but solves with one direct sparse
-factorisation instead of the backend's conjugate gradients.
+The DEC reference is numeric, not symbolic: it evaluates the discrete
+formulas simplex by simplex with plain loops over the mesh's vertex, edge
+and triangle lists.  The DEC Green reference after it takes the backend's
+own Laplacian and stars but solves with one direct sparse factorisation
+instead of the backend's conjugate gradients.
+
+The per-row product reference at the end is the product backend's kernel
+before its factor operators were cached as sparse columns: it calls the
+factors' operators once per block row and column.  It checks the cached
+kernel against the factors themselves, not against the sympy oracles.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sps
 import sympy as sp
 from scipy.sparse.linalg import spsolve
+
+from equihodge import InvariantForm, ProductBackend
 
 # ---------------------------------------------------------------------------
 # sphere oracle
@@ -576,3 +584,91 @@ def dec_green_reference(backend, w):
     system = sps.bmat([[lap, sps.csr_matrix(H)], [border, None]], format="csc")
     rhs = np.concatenate([w.coeffs, np.zeros(len(basis))])
     return spsolve(system, rhs)[:len(w.coeffs)]
+
+
+# ---------------------------------------------------------------------------
+# per-row product kernel
+# ---------------------------------------------------------------------------
+
+class PerRowProduct(ProductBackend):
+    """A product backend whose kernel makes one factor call per block row
+    and column, with bound factor methods as operators.
+
+    Green's operator, harmonic projection and the inner product are the
+    spectral engine's, over this class's ``_to_eigen`` and ``_from_eigen``.
+    """
+
+    def _apply(self, w, out_q, *terms):
+        out = [Fraction(0)] * self.dimension(out_q)
+        targets = {(q1, q2): (offset, d2)
+                   for q1, q2, offset, _, d2 in self._blocks.get(out_q, [])}
+        for q1, q2, offset, d1, d2 in self._blocks.get(w.degree, []):
+            block = [w.coeffs[offset + i * d2: offset + (i + 1) * d2]
+                     for i in range(d1)]
+            for op1, op2, sign in terms:
+                p1, p2, rows = q1, q2, block
+                if op2 is not None:
+                    res = [op2(InvariantForm(self.b2, q2, row)) for row in rows]
+                    p2, rows = res[0].degree, [r.coeffs for r in res]
+                if op1 is not None and self.b2.dimension(p2) > 0:
+                    res = [op1(InvariantForm(self.b1, q1, col))
+                           for col in zip(*rows)]
+                    p1, rows = res[0].degree, list(zip(*(r.coeffs for r in res)))
+                if (p1, p2) not in targets:  # a factor space of dimension 0
+                    if any(map(any, rows)):
+                        raise AssertionError("block (%d,%d) missing in degree %d"
+                                             % (p1, p2, out_q))
+                    continue
+                base, width = targets[p1, p2]
+                negate = sign is not None and sign(q1, q2) < 0
+                for row in rows:
+                    for j, c in enumerate(row):
+                        if c:
+                            k = base + j
+                            out[k] = out[k] - c if negate else out[k] + c
+                    base += width
+        return InvariantForm(self, out_q, tuple(out))
+
+    def d(self, w):
+        return self._apply(w, w.degree + 1, (self.b1.d, None, None),
+                           (None, self.b2.d, _koszul))
+
+    def codifferential(self, w):
+        return self._apply(w, w.degree - 1, (self.b1.codifferential, None, None),
+                           (None, self.b2.codifferential, _koszul))
+
+    def star(self, w):
+        n1 = self.b1.n
+        return self._apply(w, self.n - w.degree,
+                           (self.b1.star, self.b2.star,
+                            lambda q1, q2: -1 if q2 * (n1 - q1) % 2 else 1))
+
+    def contraction(self, j, w):
+        r1 = self.b1.generator_spec.rank
+        if not 0 <= j < self.generator_spec.rank:
+            raise IndexError("generator index out of range")
+        out_q = w.degree - (self.generator_spec.degrees[j] - 1)
+        if j < r1:
+            return self._apply(w, out_q, (partial(self.b1.contraction, j),
+                                          None, None))
+        return self._apply(w, out_q, (None, partial(self.b2.contraction, j - r1),
+                                      _koszul))
+
+    def _to_eigen(self, w):
+        return self._apply(w, w.degree, (_coords, _coords, None)).coeffs
+
+    def _from_eigen(self, q, c):
+        return self._apply(InvariantForm(self, q, tuple(c)), q,
+                           (_image, _image, None))
+
+
+def _koszul(q1, q2):
+    return -1 if q1 % 2 else 1
+
+
+def _coords(w):
+    return InvariantForm(w.backend, w.degree, w.backend._to_eigen(w))
+
+
+def _image(c):
+    return c.backend._from_eigen(c.degree, c.coeffs)

@@ -8,12 +8,15 @@ import pytest
 from equihodge import (
     BackendMismatch,
     ExactBackend,
+    InvariantForm,
+    TruncationError,
     extend,
     make_product_backend,
     make_sphere_backend,
     make_torus_backend,
     verify_extension,
 )
+from bruteforce import PerRowProduct
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +27,7 @@ def ss():
     return make_product_backend(b1, b2)
 
 
-from conftest import random_exact_form as random_form
+from conftest import rand_fraction, random_exact_form as random_form
 
 
 def test_dimensions_are_block_sums(ss):
@@ -167,3 +170,137 @@ def test_codifferential_matches_the_star_reference(make):
         for _ in range(3):
             w = random_form(rng, p, q)
             assert p.codifferential(w) == ExactBackend.codifferential(p, w)
+
+
+# -- the column-cached kernel against the per-row reference -----------------
+
+PRODUCTS = {
+    "S2xS2-N2": lambda: (make_sphere_backend(2, stages=1),
+                         make_sphere_backend(2, stages=1)),
+    "S2xS2-N3": lambda: (make_sphere_backend(3, stages=1),
+                         make_sphere_backend(3, stages=1)),
+    "S2xS2-N4-stages3": lambda: (make_sphere_backend(4, stages=3),
+                                 make_sphere_backend(4, stages=3)),
+    "sphere-x-circle": lambda: (make_sphere_backend(3, stages=2),
+                                make_torus_backend(1, 2, (1,))),
+}
+
+
+def capacity_form(rng, p, q, nonzeros=None):
+    """A random degree-q form over the whole coefficient space, the factors'
+    capacity included, with about ``nonzeros`` nonzero entries (default:
+    every entry)."""
+    dim = p.dimension(q)
+    share = 1.0 if nonzeros is None else nonzeros / dim
+    return p.form(q, [rand_fraction(rng) if rng.random() < share else 0
+                      for _ in range(dim)])
+
+
+def outcome(op, *args):
+    """The coefficients (or value) op returns, or the truncation it raises."""
+    try:
+        res = op(*args)
+    except TruncationError:
+        return TruncationError
+    return res.coeffs if isinstance(res, InvariantForm) else res
+
+
+def operator_pairs(p, ref):
+    """(name, product operator, reference operator) on one form."""
+    pairs = [(name, getattr(p, name), getattr(ref, name))
+             for name in ("d", "codifferential", "star", "_to_eigen", "green",
+                          "harmonic_projection")]
+    pairs += [("contraction %d" % j, lambda w, j=j: p.contraction(j, w),
+               lambda w, j=j: ref.contraction(j, w))
+              for j in range(p.generator_spec.rank)]
+    pairs.append(("_from_eigen", lambda w: p._from_eigen(w.degree, w.coeffs),
+                  lambda w: ref._from_eigen(w.degree, w.coeffs)))
+    return pairs
+
+
+@pytest.mark.parametrize("factors", PRODUCTS.values(), ids=PRODUCTS.keys())
+def test_column_kernel_matches_the_per_row_reference(factors):
+    """Every operator equals the per-row kernel's exactly, or both raise
+    TruncationError, on forms that reach the factors' capacity."""
+    b1, b2 = factors()
+    p, ref = make_product_backend(b1, b2), PerRowProduct(b1, b2)
+    rng = np.random.default_rng(21)
+    seen = set()
+    for q in range(p.n + 1):
+        forms = ([random_form(rng, p, q), capacity_form(rng, p, q, 80)]
+                 + [capacity_form(rng, p, q, 12) for _ in range(6)])
+        for w, u in zip(forms, forms[1:] + forms[:1]):
+            w_ref, u_ref = (InvariantForm(ref, q, x.coeffs) for x in (w, u))
+            for name, op, op_ref in operator_pairs(p, ref):
+                got = outcome(op, w)
+                assert got == outcome(op_ref, w_ref), (name, q)
+                seen.add((name, got is TruncationError))
+            assert p.inner_product(w, u) == ref.inner_product(w_ref, u_ref)
+    # the forms exercise both the raising and the regular columns
+    assert {("d", True), ("d", False), ("codifferential", True),
+            ("contraction 0", True), ("contraction 0", False)} <= seen
+
+
+def test_truncation_parity_with_the_per_row_reference():
+    """d, d* and each contraction raise on a product form exactly when the
+    per-row kernel does: on the unit vectors, on sums of overflowing unit
+    vectors (which cannot cancel), and not on a dense form that avoids
+    them; a raising column raises again at its next use."""
+    b1, b2 = make_sphere_backend(2, stages=1), make_sphere_backend(2, stages=1)
+    p, ref = make_product_backend(b1, b2), PerRowProduct(b1, b2)
+    rng = np.random.default_rng(22)
+    names = ("d", "codifferential", "contraction 0", "contraction 1")
+    for q in range(p.n + 1):
+        dim = p.dimension(q)
+        for name, op, op_ref in operator_pairs(p, ref):
+            if name not in names:
+                continue
+            overflow = []
+            for k in range(dim):
+                unit = [0] * dim
+                unit[k] = 1
+                raises = outcome(op, p.form(q, unit)) is TruncationError
+                assert raises == (outcome(op_ref, ref.form(q, unit))
+                                  is TruncationError), (name, q, k)
+                if raises:
+                    overflow.append(k)
+            if name == "d" and q in (1, 2, 3):  # the sphere 1-forms' top b
+                assert overflow
+            dense = capacity_form(rng, p, q).coeffs
+            clear = [0 if k in overflow else c for k, c in enumerate(dense)]
+            assert outcome(op, p.form(q, clear)) == outcome(
+                op_ref, ref.form(q, clear)) is not TruncationError
+            if overflow:
+                hits = [c if k in overflow else 0 for k, c in enumerate(dense)]
+                hits[overflow[0]] = 1
+                hits[overflow[-1]] = -1
+                for coeffs in (hits, [a + b for a, b in zip(clear, hits)]):
+                    assert outcome(op, p.form(q, coeffs)) is TruncationError
+                    assert outcome(op, p.form(q, coeffs)) is TruncationError
+                    assert outcome(op_ref, ref.form(q, coeffs)) is TruncationError
+
+
+def test_warm_extend_makes_no_factor_calls():
+    """A second identical extend on one product backend reads every factor
+    column from the cache: no factor operator is called, nothing is added."""
+    b1, b2 = make_sphere_backend(4, stages=3), make_sphere_backend(4, stages=3)
+    calls = []
+    for b in (b1, b2):
+        for name in ("d", "codifferential", "star", "contraction",
+                     "inner_product", "green", "harmonic_projection",
+                     "_to_eigen", "_from_eigen", "_spectrum"):
+            def record(*args, _name=name, _op=getattr(b, name)):
+                calls.append(_name)
+                return _op(*args)
+            setattr(b, name, record)
+    p = make_product_backend(b1, b2)
+    omega = p.tensor(b1.two_form((1,)), b2.two_form((1,)))
+    first = extend(omega)
+    assert calls  # the wrappers see the cold run fill its columns
+    del calls[:]
+    sizes = {key: len(cols) for key, cols in p._columns.items()}
+    second = extend(omega)
+    assert calls == []
+    assert {key: len(cols) for key, cols in p._columns.items()} == sizes
+    assert [t.terms for t in second.terms] == [t.terms for t in first.terms]
+    assert second.final_residual_norm == first.final_residual_norm == 0.0

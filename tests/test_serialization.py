@@ -242,3 +242,21 @@ def test_obstructed_report_has_no_final_residual():
         parse_report("\n".join(lines) + "\n")
     assert exc.value.line == 5
     assert "final residual 0.0, not 7.0" in str(exc.value)
+
+
+@pytest.mark.parametrize("preset", ["sphere/symplectic", "product/symplectic-sum"])
+def test_exact_extended_report_has_no_final_residual(preset):
+    """On an exact backend an extension closes exactly, so an extended
+    report whose final residual is not 0.0 is rejected on that line."""
+    from equihodge.cli import PRESETS
+
+    tag, build = PRESETS[preset]
+    text = serialize_report(extend(build(backend_from_tag(tag))))
+    lines = text.splitlines()
+    assert lines[2] == "status: extended"
+    assert lines[4] == "final-residual: 0.0"
+    lines[4] = "final-residual: 5.0"
+    with pytest.raises(FormatError) as exc:
+        parse_report("\n".join(lines) + "\n")
+    assert exc.value.line == 5
+    assert "final residual 0.0, not 5.0" in str(exc.value)
