@@ -7,8 +7,11 @@ operators for the action generators, and the harmonic structure.
 
 On top of that contract this module builds, once and for all:
 
-* the codifferential as the signed star conjugate of ``d`` by default
-  (a product backend overrides it with the Koszul rule over its factors),
+* on the rational backends, ``d``, the star, the codifferential and the
+  contractions as sparse mat-vecs over lazily cached columns, the
+  codifferential's column being the signed star conjugate of ``d`` on a
+  unit vector (a product backend overrides the operators with the Koszul
+  rule over its factors' columns),
 * the Laplacian ``d d* + d* d``,
 * Green's operator, harmonic projection, the inner product and the
   harmonic basis of the rational backends, all in the coordinates of an
@@ -161,9 +164,9 @@ class Backend(ABC):
     """The operator contract every model manifold implements.
 
     Every operation is a pure function of its inputs.  Exact backends fill
-    caches lazily: the eigenbasis of each degree, and on a product the
-    columns of its factors' operators.  Filling is idempotent, so backends
-    stay safe to share between concurrent tasks.
+    caches lazily: the eigenbasis and the operator columns of each degree.
+    Filling is idempotent, so backends stay safe to share between
+    concurrent tasks.
     """
 
     #: manifold dimension
@@ -291,12 +294,19 @@ class ExactBackend(Backend):
     and the inner product is ``sum n_k a_k b_k``.  The default hooks solve
     over the triangular sparse eigenbasis a subclass lists in
     :meth:`_eigen_entries`; a product overrides them with factor transforms.
+
+    ``d``, the star, the codifferential and the contractions are each one
+    sparse rational mat-vec.  Their columns are cached per (operator,
+    degree) and filled on first use by :meth:`_column`, the image of one
+    unit vector, which a sphere or torus gives in closed form.  A product
+    reads its factors' columns through :meth:`_col`.
     """
 
     is_exact = True
 
     def __init__(self):
         self._eig_cache: Dict[int, tuple] = {}
+        self._columns: Dict[tuple, Dict[int, tuple]] = {}
 
     # -- subclass obligations ---------------------------------------------
 
@@ -313,6 +323,69 @@ class ExactBackend(Backend):
         that the basis is triangular.
         """
         raise NotImplementedError
+
+    def _column(self, op, q: int, k: int) -> InvariantForm:
+        """The image under ``op`` of the degree-q unit vector e_k.
+
+        ``op`` is ``"d"``, ``"star"``, ``"codifferential"``,
+        ``("contraction", j)``, or ``"coords"`` / ``"image"``: the
+        eigen-coordinates of e_k / the form whose coordinates are e_k, held
+        as forms.  This default applies the public operator, the
+        codifferential as the signed star conjugate of d; a subclass gives
+        its own operators' columns in closed form.
+        """
+        unit = [Fraction(0)] * self.dimension(q)
+        unit[k] = Fraction(1)
+        e = InvariantForm(self, q, tuple(unit))
+        if op == "coords":
+            return InvariantForm(self, q, self._to_eigen(e))
+        if op == "image":
+            return self._from_eigen(q, unit)
+        if op == "codifferential":
+            # d* = (-1)^(n(q+1)+1) * d *  on an oriented Riemannian n-manifold
+            res = self.star(self.d(self.star(e)))
+            return -res if (self.n * (q + 1) + 1) % 2 else res
+        if isinstance(op, tuple):
+            return self.contraction(op[1], e)
+        return getattr(self, op)(e)
+
+    # -- cached operator columns --------------------------------------------
+
+    def _col(self, op, q: int, k: int):
+        """Column k of ``op`` on degree q: its output degree and nonzero
+        ``(index, value)`` entries.  A column that raises (a truncation
+        overflow) is not cached, so it raises again at its next use."""
+        cols = self._columns.setdefault((op, q), {})
+        if k not in cols:
+            res = self._column(op, q, k)
+            cols[k] = (res.degree,
+                       [(i, v) for i, v in enumerate(res.coeffs) if v])
+        return cols[k]
+
+    def _matvec(self, op, w: InvariantForm, out_q: int) -> InvariantForm:
+        """``op`` applied to w, the sum of its columns over w's entries."""
+        out = [Fraction(0)] * self.dimension(out_q)
+        for k, c in enumerate(w.coeffs):
+            if c:
+                for i, v in self._col(op, w.degree, k)[1]:
+                    out[i] += c * v
+        return InvariantForm(self, out_q, tuple(out))
+
+    def d(self, w: InvariantForm) -> InvariantForm:
+        return self._matvec("d", w, w.degree + 1)
+
+    def star(self, w: InvariantForm) -> InvariantForm:
+        return self._matvec("star", w, self.n - w.degree)
+
+    def codifferential(self, w: InvariantForm) -> InvariantForm:
+        return self._matvec("codifferential", w, w.degree - 1)
+
+    def contraction(self, j: int, w: InvariantForm) -> InvariantForm:
+        spec = self.generator_spec
+        if not 0 <= j < spec.rank:
+            raise IndexError("generator index out of range")
+        return self._matvec(("contraction", j), w,
+                            w.degree - spec.degrees[j] + 1)
 
     # -- spectral hooks ----------------------------------------------------
 
@@ -388,15 +461,5 @@ class ExactBackend(Backend):
 
     def harmonic_basis(self, q: int) -> List[InvariantForm]:
         lams, _ = self._spectrum(q)
-        out = []
-        for k, lam in enumerate(lams):
-            if lam == 0:
-                unit = [Fraction(0)] * len(lams)
-                unit[k] = Fraction(1)
-                out.append(self._from_eigen(q, unit))
-        return out
-
-    def codifferential(self, w: InvariantForm) -> InvariantForm:
-        # d* = (-1)^(n(q+1)+1) * d *  on an oriented Riemannian n-manifold
-        res = self.star(self.d(self.star(w)))
-        return -res if (self.n * (w.degree + 1) + 1) % 2 else res
+        return [self._column("image", q, k)
+                for k, lam in enumerate(lams) if lam == 0]

@@ -21,11 +21,11 @@ product inner product, follows the same Koszul rule with the factors'
 codifferentials in one pass of the kernel, so it never goes through the
 star.  Nothing is hand-written per backend pair.
 
-Every factor operator is linear on a fixed degree, so the kernel applies it
-as a sparse rational matrix, one per (factor, operator, degree), cached on
-the instance.  A column is filled lazily, the first time an input has a
-nonzero entry there, by one factor call on the unit vector, so work that
-repeats on one backend makes no factor calls.
+Every factor operator is a sparse rational matrix on a fixed degree, and the
+kernel reads its columns from the factor's own cache (see
+:class:`~equihodge.forms.ExactBackend`), filled the first time an input has
+a nonzero entry there; work that repeats on one backend makes no factor
+calls.
 """
 
 from __future__ import annotations
@@ -41,10 +41,8 @@ class ProductBackend(ExactBackend):
     """Riemannian product of two exact backends with combined generators."""
 
     def __init__(self, b1: ExactBackend, b2: ExactBackend):
-        if not (getattr(b1, "is_exact", False) and getattr(b2, "is_exact", False)):
-            raise BackendMismatch(
-                "product factors must both be exact backends"
-            )
+        if not (isinstance(b1, ExactBackend) and isinstance(b2, ExactBackend)):
+            raise BackendMismatch("product factors must both be exact backends")
         super().__init__()
         self.b1 = b1
         self.b2 = b2
@@ -68,7 +66,6 @@ class ProductBackend(ExactBackend):
                 blocks.append((q1, q2, offset, d1, d2))
                 offset += d1 * d2
             self._blocks[q] = blocks
-        self._columns: Dict[tuple, Dict[int, tuple]] = {}  # see _act
 
     @property
     def tag(self) -> str:
@@ -109,9 +106,9 @@ class ProductBackend(ExactBackend):
         """Apply sum of sign(q1, q2) * (op1 (x) op2) to w, block by block.
 
         Each term is ``(op1, op2, sign)``, op1 and op2 keys of factor
-        operators (see :func:`_factor_op`) and ``None`` the identity.  op2
-        acts along the rows of each (q1, q2) block and op1 down its columns
-        (:meth:`_act`).  A sign of ``None`` is +1.
+        operators (see :meth:`ExactBackend._column`) and ``None`` the
+        identity.  op2 acts along the rows of each (q1, q2) block and op1
+        down its columns (:meth:`_act`).  A sign of ``None`` is +1.
         """
         out = [Fraction(0)] * self.dimension(out_q)
         targets = {(q1, q2): (offset, d2)
@@ -136,23 +133,14 @@ class ProductBackend(ExactBackend):
     def _act(self, factor, op, q: int, entries, axis: int):
         """Apply a factor operator along one axis of a block's sparse entries.
 
-        The operator is a sparse matrix on degree q, cached on the instance.
-        Its column k is filled the first time an entry's index on ``axis``
-        is k, by applying the operator to the unit vector e_k; a column that
-        raises (a truncation overflow) is not cached, so it raises again at
-        its next use.  Returns the output degree (q if nothing was applied)
-        and the nonzero entries of the image.
+        The operator's column k is read from the factor's cache
+        (:meth:`ExactBackend._col`) when an entry's index on ``axis`` is k.
+        Returns the output degree (q if nothing was applied) and the
+        nonzero entries of the image.
         """
-        cols = self._columns.setdefault((factor, op, q), {})
         p, acc = q, {}
         for ij, c in entries.items():
-            k = ij[axis]
-            if k not in cols:
-                unit = [Fraction(0)] * factor.dimension(q)
-                unit[k] = Fraction(1)
-                res = _factor_op(factor, op, InvariantForm(factor, q, tuple(unit)))
-                cols[k] = res.degree, [(i, v) for i, v in enumerate(res.coeffs) if v]
-            p, col = cols[k]
+            p, col = factor._col(op, q, ij[axis])
             for i, v in col:
                 key = (i, ij[1]) if axis == 0 else (ij[0], i)
                 acc[key] = acc[key] + c * v if key in acc else c * v
@@ -211,19 +199,6 @@ class ProductBackend(ExactBackend):
 def _koszul(q1: int, q2: int) -> int:
     """Sign of moving an odd factor-2 operator past a degree-q1 factor."""
     return -1 if q1 % 2 else 1
-
-
-def _factor_op(factor, op, w: InvariantForm) -> InvariantForm:
-    """The factor operator ``op`` on w: ``"d"``, ``"codifferential"``,
-    ``"star"``, ``("contraction", j)``, or ``"coords"`` / ``"image"``, the
-    eigen-coordinates of w / the form with coordinates w, held as forms."""
-    if op == "coords":
-        return InvariantForm(factor, w.degree, factor._to_eigen(w))
-    if op == "image":
-        return factor._from_eigen(w.degree, w.coeffs)
-    if isinstance(op, tuple):
-        return factor.contraction(op[1], w)
-    return getattr(factor, op)(w)
 
 
 def make_product_backend(b1: ExactBackend, b2: ExactBackend) -> ProductBackend:

@@ -209,10 +209,7 @@ def _read_form(reader: _Reader, backend: Backend = None) -> InvariantForm:
             % (dim, degree, backend.dimension(degree)),
             reader.lineno,
         )
-    if backend.is_exact:
-        coeffs = [Fraction(0)] * dim
-    else:
-        coeffs = np.zeros(dim)
+    entries = {}
     while True:
         line = reader.peek()
         if line is None or not line.lstrip("-")[:1].isdigit():
@@ -229,14 +226,16 @@ def _read_form(reader: _Reader, backend: Backend = None) -> InvariantForm:
         if not 0 <= idx < dim:
             raise FormatError("index %d out of range [0, %d)" % (idx, dim),
                               reader.lineno)
+        if idx in entries:
+            raise FormatError("index %d given twice" % idx, reader.lineno)
         if backend.is_exact:
-            coeffs[idx] = _parse_fraction(parts[1], reader.lineno)
+            entries[idx] = _parse_fraction(parts[1], reader.lineno)
         else:
             try:
-                coeffs[idx] = float(parts[1])
+                entries[idx] = float(parts[1])
             except ValueError:
                 raise FormatError("bad float %r" % parts[1], reader.lineno)
-    return backend.form(degree, coeffs)
+    return backend.form(degree, [entries.get(i, 0) for i in range(dim)])
 
 
 def parse_form(text: str, backend: Backend = None) -> InvariantForm:
@@ -312,11 +311,13 @@ def parse_report(text: str) -> ExtensionReport:
     terms: List[EquivariantElement] = []
     for _ in range(nterms):
         line = reader.next("term header")
-        if not line.startswith("term:"):
-            raise FormatError("expected 'term:', got %r" % line, reader.lineno)
+        head, _, count = line.partition("monomials:")
+        if head.split() != ["term:", str(len(terms))]:
+            raise FormatError("expected 'term: %d', got %r"
+                              % (len(terms), line), reader.lineno)
         try:
-            nmono = int(line.split("monomials:")[1])
-        except (IndexError, ValueError):
+            nmono = int(count)
+        except ValueError:
             raise FormatError("malformed term header %r" % line, reader.lineno)
         mapping = {}
         total = None
@@ -332,6 +333,9 @@ def parse_report(text: str) -> ExtensionReport:
             if len(mono) != backend.generator_spec.rank:
                 raise FormatError("monomial %r has rank %d, not %d" % (
                     mono_text, len(mono), backend.generator_spec.rank), reader.lineno)
+            if mono in mapping:
+                raise FormatError("monomial %r given twice in term %d"
+                                  % (mono_text, len(terms)), reader.lineno)
             mono_line = reader.lineno
             form = _read_form(reader, backend)
             mapping[mono] = form

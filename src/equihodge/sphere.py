@@ -15,7 +15,9 @@ operator polynomial-to-polynomial and makes the forms smooth at the
 poles.  The Laplacian acts on degree-0 polynomials as
 ``f -> -((1 - z^2) f')'`` with the Legendre polynomials as eigenbasis,
 eigenvalue l(l+1); degrees 1 and 2 carry the image families under d, d*
-and star, with the same eigenvalues.
+and star, with the same eigenvalues.  The backend gives each operator as
+the closed-form image of one basis monomial, a column that the engine of
+:class:`~equihodge.forms.ExactBackend` caches and applies.
 """
 
 from __future__ import annotations
@@ -28,38 +30,6 @@ from .errors import TruncationError
 from .forms import ExactBackend, GeneratorSpec, InvariantForm
 
 Poly = Tuple[Fraction, ...]
-
-
-# -- dense rational polynomial helpers (low degree first) -------------------
-
-def _trim(p: Sequence[Fraction]) -> Poly:
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def poly_scale(p: Sequence[Fraction], c) -> Poly:
-    c = Fraction(c)
-    return _trim([c * x for x in p])
-
-
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _trim(out)
-
-
-def poly_deriv(p: Sequence[Fraction]) -> Poly:
-    return _trim([Fraction(i) * p[i] for i in range(1, len(p))])
-
-
-_ONE_MINUS_Z2: Poly = (Fraction(1), Fraction(0), Fraction(-1))
 
 
 def legendre(l: int) -> Poly:
@@ -125,12 +95,6 @@ class SphereBackend(ExactBackend):
             )
         return tuple(p) + (Fraction(0),) * (m - len(p))
 
-    def _polys(self, w: InvariantForm):
-        m = self.capacity + 1
-        if w.degree == 1:
-            return _trim(w.coeffs[:m]), _trim(w.coeffs[m:])
-        return _trim(w.coeffs)
-
     def zero_form(self, f: Sequence) -> InvariantForm:
         """Degree-0 form f(z) from low-to-high polynomial coefficients."""
         return InvariantForm(self, 0, self._to_vec([Fraction(c) for c in f]))
@@ -148,38 +112,32 @@ class SphereBackend(ExactBackend):
         """Degree-2 form c(z) dz ^ dphi."""
         return InvariantForm(self, 2, self._to_vec([Fraction(x) for x in c]))
 
-    # -- operators ---------------------------------------------------------
+    # -- operator columns ----------------------------------------------------
 
-    def d(self, w: InvariantForm) -> InvariantForm:
-        if self.dimension(w.degree) == 0 or w.degree >= 2:
-            return self.zero(w.degree + 1)
-        if w.degree == 0:
-            f = self._polys(w)
-            return self.one_form(poly_deriv(f), ())
-        a, b = self._polys(w)
-        # d(b (1-z^2) dphi) = (b (1-z^2))' dz ^ dphi
-        return self.two_form(poly_deriv(poly_mul(b, _ONE_MINUS_Z2)))
-
-    def star(self, w: InvariantForm) -> InvariantForm:
-        if self.dimension(w.degree) == 0:
-            return self.zero(self.n - w.degree)
-        if w.degree == 0:
-            return self.two_form(self._polys(w))
-        if w.degree == 2:
-            return self.zero_form(self._polys(w))
-        a, b = self._polys(w)
-        return self.one_form(poly_scale(b, -1), a)
-
-    def contraction(self, j: int, w: InvariantForm) -> InvariantForm:
-        if j != 0:
-            raise IndexError("sphere backend has a single generator")
-        if self.dimension(w.degree) == 0 or w.degree == 0:
-            return self.zero(w.degree - 1)
-        if w.degree == 1:
-            a, b = self._polys(w)
-            return self.zero_form(poly_mul(b, _ONE_MINUS_Z2))
-        c = self._polys(w)
-        return self.one_form(poly_scale(c, -1), ())
+    def _column(self, op, q: int, k: int) -> InvariantForm:
+        # e_k is z^j in degrees 0 and 2, and z^j dz (k < m) or
+        # z^j (1-z^2) dphi (k = m + j) in degree 1; an image past the
+        # capacity raises TruncationError in _to_vec
+        m = self.capacity + 1
+        j, dphi = k % m, q == 1 and k >= m
+        z = lambda *terms: _poly(j, terms)
+        if op == "d" and q == 0:
+            return self.one_form(z((-1, j)), ())
+        if op == "d" and q == 1:
+            # d(z^j (1-z^2) dphi) = (j z^(j-1) - (j+2) z^(j+1)) dz ^ dphi
+            return self.two_form(z((-1, j), (1, -j - 2)) if dphi else ())
+        if op == "star" and q == 1:  # (a, b) -> (-b, a)
+            return (self.one_form(z((0, -1)), ()) if dphi
+                    else self.one_form((), z((0, 1))))
+        if op == "star":
+            return InvariantForm(self, 2 - q, self._to_vec(z((0, 1))))
+        if op == ("contraction", 0) and q == 1:  # (a, b) -> b (1-z^2)
+            return self.zero_form(z((0, 1), (2, -1)) if dphi else ())
+        if op == ("contraction", 0) and q == 2:  # c -> (-c, 0)
+            return self.one_form(z((0, -1)), ())
+        if op in ("d", ("contraction", 0)):  # d of a 2-form, i_V of a function
+            return self.zero(q + 1 if op == "d" else q - 1)
+        return super()._column(op, q, k)
 
     # -- spectral data -----------------------------------------------------
 
@@ -199,10 +157,11 @@ class SphereBackend(ExactBackend):
         else:
             # exact family d(P_l) = P_l' dz and the star-conjugate coexact
             # family P_l' (1-z^2) dphi, both with eigenvalue l(l+1)
-            derivs = [poly_deriv(legendre(l)) for l in range(1, m + 1)]
+            polys = [legendre(l) for l in range(1, m + 1)]
             for offset in (0, m):
-                for l, dp in enumerate(derivs, 1):
-                    entries = [(offset + i, c) for i, c in enumerate(dp) if c]
+                for l, p in enumerate(polys, 1):
+                    entries = [(offset + i - 1, i * c)
+                               for i, c in enumerate(p) if i and c]
                     lam = Fraction(l * (l + 1))
                     eig.append((lam, entries, lam * Fraction(4, 2 * l + 1)))
         return eig
@@ -216,6 +175,16 @@ class SphereBackend(ExactBackend):
         the unique zero-average solution of ``d mu = i_V omega``.
         """
         return self.two_form((1,)), self.zero_form((0, -1))
+
+
+def _poly(j: int, terms) -> Poly:
+    """Dense coefficients of ``sum c z^(j + e)`` over the ``(e, c)`` terms
+    with c nonzero."""
+    out = [Fraction(0)] * (j + max(e for e, _ in terms) + 1)
+    for e, c in terms:
+        if c:
+            out[j + e] += c
+    return tuple(out)
 
 
 def make_sphere_backend(truncation: int, stages: int = 3) -> SphereBackend:

@@ -5,6 +5,9 @@ vector field v are spanned by real trigonometric modes cos(k.x), sin(k.x)
 with ``k . v = 0`` and ``|k_i| <= K``, times coordinate covectors dx_I.
 Every mode is a Laplacian eigenfunction with eigenvalue ``|k|^2``, so the
 Hodge engine is diagonal; harmonic forms are exactly the k = 0 modes.
+``d``, the star and the contraction map each basis form to a signed sum
+of at most n basis forms, the columns that the engine of
+:class:`~equihodge.forms.ExactBackend` caches and applies.
 
 The real cos/sin basis keeps all scalars rational; the torus volume
 ``(2*pi)^n`` is carried symbolically as a power of pi in inner products.
@@ -34,28 +37,6 @@ def _canonical(k: Tuple[int, ...]):
         if c < 0:
             return tuple(-x for x in k), -1
     return k, 1
-
-
-def _insert_sign(i: int, I: Tuple[int, ...]):
-    """Position sign of dx_i ^ dx_I; None when i already occurs."""
-    if i in I:
-        return None, None
-    pos = sum(1 for j in I if j < i)
-    out = tuple(sorted(I + (i,)))
-    return out, -1 if pos % 2 else 1
-
-
-def _subset_sign(I: Tuple[int, ...], n: int):
-    """Sign of the permutation (I, complement) relative to (0..n-1)."""
-    comp = tuple(i for i in range(n) if i not in I)
-    perm = I + comp
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return comp, sign
 
 
 class TorusBackend(ExactBackend):
@@ -125,72 +106,36 @@ class TorusBackend(ExactBackend):
             return len(self._basis[q])
         return 0
 
-    # -- scalar function helpers -------------------------------------------
+    # -- operator columns ----------------------------------------------------
 
-    def _deriv(self, fi: int, axis: int):
-        """Partial derivative of basis function fi: list of (fj, Fraction)."""
+    def _column(self, op, q: int, k: int) -> InvariantForm:
+        # e_k is the basis function fi = cos or sin of k.x, times dx_I
+        fi, I = self._basis[q][k]
         mi, phase = self._funcs[fi]
-        k = self._modes[mi]
-        c = k[axis]
-        if c == 0:
-            return []
-        if phase == COS:
-            return [(self._func_index[(mi, SIN)], Fraction(-c))]
-        return [(self._func_index[(mi, COS)], Fraction(c))]
-
-    # -- operators ---------------------------------------------------------
-
-    def d(self, w: InvariantForm) -> InvariantForm:
-        if self.dimension(w.degree) == 0 or w.degree >= self.n:
-            return self.zero(w.degree + 1)
-        q = w.degree
-        out = [Fraction(0)] * self.dimension(q + 1)
-        index = self._index[q + 1]
-        for i, c in enumerate(w.coeffs):
-            if c == 0:
-                continue
-            fi, I = self._basis[q][i]
-            for axis in range(self.n):
-                J, sign = _insert_sign(axis, I)
-                if J is None:
-                    continue
-                for fj, dc in self._deriv(fi, axis):
-                    out[index[(fj, J)]] += sign * dc * c
-        return InvariantForm(self, q + 1, tuple(out))
-
-    def star(self, w: InvariantForm) -> InvariantForm:
-        if self.dimension(w.degree) == 0:
-            return self.zero(self.n - w.degree)
-        q = w.degree
-        out = [Fraction(0)] * self.dimension(self.n - q)
-        index = self._index[self.n - q]
-        for i, c in enumerate(w.coeffs):
-            if c == 0:
-                continue
-            fi, I = self._basis[q][i]
-            comp, sign = _subset_sign(I, self.n)
-            out[index[(fi, comp)]] += sign * c
-        return InvariantForm(self, self.n - q, tuple(out))
-
-    def contraction(self, j: int, w: InvariantForm) -> InvariantForm:
-        if j != 0:
-            raise IndexError("torus backend has a single generator")
-        if self.dimension(w.degree) == 0 or w.degree == 0:
-            return self.zero(w.degree - 1)
-        q = w.degree
-        out = [Fraction(0)] * self.dimension(q - 1)
-        index = self._index[q - 1]
-        for i, c in enumerate(w.coeffs):
-            if c == 0:
-                continue
-            fi, I = self._basis[q][i]
-            for pos, axis in enumerate(I):
-                if self.v[axis] == 0:
-                    continue
-                J = tuple(x for x in I if x != axis)
-                sign = -1 if pos % 2 else 1
-                out[index[(fi, J)]] += sign * self.v[axis] * c
-        return InvariantForm(self, q - 1, tuple(out))
+        if op == "d":
+            # d_a cos = -k_a sin and d_a sin = k_a cos; dx_a ^ dx_I moves
+            # dx_a past the axes of I below a
+            flip = self._func_index.get((mi, SIN if phase == COS else COS))
+            sign = -1 if phase == COS else 1
+            terms = [((flip, tuple(sorted(I + (a,)))),
+                      sign * ka * (-1) ** sum(i < a for i in I))
+                     for a, ka in enumerate(self._modes[mi])
+                     if ka and a not in I]
+            p = q + 1
+        elif op == "star":  # the sign of the shuffle (I, complement)
+            comp = tuple(i for i in range(self.n) if i not in I)
+            terms = [((fi, comp), (-1) ** sum(i > j for i in I for j in comp))]
+            p = self.n - q
+        elif op == ("contraction", 0):  # i_v dx_I, v a constant field
+            terms = [((fi, I[:pos] + I[pos + 1:]), (-1) ** pos * self.v[a])
+                     for pos, a in enumerate(I) if self.v[a]]
+            p = q - 1
+        else:
+            return super()._column(op, q, k)
+        out = [Fraction(0)] * self.dimension(p)
+        for key, c in terms:
+            out[self._index[p][key]] += c
+        return InvariantForm(self, p, tuple(out))
 
     # -- spectral data -----------------------------------------------------
 

@@ -28,10 +28,16 @@ and triangle lists.  The DEC Green reference after it takes the backend's
 own Laplacian and stars but solves with one direct sparse factorisation
 instead of the backend's conjugate gradients.
 
-The per-row product reference at the end is the product backend's kernel
-before its factor operators were cached as sparse columns: it calls the
-factors' operators once per block row and column.  It checks the cached
-kernel against the factors themselves, not against the sympy oracles.
+The per-row product reference is the product backend's kernel before its
+factor operators were cached as sparse columns: it calls the factors'
+operators once per block row and column.  It checks the cached kernel
+against the factors themselves, not against the sympy oracles.  The direct
+sphere and torus references at the end likewise keep the leaf operators as
+they were before every exact operator became a cached column: whole-
+polynomial arithmetic on the sphere, a loop over the basis on the torus,
+and the codifferential as the signed star conjugate of d, applied to the
+whole form.  They check the closed-form columns at every truncation, not
+only at the oracles' tiny ones.
 """
 
 from fractions import Fraction
@@ -42,7 +48,9 @@ import scipy.sparse as sps
 import sympy as sp
 from scipy.sparse.linalg import spsolve
 
-from equihodge import InvariantForm, ProductBackend
+from equihodge import InvariantForm, ProductBackend, SphereBackend, TorusBackend
+from equihodge.errors import TruncationError
+from equihodge.torus import COS, SIN
 
 # ---------------------------------------------------------------------------
 # sphere oracle
@@ -672,3 +680,139 @@ def _coords(w):
 
 def _image(c):
     return c.backend._from_eigen(c.degree, c.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# direct sphere and torus operators
+# ---------------------------------------------------------------------------
+
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def _poly_mul(p, q):
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def _poly_deriv(p):
+    return _trim([Fraction(i) * p[i] for i in range(1, len(p))])
+
+
+_ONE_MINUS_Z2 = (Fraction(1), Fraction(0), Fraction(-1))
+
+
+def _star_d_star(b, w):
+    """d* = (-1)^(n(q+1)+1) * d * on an oriented Riemannian n-manifold."""
+    res = b.star(b.d(b.star(w)))
+    return -res if (b.n * (w.degree + 1) + 1) % 2 else res
+
+
+class PolySphere(SphereBackend):
+    """A sphere backend whose d, star and contraction act on whole
+    polynomials; an image past the capacity raises in ``_to_vec``."""
+
+    def _polys(self, w):
+        m = self.capacity + 1
+        if w.degree == 1:
+            return _trim(w.coeffs[:m]), _trim(w.coeffs[m:])
+        return _trim(w.coeffs)
+
+    def d(self, w):
+        if self.dimension(w.degree) == 0 or w.degree >= 2:
+            return self.zero(w.degree + 1)
+        if w.degree == 0:
+            return self.one_form(_poly_deriv(self._polys(w)), ())
+        a, b = self._polys(w)
+        # d(b (1-z^2) dphi) = (b (1-z^2))' dz ^ dphi
+        return self.two_form(_poly_deriv(_poly_mul(b, _ONE_MINUS_Z2)))
+
+    def star(self, w):
+        if self.dimension(w.degree) == 0:
+            return self.zero(self.n - w.degree)
+        if w.degree == 0:
+            return self.two_form(self._polys(w))
+        if w.degree == 2:
+            return self.zero_form(self._polys(w))
+        a, b = self._polys(w)
+        return self.one_form([-x for x in b], a)
+
+    def codifferential(self, w):
+        return _star_d_star(self, w)
+
+    def contraction(self, j, w):
+        if j != 0:
+            raise IndexError("sphere backend has a single generator")
+        if self.dimension(w.degree) == 0 or w.degree == 0:
+            return self.zero(w.degree - 1)
+        if w.degree == 1:
+            a, b = self._polys(w)
+            return self.zero_form(_poly_mul(b, _ONE_MINUS_Z2))
+        return self.one_form([-x for x in self._polys(w)], ())
+
+
+class LoopTorus(TorusBackend):
+    """A torus backend whose d, star and contraction loop over the nonzero
+    coefficients of a form, basis element by basis element."""
+
+    def _out(self, q, terms):
+        out = [Fraction(0)] * self.dimension(q)
+        for key, c in terms:
+            out[self._index[q][key]] += c
+        return InvariantForm(self, q, tuple(out))
+
+    def _support(self, w):
+        return [(self._basis[w.degree][i], c)
+                for i, c in enumerate(w.coeffs) if c]
+
+    def d(self, w):
+        terms = []
+        for (fi, I), c in self._support(w):
+            mi, phase = self._funcs[fi]
+            for axis in range(self.n):
+                kx = self._modes[mi][axis]
+                if axis in I or kx == 0:
+                    continue
+                # d/dx cos(k.x) = -k_x sin(k.x), d/dx sin(k.x) = k_x cos(k.x)
+                fj = self._func_index[(mi, SIN if phase == COS else COS)]
+                sign = _perm_sign((axis,) + I)
+                terms.append(((fj, tuple(sorted(I + (axis,)))),
+                              sign * (-kx if phase == COS else kx) * c))
+        return self._out(w.degree + 1, terms)
+
+    def star(self, w):
+        terms = []
+        for (fi, I), c in self._support(w):
+            comp = tuple(i for i in range(self.n) if i not in I)
+            terms.append(((fi, comp), _perm_sign(I + comp) * c))
+        return self._out(self.n - w.degree, terms)
+
+    def codifferential(self, w):
+        return _star_d_star(self, w)
+
+    def contraction(self, j, w):
+        if j != 0:
+            raise IndexError("torus backend has a single generator")
+        terms = []
+        for (fi, I), c in self._support(w):
+            for pos, axis in enumerate(I):
+                J = I[:pos] + I[pos + 1:]
+                terms.append(((fi, J), (-1) ** pos * self.v[axis] * c))
+        return self._out(w.degree - 1, terms)
+
+
+def operator_outcome(op, w):
+    """The degree and coefficients op gives on w, or TruncationError."""
+    try:
+        res = op(w)
+    except TruncationError:
+        return TruncationError
+    return res.degree, res.coeffs

@@ -282,7 +282,8 @@ def test_truncation_parity_with_the_per_row_reference():
 
 def test_warm_extend_makes_no_factor_calls():
     """A second identical extend on one product backend reads every factor
-    column from the cache: no factor operator is called, nothing is added."""
+    column from the factors' caches: no factor operator is called, no
+    column is added, and the product keeps no columns of its own."""
     b1, b2 = make_sphere_backend(4, stages=3), make_sphere_backend(4, stages=3)
     calls = []
     for b in (b1, b2):
@@ -298,9 +299,30 @@ def test_warm_extend_makes_no_factor_calls():
     first = extend(omega)
     assert calls  # the wrappers see the cold run fill its columns
     del calls[:]
-    sizes = {key: len(cols) for key, cols in p._columns.items()}
+
+    def sizes():
+        return [{key: len(cols) for key, cols in b._columns.items()}
+                for b in (b1, b2)]
+
+    cold = sizes()
+    assert all(cold)
     second = extend(omega)
     assert calls == []
-    assert {key: len(cols) for key, cols in p._columns.items()} == sizes
+    assert sizes() == cold
+    assert p._columns == {}
     assert [t.terms for t in second.terms] == [t.terms for t in first.terms]
     assert second.final_residual_norm == first.final_residual_norm == 0.0
+
+
+def test_factors_must_be_exact_backends():
+    """A formal wrapper reports is_exact but has no spectral engine, so it
+    is refused as a product factor instead of failing at first use."""
+    from equihodge import FormalGenerator, with_formal_generators
+
+    sphere = make_sphere_backend(2, stages=1)
+    formal = with_formal_generators(
+        sphere, [FormalGenerator(4, "t4", lambda w: sphere.zero(w.degree - 3))])
+    assert formal.is_exact
+    for b1, b2 in ((formal, sphere), (sphere, formal)):
+        with pytest.raises(BackendMismatch):
+            make_product_backend(b1, b2)

@@ -260,3 +260,47 @@ def test_exact_extended_report_has_no_final_residual(preset):
         parse_report("\n".join(lines) + "\n")
     assert exc.value.line == 5
     assert "final residual 0.0, not 5.0" in str(exc.value)
+
+
+def test_form_rejects_a_repeated_index_on_its_line():
+    """A second entry for one index is ambiguous, not a silent overwrite."""
+    b = make_sphere_backend(4)
+    lines = serialize_form(b.zero_form((1,))).splitlines()
+    assert lines[-1] == "0 1"
+    lines.append("0 5")
+    with pytest.raises(FormatError) as exc:
+        parse_form("\n".join(lines) + "\n")
+    assert exc.value.line == len(lines)
+    assert "index 0 given twice" in str(exc.value)
+
+
+def _sphere_report_lines():
+    return serialize_report(extend(make_sphere_backend(6).two_form((1,)))).splitlines()
+
+
+def test_report_rejects_a_repeated_monomial_on_its_line():
+    lines = _sphere_report_lines()
+    start = lines.index("term: 1 monomials: 1")
+    block = lines[start + 1:]  # monomial: 1 and its form
+    lines[start] = "term: 1 monomials: 2"
+    block[-1] = "1 5"
+    lines += block
+    with pytest.raises(FormatError) as exc:
+        parse_report("\n".join(lines) + "\n")
+    assert exc.value.line == len(lines) - len(block) + 1
+    assert "monomial '1' given twice in term 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("old,new,position", [
+    ("term: 0 monomials: 1", "term: 7 monomials: 1", 0),
+    ("term: 1 monomials: 1", "term: 0 monomials: 1", 1),
+    ("term: 1 monomials: 1", "term: monomials: 1", 1),
+])
+def test_report_term_header_names_its_position(old, new, position):
+    lines = _sphere_report_lines()
+    lineno = lines.index(old) + 1
+    lines[lineno - 1] = new
+    with pytest.raises(FormatError) as exc:
+        parse_report("\n".join(lines) + "\n")
+    assert exc.value.line == lineno
+    assert "expected 'term: %d'" % position in str(exc.value)
