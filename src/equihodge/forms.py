@@ -7,16 +7,16 @@ operators for the action generators, and the harmonic structure.
 
 On top of that contract this module builds, once and for all:
 
-* on the rational backends, ``d``, the star, the codifferential and the
-  contractions as sparse mat-vecs over lazily cached columns, the
+* on the rational backends, ``d``, the star, the codifferential, the
+  contractions and the transforms to and from the coordinates of an exact
+  Laplacian eigenbasis as sparse mat-vecs over lazily cached columns, the
   codifferential's column being the signed star conjugate of ``d`` on a
   unit vector (a product backend overrides the operators with the Koszul
   rule over its factors' columns),
 * the Laplacian ``d d* + d* d``,
 * Green's operator, harmonic projection, the inner product and the
-  harmonic basis of the rational backends, all in the coordinates of an
-  exact Laplacian eigenbasis (the mesh backend supplies its own, with an
-  iterative Green solve),
+  harmonic basis of the rational backends, all in those eigen-coordinates
+  (the mesh backend supplies its own, with an iterative Green solve),
 * the three-way Hodge decomposition, with its Green solves one degree
   below and above the form.
 
@@ -286,26 +286,26 @@ class ExactBackend(Backend):
 
     Every degree has an orthogonal eigenbasis of the Laplacian with exact
     rational vectors, eigenvalues and squared norms.  The engine reaches it
-    through three per-degree hooks: :meth:`_to_eigen` (the coordinates of a
-    form in the eigenbasis), :meth:`_from_eigen` (the form with given
-    coordinates) and :meth:`_spectrum` (eigenvalues and squared norms).  In
-    those coordinates Green's operator divides by the nonzero eigenvalues,
-    harmonic projection keeps the coordinates of eigenvalue exactly zero,
-    and the inner product is ``sum n_k a_k b_k``.  The default hooks solve
-    over the triangular sparse eigenbasis a subclass lists in
-    :meth:`_eigen_entries`; a product overrides them with factor transforms.
+    through two linear maps per degree, ``"coords"`` (the coordinates of a
+    form in the eigenbasis, :meth:`_to_eigen`) and ``"image"`` (the form
+    with given coordinates, :meth:`_from_eigen`), and through
+    :meth:`_spectrum` (eigenvalues and squared norms, cached once per
+    degree).  In those coordinates Green's operator divides by the nonzero
+    eigenvalues, harmonic projection keeps the coordinates of eigenvalue
+    exactly zero, and the inner product is ``sum n_k a_k b_k``.
 
-    ``d``, the star, the codifferential and the contractions are each one
-    sparse rational mat-vec.  Their columns are cached per (operator,
-    degree) and filled on first use by :meth:`_column`, the image of one
-    unit vector, which a sphere or torus gives in closed form.  A product
-    reads its factors' columns through :meth:`_col`.
+    ``d``, the star, the codifferential, the contractions and both
+    eigen-transforms are each one sparse rational mat-vec.  Their columns
+    are cached per (operator, degree) and filled on first use by
+    :meth:`_column`, the image of one unit vector, which a sphere or torus
+    gives in closed form.  A product reads its factors' columns through
+    :meth:`_col`.
     """
 
     is_exact = True
 
     def __init__(self):
-        self._eig_cache: Dict[int, tuple] = {}
+        self._spectra: Dict[int, tuple] = {}
         self._columns: Dict[tuple, Dict[int, tuple]] = {}
 
     # -- subclass obligations ---------------------------------------------
@@ -314,15 +314,10 @@ class ExactBackend(Backend):
     def _pi_power(self) -> int:
         """Power of pi carried by every inner product of this backend."""
 
-    def _eigen_entries(self, q: int) -> List[Tuple[Fraction, list, Fraction]]:
-        """Orthogonal Laplacian eigenbasis of degree q, for the default hooks.
-
-        One ``(eigenvalue, entries, squared norm)`` per vector, ``entries``
-        a sparse list of ``(index, Fraction)`` and the squared norm without
-        its power of pi.  The vectors' largest indices must be distinct, so
-        that the basis is triangular.
-        """
-        raise NotImplementedError
+    @abstractmethod
+    def _spectrum(self, q: int):
+        """Eigenvalues and squared norms (without their power of pi) of
+        degree q, two tuples in the order of the eigen-coordinates."""
 
     def _column(self, op, q: int, k: int) -> InvariantForm:
         """The image under ``op`` of the degree-q unit vector e_k.
@@ -331,8 +326,9 @@ class ExactBackend(Backend):
         ``("contraction", j)``, or ``"coords"`` / ``"image"``: the
         eigen-coordinates of e_k / the form whose coordinates are e_k, held
         as forms.  This default applies the public operator, the
-        codifferential as the signed star conjugate of d; a subclass gives
-        its own operators' columns in closed form.
+        codifferential as the signed star conjugate of d, and a product's
+        own eigen-transforms; a sphere or torus gives every column in
+        closed form.
         """
         unit = [Fraction(0)] * self.dimension(q)
         unit[k] = Fraction(1)
@@ -389,58 +385,25 @@ class ExactBackend(Backend):
 
     # -- spectral hooks ----------------------------------------------------
 
-    def _eigen(self, q: int):
-        """Cached ``(vectors, back-substitution steps, spectrum)`` of degree q."""
-        if q not in self._eig_cache:
-            dim = self.dimension(q)
-            eig = self._eigen_entries(q) if dim else []
-            if len(eig) != dim:
-                raise AssertionError(
-                    "eigenbasis does not span degree %d (%d vs %d)"
-                    % (q, len(eig), dim)
-                )
-            lams, vectors, norms = zip(*eig) if eig else ((), (), ())
-            pivots = [max(vec) for vec in vectors]  # (largest index, entry)
-            if len({lead for lead, _ in pivots}) != dim:
-                raise AssertionError(
-                    "eigenbasis of degree %d has repeated leading indices" % q)
-            steps = sorted(((lead, k, pivot, vectors[k])
-                            for k, (lead, pivot) in enumerate(pivots)),
-                           reverse=True)
-            self._eig_cache[q] = (vectors, steps, (lams, norms))
-        return self._eig_cache[q]
-
     def _to_eigen(self, w: InvariantForm) -> Tuple[Fraction, ...]:
-        """Coordinates of w in the degree's eigenbasis, by back-substitution."""
-        _, steps, _ = self._eigen(w.degree)
-        r = list(w.coeffs)
-        out = [Fraction(0)] * len(r)
-        for lead, k, pivot, vec in steps:
-            if r[lead]:
-                a = out[k] = r[lead] / pivot
-                for i, v in vec:
-                    r[i] -= a * v
-        return tuple(out)
+        """Coordinates of w in the degree's eigenbasis."""
+        return self._matvec("coords", w, w.degree).coeffs
 
     def _from_eigen(self, q: int, c: Sequence[Fraction]) -> InvariantForm:
         """The degree-q form whose eigen-coordinates are c."""
-        vectors, _, _ = self._eigen(q)
-        out = [Fraction(0)] * self.dimension(q)
-        for ck, entries in zip(c, vectors):
-            if ck:
-                for i, v in entries:
-                    out[i] += ck * v
-        return InvariantForm(self, q, tuple(out))
+        return self._matvec("image", InvariantForm(self, q, tuple(c)), q)
 
-    def _spectrum(self, q: int):
-        """Eigenvalues and squared norms (no power of pi) of degree q."""
-        return self._eigen(q)[2]
+    def _cached_spectrum(self, q: int):
+        """:meth:`_spectrum` of degree q, computed once per backend."""
+        if q not in self._spectra:
+            self._spectra[q] = self._spectrum(q) if self.dimension(q) else ((), ())
+        return self._spectra[q]
 
     # -- engine ------------------------------------------------------------
 
     def inner_product(self, a: InvariantForm, b: InvariantForm) -> PiScalar:
         a._check_compatible(b)
-        _, norms = self._spectrum(a.degree)
+        _, norms = self._cached_spectrum(a.degree)
         x = self._to_eigen(a)
         y = x if b is a else self._to_eigen(b)
         val = sum((n * s * t for n, s, t in zip(norms, x, y) if s and t),
@@ -448,18 +411,18 @@ class ExactBackend(Backend):
         return PiScalar(val, self._pi_power())
 
     def green(self, w: InvariantForm) -> InvariantForm:
-        lams, _ = self._spectrum(w.degree)
+        lams, _ = self._cached_spectrum(w.degree)
         c = self._to_eigen(w)
         return self._from_eigen(w.degree, [
             a / lam if a and lam else Fraction(0) for a, lam in zip(c, lams)])
 
     def harmonic_projection(self, w: InvariantForm) -> InvariantForm:
-        lams, _ = self._spectrum(w.degree)
+        lams, _ = self._cached_spectrum(w.degree)
         c = self._to_eigen(w)
         return self._from_eigen(w.degree, [
             Fraction(0) if lam else a for a, lam in zip(c, lams)])
 
     def harmonic_basis(self, q: int) -> List[InvariantForm]:
-        lams, _ = self._spectrum(q)
+        lams, _ = self._cached_spectrum(q)
         return [self._column("image", q, k)
                 for k, lam in enumerate(lams) if lam == 0]

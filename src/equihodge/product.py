@@ -185,15 +185,13 @@ class ProductBackend(ExactBackend):
 
     def _spectrum(self, q: int):
         # ordered as the coordinates: by block, row-major within a block
-        if q not in self._eig_cache:
-            lams, norms = [], []
-            for q1, q2, _, _, _ in self._blocks.get(q, []):
-                lam1, norm1 = self.b1._spectrum(q1)
-                lam2, norm2 = self.b2._spectrum(q2)
-                lams += [a + b for a in lam1 for b in lam2]
-                norms += [a * b for a in norm1 for b in norm2]
-            self._eig_cache[q] = (tuple(lams), tuple(norms))
-        return self._eig_cache[q]
+        lams, norms = [], []
+        for q1, q2, _, _, _ in self._blocks.get(q, []):
+            lam1, norm1 = self.b1._cached_spectrum(q1)
+            lam2, norm2 = self.b2._cached_spectrum(q2)
+            lams += [a + b for a in lam1 for b in lam2]
+            norms += [a * b for a in norm1 for b in norm2]
+        return tuple(lams), tuple(norms)
 
 
 def _koszul(q1: int, q2: int) -> int:

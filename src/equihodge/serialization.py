@@ -26,7 +26,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, MeshError
 from .forms import Backend, InvariantForm
 from .equivariant import (
     ExtensionReport,
@@ -77,14 +77,13 @@ def backend_from_tag(tag: str) -> Backend:
 
             v = tuple(int(x) for x in params["v"].split(":"))
             return TorusBackend(int(params["n"]), int(params["K"]), v)
-        nsym, level = int(params["nsym"]), int(params["level"])
-        zigzag = float(params.get("zigzag", 0.0))
-    except ValueError as ex:
-        raise FormatError("bad backend tag %r: %s" % (tag, ex)) from ex
-    from .dec import DecBackend
+        from .dec import DecBackend
 
-    mesh = build_symmetric_sphere(nsym, level, zigzag=zigzag)
-    return DecBackend(mesh)
+        return DecBackend(build_symmetric_sphere(
+            int(params["nsym"]), int(params["level"]),
+            zigzag=float(params.get("zigzag", 0.0))))
+    except (ValueError, MeshError) as ex:
+        raise FormatError("bad backend tag %r: %s" % (tag, ex)) from ex
 
 
 def _parse_params(kind: str, text: str):
@@ -97,6 +96,8 @@ def _parse_params(kind: str, text: str):
         key, value = piece.split("=", 1)
         if key not in required and key not in optional:
             raise FormatError("unknown backend parameter %r" % key)
+        if key in params:
+            raise FormatError("backend parameter %r given twice" % key)
         params[key] = value
     for key in required:
         if key not in params:
@@ -266,9 +267,13 @@ def serialize_report(report: ExtensionReport) -> str:
         % ("-" if report.obstruction_stage is None else report.obstruction_stage),
         "terms: %d" % len(report.terms),
     ]
+    base = (0,) * report.input.backend.generator_spec.rank
     for stage, element in enumerate(report.terms):
-        lines.append("term: %d monomials: %d" % (stage, len(element.terms)))
-        for mono, form in element.terms.items():
+        # term 0 writes its base block even when zero: it carries the degree
+        terms = ({base: element.base_form(), **element.terms} if stage == 0
+                 else element.terms)
+        lines.append("term: %d monomials: %d" % (stage, len(terms)))
+        for mono, form in terms.items():
             lines.append("monomial: %s" % ",".join(str(e) for e in mono))
             lines.append(serialize_form(form).rstrip("\n"))
     return "\n".join(lines) + "\n"

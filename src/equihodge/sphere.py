@@ -17,13 +17,16 @@ poles.  The Laplacian acts on degree-0 polynomials as
 eigenvalue l(l+1); degrees 1 and 2 carry the image families under d, d*
 and star, with the same eigenvalues.  The backend gives each operator as
 the closed-form image of one basis monomial, a column that the engine of
-:class:`~equihodge.forms.ExactBackend` caches and applies.
+:class:`~equihodge.forms.ExactBackend` caches and applies.  The
+eigen-transforms are such columns too: the image of one eigen-coordinate
+is a Legendre polynomial or its derivative, and the coordinates of one
+monomial are its closed-form expansion in that basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Sequence, Tuple
 
 from .errors import TruncationError
@@ -137,6 +140,22 @@ class SphereBackend(ExactBackend):
             return self.one_form(z((0, -1)), ())
         if op in ("d", ("contraction", 0)):  # d of a 2-form, i_V of a function
             return self.zero(q + 1 if op == "d" else q - 1)
+        # eigen-index k is P_j in degrees 0 and 2, and P_(j+1)' dz or
+        # P_(j+1)' (1-z^2) dphi in degree 1, each with eigenvalue l(l+1)
+        s = int(q == 1)
+        if op == "image" and s:
+            p = [i * c for i, c in enumerate(legendre(j + 1))][1:]
+            return self.one_form((), p) if dphi else self.one_form(p, ())
+        if op == "image":
+            return InvariantForm(self, q, self._to_vec(legendre(j)))
+        if op == "coords":
+            # z^j = sum a(j, l) P_l; in degree 1 z^j = (z^(j+1))' / (j+1),
+            # with a(j+1, l) / (j+1) on P_l'
+            out = [Fraction(0)] * self.dimension(q)
+            for l, a in _legendre_coords(j + s):
+                if l >= s:
+                    out[m * dphi + l - s] = a / (j + 1) ** s
+            return InvariantForm(self, q, tuple(out))
         return super()._column(op, q, k)
 
     # -- spectral data -----------------------------------------------------
@@ -144,27 +163,15 @@ class SphereBackend(ExactBackend):
     def _pi_power(self) -> int:
         return 1
 
-    def _eigen_entries(self, q: int):
-        m = self.capacity + 1
-        eig = []
-        if q in (0, 2):
-            for l in range(m):
-                p = legendre(l)
-                entries = [(i, c) for i, c in enumerate(p) if c]
-                # <P_l, P_l> rational part: 2 * 2/(2l+1)
-                eig.append((Fraction(l * (l + 1)), entries,
-                            Fraction(4, 2 * l + 1)))
-        else:
-            # exact family d(P_l) = P_l' dz and the star-conjugate coexact
-            # family P_l' (1-z^2) dphi, both with eigenvalue l(l+1)
-            polys = [legendre(l) for l in range(1, m + 1)]
-            for offset in (0, m):
-                for l, p in enumerate(polys, 1):
-                    entries = [(offset + i - 1, i * c)
-                               for i, c in enumerate(p) if i and c]
-                    lam = Fraction(l * (l + 1))
-                    eig.append((lam, entries, lam * Fraction(4, 2 * l + 1)))
-        return eig
+    def _spectrum(self, q: int):
+        # <P_l, P_l> has rational part 2 * 2/(2l+1); d P_l = P_l' dz and
+        # its star P_l' (1-z^2) dphi have l(l+1) times that
+        s = int(q == 1)
+        ls = range(s, self.capacity + 1 + s)
+        lams = tuple(Fraction(l * (l + 1)) for l in ls)
+        norms = tuple((lam if s else 1) * Fraction(4, 2 * l + 1)
+                      for l, lam in zip(ls, lams))
+        return lams * (1 + s), norms * (1 + s)
 
     # -- named scenario ----------------------------------------------------
 
@@ -175,6 +182,15 @@ class SphereBackend(ExactBackend):
         the unique zero-average solution of ``d mu = i_V omega``.
         """
         return self.two_form((1,)), self.zero_form((0, -1))
+
+
+def _legendre_coords(j: int):
+    """The ``(l, a)`` with ``z^j = sum a P_l``, for l = j, j - 2, ... >= 0:
+    ``a = (2l+1) j! 2^l ((j+l)/2)! / (((j-l)/2)! (j+l+1)!)``."""
+    return [(l, Fraction((2 * l + 1) * factorial(j) * 2 ** l
+                         * factorial((j + l) // 2),
+                         factorial((j - l) // 2) * factorial(j + l + 1)))
+            for l in range(j, -1, -2)]
 
 
 def _poly(j: int, terms) -> Poly:

@@ -4,10 +4,11 @@ Invariant forms for the circle subaction generated by a constant integer
 vector field v are spanned by real trigonometric modes cos(k.x), sin(k.x)
 with ``k . v = 0`` and ``|k_i| <= K``, times coordinate covectors dx_I.
 Every mode is a Laplacian eigenfunction with eigenvalue ``|k|^2``, so the
-Hodge engine is diagonal; harmonic forms are exactly the k = 0 modes.
-``d``, the star and the contraction map each basis form to a signed sum
-of at most n basis forms, the columns that the engine of
-:class:`~equihodge.forms.ExactBackend` caches and applies.
+basis is the eigenbasis and both eigen-transforms are the identity;
+harmonic forms are exactly the k = 0 modes.  ``d``, the star and the
+contraction map each basis form to a signed sum of at most n basis forms,
+the columns that the engine of :class:`~equihodge.forms.ExactBackend`
+caches and applies.
 
 The real cos/sin basis keeps all scalars rational; the torus volume
 ``(2*pi)^n`` is carried symbolically as a power of pi in inner products.
@@ -130,6 +131,8 @@ class TorusBackend(ExactBackend):
             terms = [((fi, I[:pos] + I[pos + 1:]), (-1) ** pos * self.v[a])
                      for pos, a in enumerate(I) if self.v[a]]
             p = q - 1
+        elif op in ("coords", "image"):  # the basis is the eigenbasis
+            terms, p = [((fi, I), 1)], q
         else:
             return super()._column(op, q, k)
         out = [Fraction(0)] * self.dimension(p)
@@ -142,20 +145,12 @@ class TorusBackend(ExactBackend):
     def _pi_power(self) -> int:
         return self.n
 
-    def _mode_norm_sq(self, fi: int) -> Fraction:
-        # rational part of (2 pi)^n (k = 0) or (2 pi)^n / 2 (k != 0)
-        mi, _ = self._funcs[fi]
-        base = Fraction(2 ** self.n)
-        return base if not any(self._modes[mi]) else base / 2
-
-    def _eigen_entries(self, q: int):
-        eig = []
-        for i, (fi, I) in enumerate(self._basis[q]):
-            mi, _ = self._funcs[fi]
-            k = self._modes[mi]
-            lam = Fraction(sum(c * c for c in k))
-            eig.append((lam, [(i, Fraction(1))], self._mode_norm_sq(fi)))
-        return eig
+    def _spectrum(self, q: int):
+        # eigenvalue |k|^2; squared norm the rational part of (2 pi)^n for
+        # k = 0 and of (2 pi)^n / 2 otherwise
+        modes = [self._modes[self._funcs[fi][0]] for fi, _ in self._basis[q]]
+        return (tuple(Fraction(sum(c * c for c in k)) for k in modes),
+                tuple(Fraction(2 ** self.n, 2 if any(k) else 1) for k in modes))
 
     # -- convenience constructors ------------------------------------------
 

@@ -37,7 +37,10 @@ they were before every exact operator became a cached column: whole-
 polynomial arithmetic on the sphere, a loop over the basis on the torus,
 and the codifferential as the signed star conjugate of d, applied to the
 whole form.  They check the closed-form columns at every truncation, not
-only at the oracles' tiny ones.
+only at the oracles' tiny ones.  The back-substitution references keep
+the eigen-transforms as they were before they became cached columns too:
+the whole triangular eigenbasis of a degree, with coordinates found by
+back-substitution.
 """
 
 from fractions import Fraction
@@ -50,6 +53,7 @@ from scipy.sparse.linalg import spsolve
 
 from equihodge import InvariantForm, ProductBackend, SphereBackend, TorusBackend
 from equihodge.errors import TruncationError
+from equihodge.sphere import legendre
 from equihodge.torus import COS, SIN
 
 # ---------------------------------------------------------------------------
@@ -807,6 +811,95 @@ class LoopTorus(TorusBackend):
                 J = I[:pos] + I[pos + 1:]
                 terms.append(((fi, J), (-1) ** pos * self.v[axis] * c))
         return self._out(w.degree - 1, terms)
+
+
+class _BackSubstitution:
+    """Eigen-transforms over the whole eigenbasis of a degree that
+    ``_eigen_entries`` lists: one ``(eigenvalue, sparse entries, squared
+    norm)`` per vector, the vectors' largest indices distinct, so that the
+    basis is triangular and the coordinates follow by back-substitution."""
+
+    def _eigen(self, q):
+        cache = vars(self).setdefault("_eig_cache", {})
+        if q not in cache:
+            dim = self.dimension(q)
+            eig = self._eigen_entries(q) if dim else []
+            if len(eig) != dim:
+                raise AssertionError("eigenbasis does not span degree %d" % q)
+            lams, vectors, norms = zip(*eig) if eig else ((), (), ())
+            pivots = [max(vec) for vec in vectors]  # (largest index, entry)
+            if len({lead for lead, _ in pivots}) != dim:
+                raise AssertionError("repeated leading indices in degree %d" % q)
+            steps = sorted(((lead, k, pivot, vectors[k])
+                            for k, (lead, pivot) in enumerate(pivots)),
+                           reverse=True)
+            cache[q] = (vectors, steps, (lams, norms))
+        return cache[q]
+
+    def _to_eigen(self, w):
+        _, steps, _ = self._eigen(w.degree)
+        r = list(w.coeffs)
+        out = [Fraction(0)] * len(r)
+        for lead, k, pivot, vec in steps:
+            if r[lead]:
+                a = out[k] = r[lead] / pivot
+                for i, v in vec:
+                    r[i] -= a * v
+        return tuple(out)
+
+    def _from_eigen(self, q, c):
+        vectors, _, _ = self._eigen(q)
+        out = [Fraction(0)] * self.dimension(q)
+        for ck, entries in zip(c, vectors):
+            if ck:
+                for i, v in entries:
+                    out[i] += ck * v
+        return InvariantForm(self, q, tuple(out))
+
+    def _spectrum(self, q):
+        return self._eigen(q)[2]
+
+
+class BackSubSphere(_BackSubstitution, SphereBackend):
+    """A sphere backend whose eigenbasis is listed whole: the Legendre
+    polynomials in degrees 0 and 2, their derivatives in both halves of
+    degree 1."""
+
+    def _eigen_entries(self, q):
+        m = self.capacity + 1
+        eig = []
+        if q in (0, 2):
+            for l in range(m):
+                entries = [(i, c) for i, c in enumerate(legendre(l)) if c]
+                # <P_l, P_l> rational part: 2 * 2/(2l+1)
+                eig.append((Fraction(l * (l + 1)), entries,
+                            Fraction(4, 2 * l + 1)))
+        else:
+            # exact family d(P_l) = P_l' dz and the star-conjugate coexact
+            # family P_l' (1-z^2) dphi, both with eigenvalue l(l+1)
+            polys = [legendre(l) for l in range(1, m + 1)]
+            for offset in (0, m):
+                for l, p in enumerate(polys, 1):
+                    entries = [(offset + i - 1, i * c)
+                               for i, c in enumerate(p) if i and c]
+                    lam = Fraction(l * (l + 1))
+                    eig.append((lam, entries, lam * Fraction(4, 2 * l + 1)))
+        return eig
+
+
+class BackSubTorus(_BackSubstitution, TorusBackend):
+    """A torus backend whose eigenbasis is listed whole: every basis form,
+    with eigenvalue |k|^2 and squared norm the rational part of (2 pi)^n,
+    halved for k != 0."""
+
+    def _eigen_entries(self, q):
+        eig = []
+        for i, (fi, I) in enumerate(self._basis[q]):
+            k = self._modes[self._funcs[fi][0]]
+            norm = Fraction(2 ** self.n) / (2 if any(k) else 1)
+            eig.append((Fraction(sum(c * c for c in k)), [(i, Fraction(1))],
+                        norm))
+        return eig
 
 
 def operator_outcome(op, w):

@@ -5,7 +5,9 @@ backend gives in closed form, one unit vector at a time.  These tests
 compare each column with the direct operators kept in ``bruteforce``
 (whole-polynomial arithmetic on the sphere, a loop over the basis on the
 torus), pin where a sphere column overflows its capacity, and check that
-repeated work on one backend fills no new column.
+repeated work on one backend fills no new column.  The eigen-transforms
+are columns too, compared with the back-substitution over the whole
+eigenbasis kept in ``bruteforce``.
 """
 
 from fractions import Fraction
@@ -13,8 +15,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from equihodge import TruncationError, make_sphere_backend, make_torus_backend
-from bruteforce import LoopTorus, PolySphere, operator_outcome as outcome
+from equihodge import (SphereBackend, TruncationError, make_sphere_backend,
+                       make_torus_backend)
+from bruteforce import (BackSubSphere, BackSubTorus, LoopTorus, PolySphere,
+                        operator_outcome as outcome)
 from conftest import rand_fraction, random_exact_form
 
 OPS = ("d", "star", "codifferential", "contraction")
@@ -125,3 +129,42 @@ def test_warm_hodge_decompose_fills_no_new_column():
     for a, c in zip((first.harmonic, first.exact, first.coexact),
                     (second.harmonic, second.exact, second.coexact)):
         assert a == c
+
+
+def assert_same_eigen_transforms(b, ref):
+    """The "coords" and "image" matrices and the spectrum equal the
+    reference's exactly, and coords after image is the identity."""
+    for q in range(b.n + 1):
+        assert b._spectrum(q) == ref._spectrum(q), q
+        for k in range(b.dimension(q)):
+            e = unit(b, q, k).coeffs
+            image = b._from_eigen(q, e)
+            assert image.coeffs == ref._from_eigen(q, e).coeffs, ("image", q, k)
+            assert b._to_eigen(unit(b, q, k)) == ref._to_eigen(
+                unit(ref, q, k)), ("coords", q, k)
+            assert b._to_eigen(image) == e, ("coords of image", q, k)
+
+
+@pytest.mark.parametrize("stages", [0, 1, 3])
+@pytest.mark.parametrize("N", [2, 8, 16, 32])
+def test_sphere_eigen_columns_match_the_back_substitution(N, stages):
+    assert_same_eigen_transforms(make_sphere_backend(N, stages=stages),
+                                 BackSubSphere(N, stages=stages))
+
+
+@pytest.mark.parametrize("n,K,v", [
+    (1, 2, (1,)), (2, 2, (1, 0)), (2, 2, (2, 0)), (3, 2, (1, 1, 0)),
+    (3, 2, (0, 0, 2)),
+])
+def test_torus_eigen_columns_match_the_back_substitution(n, K, v):
+    assert_same_eigen_transforms(make_torus_backend(n, K, v),
+                                 BackSubTorus(n, K, v))
+
+
+def test_harmonic_projection_fills_only_the_columns_it_reads():
+    """The harmonic part of the area form reads one coordinate column and
+    one image column; no other eigenvector is built."""
+    b = SphereBackend(8)
+    b.harmonic_projection(b.two_form((1,)))
+    assert {key: set(cols) for key, cols in b._columns.items()} == {
+        ("coords", 2): {0}, ("image", 2): {0}}

@@ -48,6 +48,10 @@ def test_unknown_tag_rejected():
     "sphere:N=1",
     "torus:n=4,K=1,v=1:0:0:0",
     "torus:n=2,K=2,v=1:a",
+    "sphere:N=8,N=4",
+    "dec:nsym=2,level=0",
+    "dec:nsym=4,level=-1",
+    "dec:nsym=4,level=0,zigzag=0.7",
 ])
 def test_malformed_backend_tag_is_a_format_error(tag):
     text = "equihodge-form v1\nbackend: %s\ndegree: 0\ndim: 1\n" % tag
@@ -69,6 +73,24 @@ def test_malformed_backend_tag_in_a_report_is_a_format_error(tag):
     with pytest.raises(FormatError) as exc:
         parse_report("\n".join(lines) + "\n")
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_sphere_backend(3, stages=1),
+    lambda: make_torus_backend(2, 2, (1, 0)),
+    lambda: make_product_backend(make_sphere_backend(2, stages=1),
+                                 make_torus_backend(1, 2, (1,))),
+], ids=["sphere", "torus", "product"])
+def test_zero_input_report_round_trip(make):
+    """The report of a zero input writes its base block, whose form carries
+    the input's degree, and reads back to the same report."""
+    b = make()
+    for q in range(b.n + 1):
+        text = serialize_report(extend(b.zero(q)))
+        assert "term: 0 monomials: 1\n" in text
+        again = parse_report(text)
+        assert again.input.degree == q and again.input.is_zero
+        assert serialize_report(again) == text
 
 
 def test_exact_form_round_trip():
