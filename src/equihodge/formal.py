@@ -63,10 +63,16 @@ class FormalGeneratorBackend(Backend):
     def _unwrap(self, w: InvariantForm) -> InvariantForm:
         if w.backend is not self:
             raise BackendMismatch("form does not belong to this wrapper")
-        return InvariantForm(self.base, w.degree, w.coeffs)
+        return self._retag(w, self.base)
 
     def _wrap(self, w: InvariantForm) -> InvariantForm:
-        return InvariantForm(self, w.degree, w.coeffs)
+        return self._retag(w, self)
+
+    def _retag(self, w: InvariantForm, backend: Backend) -> InvariantForm:
+        """w's coefficients as a form of ``backend``; an exact form's
+        entries are found once and shared."""
+        return InvariantForm(backend, w.degree, w.coeffs,
+                             w.entries if self.is_exact else None)
 
     @property
     def tag(self) -> str:

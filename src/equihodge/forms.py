@@ -21,20 +21,26 @@ On top of that contract this module builds, once and for all:
   below and above the form.
 
 Exact backends use :class:`fractions.Fraction` coefficients throughout,
-so "zero" means identically zero, never merely small.
+so "zero" means identically zero, never merely small.  An exact form is
+immutable and caches its nonzero entries, and every exact step above (the
+sums, the zero test, each mat-vec and each eigen-coordinate step) reads
+them, so its work is proportional to the nonzeros, not to the dimension.
+The dense coefficient tuple stays the public value of a form.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import BackendMismatch
 from .scalars import PiScalar
+
+#: the one zero of the exact coefficient tuples
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -67,18 +73,49 @@ class GeneratorSpec:
 class InvariantForm:
     """An invariant differential form in a backend coefficient basis.
 
-    Immutable.  Coefficients are a tuple of ``Fraction`` on exact backends
-    and a numpy array on the mesh backend.  Forms of degree outside
-    ``[0, n]`` are permitted as empty (zero) placeholders so operator
-    compositions never need special casing at the top and bottom degrees.
+    Immutable; on exact backends it caches its nonzero entries.
+    Coefficients are a tuple of ``Fraction`` on exact backends and a numpy
+    array on the mesh backend.  Forms of degree outside ``[0, n]`` are
+    permitted as empty (zero) placeholders so operator compositions never
+    need special casing at the top and bottom degrees.
+
+    :attr:`entries` are the nonzero ``(index, value)`` pairs of an exact
+    form in increasing index order: given by the producer when it has them
+    (:meth:`from_entries`, :meth:`from_values`), otherwise found by one
+    scan of ``coeffs`` on first use.  Sums, zero tests and the exact
+    operators read them, so their work is proportional to the nonzeros.
     """
 
-    __slots__ = ("backend", "degree", "coeffs")
+    __slots__ = ("backend", "degree", "coeffs", "_entries")
 
-    def __init__(self, backend, degree: int, coeffs):
+    def __init__(self, backend, degree: int, coeffs, entries=None):
         self.backend = backend
         self.degree = degree
         self.coeffs = coeffs
+        self._entries = entries
+
+    @classmethod
+    def from_entries(cls, backend, degree: int, entries) -> "InvariantForm":
+        """The exact form with the given nonzero ``(index, value)`` entries,
+        a tuple in increasing index order."""
+        coeffs = [_ZERO] * backend.dimension(degree)
+        for i, c in entries:
+            coeffs[i] = c
+        return cls(backend, degree, tuple(coeffs), entries)
+
+    @classmethod
+    def from_values(cls, backend, degree: int, values) -> "InvariantForm":
+        """The exact form with the values of an ``index -> Fraction``
+        mapping, in any order; zero values are dropped."""
+        return cls.from_entries(backend, degree, tuple(
+            (i, c) for i, c in sorted(values.items()) if c))
+
+    @property
+    def entries(self) -> Tuple[Tuple[int, Fraction], ...]:
+        """The nonzero ``(index, value)`` pairs, in increasing index order."""
+        if self._entries is None:
+            self._entries = tuple((i, c) for i, c in enumerate(self.coeffs) if c)
+        return self._entries
 
     def _check_compatible(self, other: "InvariantForm"):
         if self.backend is not other.backend:
@@ -88,35 +125,44 @@ class InvariantForm:
                 "degree mismatch: %d vs %d" % (self.degree, other.degree)
             )
 
-    def _combine(self, other: "InvariantForm", op) -> "InvariantForm":
-        """The form whose coefficients are ``op`` of self's and other's."""
+    def _combine(self, other: "InvariantForm", sign: int) -> "InvariantForm":
+        """self + sign * other; exact values are summed only where both
+        forms have an entry."""
         self._check_compatible(other)
-        if isinstance(self.coeffs, tuple):
-            coeffs = tuple(map(op, self.coeffs, other.coeffs))
-        else:
-            coeffs = op(self.coeffs, other.coeffs)
-        return InvariantForm(self.backend, self.degree, coeffs)
+        if not isinstance(self.coeffs, tuple):
+            return InvariantForm(self.backend, self.degree,
+                                 self.coeffs + other.coeffs if sign > 0
+                                 else self.coeffs - other.coeffs)
+        if not other.entries:
+            return self
+        if not self.entries:
+            return other if sign > 0 else -other
+        values = dict(self.entries)
+        for i, c in other.entries:
+            if i in values:
+                values[i] = values[i] + c if sign > 0 else values[i] - c
+            else:
+                values[i] = c if sign > 0 else -c
+        return InvariantForm.from_values(self.backend, self.degree, values)
 
     def __add__(self, other: "InvariantForm") -> "InvariantForm":
-        return self._combine(other, operator.add)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "InvariantForm") -> "InvariantForm":
-        return self._combine(other, operator.sub)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "InvariantForm":
-        if isinstance(self.coeffs, tuple):
-            coeffs = tuple(-a for a in self.coeffs)
-        else:
-            coeffs = -self.coeffs
-        return InvariantForm(self.backend, self.degree, coeffs)
+        if not isinstance(self.coeffs, tuple):
+            return InvariantForm(self.backend, self.degree, -self.coeffs)
+        return InvariantForm.from_entries(self.backend, self.degree, tuple(
+            (i, -c) for i, c in self.entries))
 
     def scale(self, c) -> "InvariantForm":
-        if isinstance(self.coeffs, tuple):
-            c = Fraction(c)
-            coeffs = tuple(c * a for a in self.coeffs)
-        else:
-            coeffs = float(c) * self.coeffs
-        return InvariantForm(self.backend, self.degree, coeffs)
+        if not isinstance(self.coeffs, tuple):
+            return InvariantForm(self.backend, self.degree, float(c) * self.coeffs)
+        c = Fraction(c)
+        return InvariantForm.from_entries(self.backend, self.degree, tuple(
+            (i, c * a) for i, a in self.entries) if c else ())
 
     def __mul__(self, c):
         return self.scale(c)
@@ -129,7 +175,7 @@ class InvariantForm:
         if self.backend is not other.backend or self.degree != other.degree:
             return False
         if isinstance(self.coeffs, tuple):
-            return self.coeffs == other.coeffs
+            return self.entries == other.entries
         import numpy as np
 
         return bool(np.array_equal(self.coeffs, other.coeffs))
@@ -225,12 +271,12 @@ class Backend(ABC):
     def is_zero(self, w: InvariantForm, relative_to=None) -> bool:
         """Identically zero; given the run's input (a form or element) as
         ``relative_to``, the float backend compares norms instead."""
-        return all(c == 0 for c in w.coeffs)
+        return not w.entries
 
     def zero(self, q: int) -> InvariantForm:
         dim = self.dimension(q)
         if self.is_exact:
-            return InvariantForm(self, q, (Fraction(0),) * dim)
+            return InvariantForm(self, q, (_ZERO,) * dim, ())
         import numpy as np
 
         return InvariantForm(self, q, np.zeros(dim))
@@ -330,13 +376,11 @@ class ExactBackend(Backend):
         own eigen-transforms; a sphere or torus gives every column in
         closed form.
         """
-        unit = [Fraction(0)] * self.dimension(q)
-        unit[k] = Fraction(1)
-        e = InvariantForm(self, q, tuple(unit))
+        e = InvariantForm.from_entries(self, q, ((k, Fraction(1)),))
         if op == "coords":
-            return InvariantForm(self, q, self._to_eigen(e))
+            return self._to_eigen(e)
         if op == "image":
-            return self._from_eigen(q, unit)
+            return self._from_eigen(e)
         if op == "codifferential":
             # d* = (-1)^(n(q+1)+1) * d *  on an oriented Riemannian n-manifold
             res = self.star(self.d(self.star(e)))
@@ -354,18 +398,16 @@ class ExactBackend(Backend):
         cols = self._columns.setdefault((op, q), {})
         if k not in cols:
             res = self._column(op, q, k)
-            cols[k] = (res.degree,
-                       [(i, v) for i, v in enumerate(res.coeffs) if v])
+            cols[k] = (res.degree, res.entries)
         return cols[k]
 
     def _matvec(self, op, w: InvariantForm, out_q: int) -> InvariantForm:
         """``op`` applied to w, the sum of its columns over w's entries."""
-        out = [Fraction(0)] * self.dimension(out_q)
-        for k, c in enumerate(w.coeffs):
-            if c:
-                for i, v in self._col(op, w.degree, k)[1]:
-                    out[i] += c * v
-        return InvariantForm(self, out_q, tuple(out))
+        out = {}
+        for k, c in w.entries:
+            for i, v in self._col(op, w.degree, k)[1]:
+                out[i] = out[i] + c * v if i in out else c * v
+        return InvariantForm.from_values(self, out_q, out)
 
     def d(self, w: InvariantForm) -> InvariantForm:
         return self._matvec("d", w, w.degree + 1)
@@ -385,13 +427,13 @@ class ExactBackend(Backend):
 
     # -- spectral hooks ----------------------------------------------------
 
-    def _to_eigen(self, w: InvariantForm) -> Tuple[Fraction, ...]:
-        """Coordinates of w in the degree's eigenbasis."""
-        return self._matvec("coords", w, w.degree).coeffs
+    def _to_eigen(self, w: InvariantForm) -> InvariantForm:
+        """The coordinates of w in the degree's eigenbasis, held as a form."""
+        return self._matvec("coords", w, w.degree)
 
-    def _from_eigen(self, q: int, c: Sequence[Fraction]) -> InvariantForm:
-        """The degree-q form whose eigen-coordinates are c."""
-        return self._matvec("image", InvariantForm(self, q, tuple(c)), q)
+    def _from_eigen(self, c: InvariantForm) -> InvariantForm:
+        """The form whose eigen-coordinates are those held in c."""
+        return self._matvec("image", c, c.degree)
 
     def _cached_spectrum(self, q: int):
         """:meth:`_spectrum` of degree q, computed once per backend."""
@@ -404,23 +446,25 @@ class ExactBackend(Backend):
     def inner_product(self, a: InvariantForm, b: InvariantForm) -> PiScalar:
         a._check_compatible(b)
         _, norms = self._cached_spectrum(a.degree)
-        x = self._to_eigen(a)
-        y = x if b is a else self._to_eigen(b)
-        val = sum((n * s * t for n, s, t in zip(norms, x, y) if s and t),
-                  Fraction(0))
+        x = self._to_eigen(a).entries
+        if b is a:
+            val = sum((norms[k] * s * s for k, s in x), _ZERO)
+        else:
+            y = dict(self._to_eigen(b).entries)
+            val = sum((norms[k] * s * y[k] for k, s in x if k in y), _ZERO)
         return PiScalar(val, self._pi_power())
 
     def green(self, w: InvariantForm) -> InvariantForm:
         lams, _ = self._cached_spectrum(w.degree)
-        c = self._to_eigen(w)
-        return self._from_eigen(w.degree, [
-            a / lam if a and lam else Fraction(0) for a, lam in zip(c, lams)])
+        c = self._to_eigen(w).entries
+        return self._from_eigen(InvariantForm.from_entries(self, w.degree, tuple(
+            (k, a / lams[k]) for k, a in c if lams[k])))
 
     def harmonic_projection(self, w: InvariantForm) -> InvariantForm:
         lams, _ = self._cached_spectrum(w.degree)
-        c = self._to_eigen(w)
-        return self._from_eigen(w.degree, [
-            Fraction(0) if lam else a for a, lam in zip(c, lams)])
+        c = self._to_eigen(w).entries
+        return self._from_eigen(InvariantForm.from_entries(self, w.degree, tuple(
+            (k, a) for k, a in c if not lams[k])))
 
     def harmonic_basis(self, q: int) -> List[InvariantForm]:
         lams, _ = self._cached_spectrum(q)

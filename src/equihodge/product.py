@@ -30,8 +30,8 @@ calls.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, List, Tuple
 
 from .errors import BackendMismatch
 from .forms import ExactBackend, GeneratorSpec, InvariantForm
@@ -89,46 +89,49 @@ class ProductBackend(ExactBackend):
         if w1.backend is not self.b1 or w2.backend is not self.b2:
             raise BackendMismatch("tensor factors belong to the wrong backends")
         q = w1.degree + w2.degree
-        out = [Fraction(0)] * self.dimension(q)
-        for q1, q2, offset, d1, d2 in self._blocks.get(q, []):
-            if q1 != w1.degree:
-                continue
-            for i, a in enumerate(w1.coeffs):
-                if a == 0:
-                    continue
-                base = offset + i * d2
-                for j, bcoef in enumerate(w2.coeffs):
-                    if bcoef:
-                        out[base + j] = a * bcoef
-        return InvariantForm(self, q, tuple(out))
+        entries = ()
+        for q1, _, offset, _, d2 in self._blocks.get(q, []):
+            if q1 == w1.degree:
+                entries = tuple((offset + i * d2 + j, a * b)
+                                for i, a in w1.entries for j, b in w2.entries)
+        return InvariantForm.from_entries(self, q, entries)
 
     def _apply(self, w: InvariantForm, out_q: int, *terms) -> InvariantForm:
         """Apply sum of sign(q1, q2) * (op1 (x) op2) to w, block by block.
 
         Each term is ``(op1, op2, sign)``, op1 and op2 keys of factor
         operators (see :meth:`ExactBackend._column`) and ``None`` the
-        identity.  op2 acts along the rows of each (q1, q2) block and op1
-        down its columns (:meth:`_act`).  A sign of ``None`` is +1.
+        identity.  w's entries, in index order, split into its (q1, q2)
+        blocks at the block ends, so the work is proportional to its
+        nonzeros.  op2 acts along the rows of each block and op1 down its
+        columns (:meth:`_act`).  A sign of ``None`` is +1.
         """
-        out = [Fraction(0)] * self.dimension(out_q)
+        out = {}
         targets = {(q1, q2): (offset, d2)
                    for q1, q2, offset, _, d2 in self._blocks.get(out_q, [])}
+        entries, lo = w.entries, 0
         for q1, q2, offset, d1, d2 in self._blocks.get(w.degree, []):
-            block = {divmod(k, d2): c for k, c in
-                     enumerate(w.coeffs[offset:offset + d1 * d2]) if c}
+            hi = bisect_left(entries, (offset + d1 * d2,), lo)
+            if lo == hi:
+                continue
+            block = {divmod(k - offset, d2): c for k, c in entries[lo:hi]}
+            lo = hi
             for op1, op2, sign in terms:
-                p1, p2, entries = q1, q2, block
+                p1, p2, image = q1, q2, block
                 if op2 is not None:
-                    p2, entries = self._act(self.b2, op2, q2, entries, 1)
+                    p2, image = self._act(self.b2, op2, q2, image, 1)
                 if op1 is not None:
-                    p1, entries = self._act(self.b1, op1, q1, entries, 0)
-                if entries:  # then (p1, p2) is a block of degree out_q
+                    p1, image = self._act(self.b1, op1, q1, image, 0)
+                if image:  # then (p1, p2) is a block of degree out_q
                     base, width = targets[p1, p2]
                     negate = sign is not None and sign(q1, q2) < 0
-                    for (i, j), c in entries.items():
+                    for (i, j), c in image.items():
                         k = base + i * width + j
-                        out[k] = out[k] - c if negate else out[k] + c
-        return InvariantForm(self, out_q, tuple(out))
+                        if k in out:
+                            out[k] = out[k] - c if negate else out[k] + c
+                        else:
+                            out[k] = -c if negate else c
+        return InvariantForm.from_values(self, out_q, out)
 
     def _act(self, factor, op, q: int, entries, axis: int):
         """Apply a factor operator along one axis of a block's sparse entries.
@@ -176,12 +179,11 @@ class ProductBackend(ExactBackend):
     def _pi_power(self) -> int:
         return self.b1._pi_power() + self.b2._pi_power()
 
-    def _to_eigen(self, w: InvariantForm) -> Tuple[Fraction, ...]:
-        return self._apply(w, w.degree, ("coords", "coords", None)).coeffs
+    def _to_eigen(self, w: InvariantForm) -> InvariantForm:
+        return self._apply(w, w.degree, ("coords", "coords", None))
 
-    def _from_eigen(self, q: int, c: Sequence[Fraction]) -> InvariantForm:
-        return self._apply(InvariantForm(self, q, tuple(c)), q,
-                           ("image", "image", None))
+    def _from_eigen(self, c: InvariantForm) -> InvariantForm:
+        return self._apply(c, c.degree, ("image", "image", None))
 
     def _spectrum(self, q: int):
         # ordered as the coordinates: by block, row-major within a block

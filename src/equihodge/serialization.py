@@ -127,9 +127,8 @@ def serialize_form(w: InvariantForm) -> str:
         "dim: %d" % w.backend.dimension(w.degree),
     ]
     if w.backend.is_exact:
-        for i, c in enumerate(w.coeffs):
-            if c != 0:
-                lines.append("%d %s" % (i, c))
+        for i, c in w.entries:
+            lines.append("%d %s" % (i, c))
     else:
         for i, c in enumerate(np.asarray(w.coeffs)):
             if c != 0.0:

@@ -119,44 +119,53 @@ class SphereBackend(ExactBackend):
 
     def _column(self, op, q: int, k: int) -> InvariantForm:
         # e_k is z^j in degrees 0 and 2, and z^j dz (k < m) or
-        # z^j (1-z^2) dphi (k = m + j) in degree 1; an image past the
-        # capacity raises TruncationError in _to_vec
+        # z^j (1-z^2) dphi (k = m + j) in degree 1; z gives the
+        # {power: coefficient} polynomial sum c z^(j + e) over its (e, c)
         m = self.capacity + 1
         j, dphi = k % m, q == 1 and k >= m
-        z = lambda *terms: _poly(j, terms)
+        z = lambda *terms: {j + e: c for e, c in terms if c}
+        col = self._sparse_column
         if op == "d" and q == 0:
-            return self.one_form(z((-1, j)), ())
+            return col(1, 0, z((-1, j)))
         if op == "d" and q == 1:
             # d(z^j (1-z^2) dphi) = (j z^(j-1) - (j+2) z^(j+1)) dz ^ dphi
-            return self.two_form(z((-1, j), (1, -j - 2)) if dphi else ())
+            return col(2, 0, z((-1, j), (1, -j - 2)) if dphi else {})
         if op == "star" and q == 1:  # (a, b) -> (-b, a)
-            return (self.one_form(z((0, -1)), ()) if dphi
-                    else self.one_form((), z((0, 1))))
+            return col(1, 0, z((0, -1))) if dphi else col(1, 1, z((0, 1)))
         if op == "star":
-            return InvariantForm(self, 2 - q, self._to_vec(z((0, 1))))
+            return col(2 - q, 0, z((0, 1)))
         if op == ("contraction", 0) and q == 1:  # (a, b) -> b (1-z^2)
-            return self.zero_form(z((0, 1), (2, -1)) if dphi else ())
+            return col(0, 0, z((0, 1), (2, -1)) if dphi else {})
         if op == ("contraction", 0) and q == 2:  # c -> (-c, 0)
-            return self.one_form(z((0, -1)), ())
+            return col(1, 0, z((0, -1)))
         if op in ("d", ("contraction", 0)):  # d of a 2-form, i_V of a function
             return self.zero(q + 1 if op == "d" else q - 1)
         # eigen-index k is P_j in degrees 0 and 2, and P_(j+1)' dz or
         # P_(j+1)' (1-z^2) dphi in degree 1, each with eigenvalue l(l+1)
         s = int(q == 1)
-        if op == "image" and s:
-            p = [i * c for i, c in enumerate(legendre(j + 1))][1:]
-            return self.one_form((), p) if dphi else self.one_form(p, ())
         if op == "image":
-            return InvariantForm(self, q, self._to_vec(legendre(j)))
+            return col(q, dphi, {i - s: i ** s * c
+                                 for i, c in enumerate(legendre(j + s))
+                                 if c and i >= s})
         if op == "coords":
             # z^j = sum a(j, l) P_l; in degree 1 z^j = (z^(j+1))' / (j+1),
             # with a(j+1, l) / (j+1) on P_l'
-            out = [Fraction(0)] * self.dimension(q)
-            for l, a in _legendre_coords(j + s):
-                if l >= s:
-                    out[m * dphi + l - s] = a / (j + 1) ** s
-            return InvariantForm(self, q, tuple(out))
+            return col(q, dphi, {l - s: a / (j + 1) ** s
+                                 for l, a in _legendre_coords(j + s) if l >= s})
         return super()._column(op, q, k)
+
+    def _sparse_column(self, p: int, half: int, poly) -> InvariantForm:
+        """The degree-p form with the {power: coefficient} polynomial poly
+        in its dz (half 0) or dphi (half 1) part of degree 1, or as its
+        whole coefficient otherwise; raises TruncationError past the
+        capacity."""
+        top = max(poly, default=0)
+        if top > self.capacity:
+            raise TruncationError("polynomial degree %d exceeds capacity %d"
+                                  % (top, self.capacity))
+        offset = half * (self.capacity + 1)
+        return InvariantForm.from_values(
+            self, p, {offset + e: Fraction(c) for e, c in poly.items()})
 
     # -- spectral data -----------------------------------------------------
 
@@ -191,16 +200,6 @@ def _legendre_coords(j: int):
                          * factorial((j + l) // 2),
                          factorial((j - l) // 2) * factorial(j + l + 1)))
             for l in range(j, -1, -2)]
-
-
-def _poly(j: int, terms) -> Poly:
-    """Dense coefficients of ``sum c z^(j + e)`` over the ``(e, c)`` terms
-    with c nonzero."""
-    out = [Fraction(0)] * (j + max(e for e, _ in terms) + 1)
-    for e, c in terms:
-        if c:
-            out[j + e] += c
-    return tuple(out)
 
 
 def make_sphere_backend(truncation: int, stages: int = 3) -> SphereBackend:

@@ -135,10 +135,8 @@ class TorusBackend(ExactBackend):
             terms, p = [((fi, I), 1)], q
         else:
             return super()._column(op, q, k)
-        out = [Fraction(0)] * self.dimension(p)
-        for key, c in terms:
-            out[self._index[p][key]] += c
-        return InvariantForm(self, p, tuple(out))
+        return InvariantForm.from_values(
+            self, p, {self._index[p][key]: Fraction(c) for key, c in terms})
 
     # -- spectral data -----------------------------------------------------
 

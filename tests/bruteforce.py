@@ -40,9 +40,15 @@ whole form.  They check the closed-form columns at every truncation, not
 only at the oracles' tiny ones.  The back-substitution references keep
 the eigen-transforms as they were before they became cached columns too:
 the whole triangular eigenbasis of a degree, with coordinates found by
-back-substitution.
+back-substitution.  The dense-arithmetic references keep the exact engine
+as it was before forms cached their nonzero entries: sums, negation and
+scaling map over every coefficient, the zero test compares every
+coefficient with 0, and the mat-vec, the product's block split, its
+tensor, Green's operator, harmonic projection and the inner product scan
+whole coefficient tuples.
 """
 
+import operator
 from fractions import Fraction
 from functools import partial
 
@@ -51,8 +57,10 @@ import scipy.sparse as sps
 import sympy as sp
 from scipy.sparse.linalg import spsolve
 
-from equihodge import InvariantForm, ProductBackend, SphereBackend, TorusBackend
+from equihodge import (ExactBackend, InvariantForm, ProductBackend,
+                       SphereBackend, TorusBackend)
 from equihodge.errors import TruncationError
+from equihodge.scalars import PiScalar
 from equihodge.sphere import legendre
 from equihodge.torus import COS, SIN
 
@@ -667,11 +675,10 @@ class PerRowProduct(ProductBackend):
                                       _koszul))
 
     def _to_eigen(self, w):
-        return self._apply(w, w.degree, (_coords, _coords, None)).coeffs
+        return self._apply(w, w.degree, (_coords, _coords, None))
 
-    def _from_eigen(self, q, c):
-        return self._apply(InvariantForm(self, q, tuple(c)), q,
-                           (_image, _image, None))
+    def _from_eigen(self, c):
+        return self._apply(c, c.degree, (_image, _image, None))
 
 
 def _koszul(q1, q2):
@@ -679,11 +686,11 @@ def _koszul(q1, q2):
 
 
 def _coords(w):
-    return InvariantForm(w.backend, w.degree, w.backend._to_eigen(w))
+    return w.backend._to_eigen(w)
 
 
 def _image(c):
-    return c.backend._from_eigen(c.degree, c.coeffs)
+    return c.backend._from_eigen(c)
 
 
 # ---------------------------------------------------------------------------
@@ -845,12 +852,13 @@ class _BackSubstitution:
                 a = out[k] = r[lead] / pivot
                 for i, v in vec:
                     r[i] -= a * v
-        return tuple(out)
+        return InvariantForm(self, w.degree, tuple(out))
 
-    def _from_eigen(self, q, c):
+    def _from_eigen(self, c):
+        q = c.degree
         vectors, _, _ = self._eigen(q)
         out = [Fraction(0)] * self.dimension(q)
-        for ck, entries in zip(c, vectors):
+        for ck, entries in zip(c.coeffs, vectors):
             if ck:
                 for i, v in entries:
                     out[i] += ck * v
@@ -900,6 +908,146 @@ class BackSubTorus(_BackSubstitution, TorusBackend):
             eig.append((Fraction(sum(c * c for c in k)), [(i, Fraction(1))],
                         norm))
         return eig
+
+
+# ---------------------------------------------------------------------------
+# dense exact arithmetic
+# ---------------------------------------------------------------------------
+
+def dense_add(a, b):
+    return tuple(map(operator.add, a.coeffs, b.coeffs))
+
+
+def dense_sub(a, b):
+    return tuple(map(operator.sub, a.coeffs, b.coeffs))
+
+
+def dense_neg(a):
+    return tuple(-c for c in a.coeffs)
+
+
+def dense_scale(a, c):
+    c = Fraction(c)
+    return tuple(c * x for x in a.coeffs)
+
+
+def dense_is_zero(w):
+    return all(c == 0 for c in w.coeffs)
+
+
+class DenseEngine(ExactBackend):
+    """The exact engine over whole coefficient tuples: every column, mat-vec
+    and spectral step scans all coefficients, and no form it builds carries
+    entries.  Listed after a sphere or torus backend among the bases, it
+    keeps their closed-form columns and supplies the rest."""
+
+    def zero(self, q):
+        return InvariantForm(self, q, (Fraction(0),) * self.dimension(q))
+
+    def is_zero(self, w, relative_to=None):
+        return dense_is_zero(w)
+
+    def _column(self, op, q, k):
+        unit = [Fraction(0)] * self.dimension(q)
+        unit[k] = Fraction(1)
+        e = InvariantForm(self, q, tuple(unit))
+        if op == "coords":
+            return self._to_eigen(e)
+        if op == "image":
+            return self._from_eigen(e)
+        if op == "codifferential":
+            res = self.star(self.d(self.star(e)))
+            if (self.n * (q + 1) + 1) % 2:
+                return InvariantForm(self, res.degree, dense_neg(res))
+            return res
+        if isinstance(op, tuple):
+            return self.contraction(op[1], e)
+        return getattr(self, op)(e)
+
+    def _col(self, op, q, k):
+        cols = self._columns.setdefault((op, q), {})
+        if k not in cols:
+            res = self._column(op, q, k)
+            cols[k] = (res.degree,
+                       [(i, v) for i, v in enumerate(res.coeffs) if v])
+        return cols[k]
+
+    def _matvec(self, op, w, out_q):
+        out = [Fraction(0)] * self.dimension(out_q)
+        for k, c in enumerate(w.coeffs):
+            if c:
+                for i, v in self._col(op, w.degree, k)[1]:
+                    out[i] += c * v
+        return InvariantForm(self, out_q, tuple(out))
+
+    def inner_product(self, a, b):
+        _, norms = self._cached_spectrum(a.degree)
+        x = self._to_eigen(a).coeffs
+        y = self._to_eigen(b).coeffs
+        val = sum((n * s * t for n, s, t in zip(norms, x, y) if s and t),
+                  Fraction(0))
+        return PiScalar(val, self._pi_power())
+
+    def green(self, w):
+        lams, _ = self._cached_spectrum(w.degree)
+        c = self._to_eigen(w).coeffs
+        return self._from_eigen(InvariantForm(self, w.degree, tuple(
+            a / lam if a and lam else Fraction(0) for a, lam in zip(c, lams))))
+
+    def harmonic_projection(self, w):
+        lams, _ = self._cached_spectrum(w.degree)
+        c = self._to_eigen(w).coeffs
+        return self._from_eigen(InvariantForm(self, w.degree, tuple(
+            Fraction(0) if lam else a for a, lam in zip(c, lams))))
+
+
+class DenseSphere(SphereBackend, DenseEngine):
+    """The sphere's closed-form columns on the dense engine."""
+
+
+class DenseTorus(TorusBackend, DenseEngine):
+    """The torus's closed-form columns on the dense engine."""
+
+
+class DenseProduct(ProductBackend, DenseEngine):
+    """A product on the dense engine whose kernel splits a form into its
+    blocks by scanning every coefficient of each block."""
+
+    def tensor(self, w1, w2):
+        q = w1.degree + w2.degree
+        out = [Fraction(0)] * self.dimension(q)
+        for q1, q2, offset, d1, d2 in self._blocks.get(q, []):
+            if q1 != w1.degree:
+                continue
+            for i, a in enumerate(w1.coeffs):
+                if a == 0:
+                    continue
+                base = offset + i * d2
+                for j, bcoef in enumerate(w2.coeffs):
+                    if bcoef:
+                        out[base + j] = a * bcoef
+        return InvariantForm(self, q, tuple(out))
+
+    def _apply(self, w, out_q, *terms):
+        out = [Fraction(0)] * self.dimension(out_q)
+        targets = {(q1, q2): (offset, d2)
+                   for q1, q2, offset, _, d2 in self._blocks.get(out_q, [])}
+        for q1, q2, offset, d1, d2 in self._blocks.get(w.degree, []):
+            block = {divmod(k, d2): c for k, c in
+                     enumerate(w.coeffs[offset:offset + d1 * d2]) if c}
+            for op1, op2, sign in terms:
+                p1, p2, entries = q1, q2, block
+                if op2 is not None:
+                    p2, entries = self._act(self.b2, op2, q2, entries, 1)
+                if op1 is not None:
+                    p1, entries = self._act(self.b1, op1, q1, entries, 0)
+                if entries:
+                    base, width = targets[p1, p2]
+                    negate = sign is not None and sign(q1, q2) < 0
+                    for (i, j), c in entries.items():
+                        k = base + i * width + j
+                        out[k] = out[k] - c if negate else out[k] + c
+        return InvariantForm(self, out_q, tuple(out))
 
 
 def operator_outcome(op, w):

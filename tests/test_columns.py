@@ -137,12 +137,13 @@ def assert_same_eigen_transforms(b, ref):
     for q in range(b.n + 1):
         assert b._spectrum(q) == ref._spectrum(q), q
         for k in range(b.dimension(q)):
-            e = unit(b, q, k).coeffs
-            image = b._from_eigen(q, e)
-            assert image.coeffs == ref._from_eigen(q, e).coeffs, ("image", q, k)
-            assert b._to_eigen(unit(b, q, k)) == ref._to_eigen(
-                unit(ref, q, k)), ("coords", q, k)
-            assert b._to_eigen(image) == e, ("coords of image", q, k)
+            e = unit(b, q, k)
+            image = b._from_eigen(e)
+            assert image.coeffs == ref._from_eigen(
+                unit(ref, q, k)).coeffs, ("image", q, k)
+            assert b._to_eigen(e).coeffs == ref._to_eigen(
+                unit(ref, q, k)).coeffs, ("coords", q, k)
+            assert b._to_eigen(image).coeffs == e.coeffs, ("coords of image", q, k)
 
 
 @pytest.mark.parametrize("stages", [0, 1, 3])

@@ -213,8 +213,7 @@ def operator_pairs(p, ref):
     pairs += [("contraction %d" % j, lambda w, j=j: p.contraction(j, w),
                lambda w, j=j: ref.contraction(j, w))
               for j in range(p.generator_spec.rank)]
-    pairs.append(("_from_eigen", lambda w: p._from_eigen(w.degree, w.coeffs),
-                  lambda w: ref._from_eigen(w.degree, w.coeffs)))
+    pairs.append(("_from_eigen", p._from_eigen, ref._from_eigen))
     return pairs
 
 
