@@ -16,7 +16,8 @@ On top of that contract this module builds, once and for all:
 * the Laplacian ``d d* + d* d``,
 * Green's operator, harmonic projection, the inner product and the
   harmonic basis of the rational backends, all in those eigen-coordinates
-  (the mesh backend supplies its own, with an iterative Green solve),
+  with each coordinate's eigenvalue read from the same cache (the mesh
+  backend supplies its own, with an iterative Green solve),
 * the three-way Hodge decomposition, with its Green solves one degree
   below and above the form.
 
@@ -335,23 +336,23 @@ class ExactBackend(Backend):
     through two linear maps per degree, ``"coords"`` (the coordinates of a
     form in the eigenbasis, :meth:`_to_eigen`) and ``"image"`` (the form
     with given coordinates, :meth:`_from_eigen`), and through
-    :meth:`_spectrum` (eigenvalues and squared norms, cached once per
-    degree).  In those coordinates Green's operator divides by the nonzero
-    eigenvalues, harmonic projection keeps the coordinates of eigenvalue
-    exactly zero, and the inner product is ``sum n_k a_k b_k``.
+    :meth:`_eigen` (the eigenvalue and squared norm of one coordinate).  In
+    those coordinates Green's operator divides by the nonzero eigenvalues,
+    harmonic projection keeps the coordinates of eigenvalue exactly zero,
+    and the inner product is ``sum n_k a_k b_k``.
 
     ``d``, the star, the codifferential, the contractions and both
     eigen-transforms are each one sparse rational mat-vec.  Their columns
     are cached per (operator, degree) and filled on first use by
     :meth:`_column`, the image of one unit vector, which a sphere or torus
-    gives in closed form.  A product reads its factors' columns through
+    gives in closed form; the spectrum is cached with them, per coordinate
+    read.  A product reads its factors' columns and spectra through
     :meth:`_col`.
     """
 
     is_exact = True
 
     def __init__(self):
-        self._spectra: Dict[int, tuple] = {}
         self._columns: Dict[tuple, Dict[int, tuple]] = {}
 
     # -- subclass obligations ---------------------------------------------
@@ -361,9 +362,9 @@ class ExactBackend(Backend):
         """Power of pi carried by every inner product of this backend."""
 
     @abstractmethod
-    def _spectrum(self, q: int):
-        """Eigenvalues and squared norms (without their power of pi) of
-        degree q, two tuples in the order of the eigen-coordinates."""
+    def _eigen(self, q: int, k: int):
+        """The eigenvalue and squared norm (without its power of pi) of the
+        degree-q eigen-coordinate k."""
 
     def _column(self, op, q: int, k: int) -> InvariantForm:
         """The image under ``op`` of the degree-q unit vector e_k.
@@ -393,12 +394,17 @@ class ExactBackend(Backend):
 
     def _col(self, op, q: int, k: int):
         """Column k of ``op`` on degree q: its output degree and nonzero
-        ``(index, value)`` entries.  A column that raises (a truncation
-        overflow) is not cached, so it raises again at its next use."""
+        ``(index, value)`` entries.  The key ``"eigen"`` holds the pair
+        ``(eigenvalue, squared norm)`` of :meth:`_eigen` instead.  A fill
+        that raises (a truncation overflow) is not cached, so it raises
+        again at its next use."""
         cols = self._columns.setdefault((op, q), {})
         if k not in cols:
-            res = self._column(op, q, k)
-            cols[k] = (res.degree, res.entries)
+            if op == "eigen":
+                cols[k] = self._eigen(q, k)
+            else:
+                res = self._column(op, q, k)
+                cols[k] = (res.degree, res.entries)
         return cols[k]
 
     def _matvec(self, op, w: InvariantForm, out_q: int) -> InvariantForm:
@@ -435,38 +441,42 @@ class ExactBackend(Backend):
         """The form whose eigen-coordinates are those held in c."""
         return self._matvec("image", c, c.degree)
 
-    def _cached_spectrum(self, q: int):
-        """:meth:`_spectrum` of degree q, computed once per backend."""
-        if q not in self._spectra:
-            self._spectra[q] = self._spectrum(q) if self.dimension(q) else ((), ())
-        return self._spectra[q]
+    def _eigen_at(self, q: int, entries):
+        """The degree-q ``"eigen"`` cache, filled at the coordinates of
+        entries; a warm read is one dict lookup per entry."""
+        eig = self._columns.get(("eigen", q))
+        if eig is None:
+            eig = self._columns["eigen", q] = {}
+        for k, _ in entries:
+            if k not in eig:
+                self._col("eigen", q, k)
+        return eig
 
     # -- engine ------------------------------------------------------------
 
     def inner_product(self, a: InvariantForm, b: InvariantForm) -> PiScalar:
         a._check_compatible(b)
-        _, norms = self._cached_spectrum(a.degree)
         x = self._to_eigen(a).entries
+        eig = self._eigen_at(a.degree, x)
         if b is a:
-            val = sum((norms[k] * s * s for k, s in x), _ZERO)
+            val = sum((eig[k][1] * s * s for k, s in x), _ZERO)
         else:
             y = dict(self._to_eigen(b).entries)
-            val = sum((norms[k] * s * y[k] for k, s in x if k in y), _ZERO)
+            val = sum((eig[k][1] * s * y[k] for k, s in x if k in y), _ZERO)
         return PiScalar(val, self._pi_power())
 
     def green(self, w: InvariantForm) -> InvariantForm:
-        lams, _ = self._cached_spectrum(w.degree)
         c = self._to_eigen(w).entries
+        eig = self._eigen_at(w.degree, c)
         return self._from_eigen(InvariantForm.from_entries(self, w.degree, tuple(
-            (k, a / lams[k]) for k, a in c if lams[k])))
+            (k, a / eig[k][0]) for k, a in c if eig[k][0])))
 
     def harmonic_projection(self, w: InvariantForm) -> InvariantForm:
-        lams, _ = self._cached_spectrum(w.degree)
         c = self._to_eigen(w).entries
+        eig = self._eigen_at(w.degree, c)
         return self._from_eigen(InvariantForm.from_entries(self, w.degree, tuple(
-            (k, a) for k, a in c if not lams[k])))
+            (k, a) for k, a in c if not eig[k][0])))
 
     def harmonic_basis(self, q: int) -> List[InvariantForm]:
-        lams, _ = self._cached_spectrum(q)
-        return [self._column("image", q, k)
-                for k, lam in enumerate(lams) if lam == 0]
+        return [self._column("image", q, k) for k in range(self.dimension(q))
+                if not self._col("eigen", q, k)[0]]

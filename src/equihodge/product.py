@@ -16,7 +16,9 @@ the Hodge star is
 eigen-coordinate transforms of the spectral engine are the tensor products
 of the factors' transforms, since the eigenvectors e1 (x) e2 of the
 product have eigenvalue lam1 + lam2 and squared norm n1 n2.  No product
-eigenvector is ever built.  The codifferential, the adjoint of d for the
+eigenvector is ever built, and no product spectrum either: the pair of a
+product coordinate is formed from its factors' cached pairs the first
+time the engine reads it.  The codifferential, the adjoint of d for the
 product inner product, follows the same Koszul rule with the factors'
 codifferentials in one pass of the kernel, so it never goes through the
 star.  Nothing is hand-written per backend pair.
@@ -185,15 +187,14 @@ class ProductBackend(ExactBackend):
     def _from_eigen(self, c: InvariantForm) -> InvariantForm:
         return self._apply(c, c.degree, ("image", "image", None))
 
-    def _spectrum(self, q: int):
-        # ordered as the coordinates: by block, row-major within a block
-        lams, norms = [], []
-        for q1, q2, _, _, _ in self._blocks.get(q, []):
-            lam1, norm1 = self.b1._cached_spectrum(q1)
-            lam2, norm2 = self.b2._cached_spectrum(q2)
-            lams += [a + b for a in lam1 for b in lam2]
-            norms += [a * b for a in norm1 for b in norm2]
-        return tuple(lams), tuple(norms)
+    def _eigen(self, q: int, k: int):
+        # coordinate k is e1_i (x) e2_j of its block, row-major
+        for q1, q2, offset, d1, d2 in self._blocks[q]:
+            if k < offset + d1 * d2:
+                i, j = divmod(k - offset, d2)
+                lam1, n1 = self.b1._col("eigen", q1, i)
+                lam2, n2 = self.b2._col("eigen", q2, j)
+                return lam1 + lam2, n1 * n2
 
 
 def _koszul(q1: int, q2: int) -> int:

@@ -235,6 +235,8 @@ def _read_form(reader: _Reader, backend: Backend = None) -> InvariantForm:
                 entries[idx] = float(parts[1])
             except ValueError:
                 raise FormatError("bad float %r" % parts[1], reader.lineno)
+    if backend.is_exact:
+        return InvariantForm.from_values(backend, degree, entries)
     return backend.form(degree, [entries.get(i, 0) for i in range(dim)])
 
 

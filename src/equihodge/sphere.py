@@ -87,33 +87,20 @@ class SphereBackend(ExactBackend):
             return 2 * m
         return 0
 
-    # -- coefficient <-> polynomial plumbing -------------------------------
-
-    def _to_vec(self, p: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-        m = self.capacity + 1
-        if len(p) > m:
-            raise TruncationError(
-                "polynomial degree %d exceeds capacity %d"
-                % (len(p) - 1, self.capacity)
-            )
-        return tuple(p) + (Fraction(0),) * (m - len(p))
+    # -- user forms ----------------------------------------------------------
 
     def zero_form(self, f: Sequence) -> InvariantForm:
         """Degree-0 form f(z) from low-to-high polynomial coefficients."""
-        return InvariantForm(self, 0, self._to_vec([Fraction(c) for c in f]))
+        return self._poly_form(0, 0, dict(enumerate(f)))
 
     def one_form(self, a: Sequence, b: Sequence) -> InvariantForm:
         """Degree-1 form a(z) dz + b(z) (1-z^2) dphi."""
-        return InvariantForm(
-            self,
-            1,
-            self._to_vec([Fraction(c) for c in a])
-            + self._to_vec([Fraction(c) for c in b]),
-        )
+        return (self._poly_form(1, 0, dict(enumerate(a)))
+                + self._poly_form(1, 1, dict(enumerate(b))))
 
     def two_form(self, c: Sequence) -> InvariantForm:
         """Degree-2 form c(z) dz ^ dphi."""
-        return InvariantForm(self, 2, self._to_vec([Fraction(x) for x in c]))
+        return self._poly_form(2, 0, dict(enumerate(c)))
 
     # -- operator columns ----------------------------------------------------
 
@@ -124,7 +111,7 @@ class SphereBackend(ExactBackend):
         m = self.capacity + 1
         j, dphi = k % m, q == 1 and k >= m
         z = lambda *terms: {j + e: c for e, c in terms if c}
-        col = self._sparse_column
+        col = self._poly_form
         if op == "d" and q == 0:
             return col(1, 0, z((-1, j)))
         if op == "d" and q == 1:
@@ -154,11 +141,11 @@ class SphereBackend(ExactBackend):
                                  for l, a in _legendre_coords(j + s) if l >= s})
         return super()._column(op, q, k)
 
-    def _sparse_column(self, p: int, half: int, poly) -> InvariantForm:
+    def _poly_form(self, p: int, half: int, poly) -> InvariantForm:
         """The degree-p form with the {power: coefficient} polynomial poly
         in its dz (half 0) or dphi (half 1) part of degree 1, or as its
-        whole coefficient otherwise; raises TruncationError past the
-        capacity."""
+        whole coefficient otherwise; raises TruncationError when poly has
+        a power, even with coefficient 0, past the capacity."""
         top = max(poly, default=0)
         if top > self.capacity:
             raise TruncationError("polynomial degree %d exceeds capacity %d"
@@ -172,15 +159,13 @@ class SphereBackend(ExactBackend):
     def _pi_power(self) -> int:
         return 1
 
-    def _spectrum(self, q: int):
+    def _eigen(self, q: int, k: int):
         # <P_l, P_l> has rational part 2 * 2/(2l+1); d P_l = P_l' dz and
         # its star P_l' (1-z^2) dphi have l(l+1) times that
         s = int(q == 1)
-        ls = range(s, self.capacity + 1 + s)
-        lams = tuple(Fraction(l * (l + 1)) for l in ls)
-        norms = tuple((lam if s else 1) * Fraction(4, 2 * l + 1)
-                      for l, lam in zip(ls, lams))
-        return lams * (1 + s), norms * (1 + s)
+        l = k % (self.capacity + 1) + s
+        lam = Fraction(l * (l + 1))
+        return lam, (lam if s else 1) * Fraction(4, 2 * l + 1)
 
     # -- named scenario ----------------------------------------------------
 

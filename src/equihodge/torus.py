@@ -143,12 +143,12 @@ class TorusBackend(ExactBackend):
     def _pi_power(self) -> int:
         return self.n
 
-    def _spectrum(self, q: int):
-        # eigenvalue |k|^2; squared norm the rational part of (2 pi)^n for
-        # k = 0 and of (2 pi)^n / 2 otherwise
-        modes = [self._modes[self._funcs[fi][0]] for fi, _ in self._basis[q]]
-        return (tuple(Fraction(sum(c * c for c in k)) for k in modes),
-                tuple(Fraction(2 ** self.n, 2 if any(k) else 1) for k in modes))
+    def _eigen(self, q: int, k: int):
+        # eigenvalue |mode|^2; squared norm the rational part of (2 pi)^n
+        # for mode 0 and of (2 pi)^n / 2 otherwise
+        mode = self._modes[self._funcs[self._basis[q][k][0]][0]]
+        return (Fraction(sum(c * c for c in mode)),
+                Fraction(2 ** self.n, 2 if any(mode) else 1))
 
     # -- convenience constructors ------------------------------------------
 
@@ -170,16 +170,11 @@ class TorusBackend(ExactBackend):
                 "needs k.v = 0 for v=%s and |k_i| <= %d, I needs %d distinct "
                 "axes below %d" % (q, k, phase, I, self.tag, self.v, self.K, q,
                                    self.n))
-        if phase == SIN:
-            coeff = Fraction(coeff) * s
-            if not any(kc):
-                return self.zero(q)
-        mi = self._modes.index(kc)
-        fi = self._func_index[(mi, phase)]
-        i = self._index[q][(fi, I)]
-        coeffs = [Fraction(0)] * self.dimension(q)
-        coeffs[i] = Fraction(coeff)
-        return InvariantForm(self, q, tuple(coeffs))
+        if phase == SIN and not any(kc):
+            return self.zero(q)
+        fi = self._func_index[(self._modes.index(kc), phase)]
+        return InvariantForm.from_values(self, q, {
+            self._index[q][(fi, I)]: Fraction(coeff) * (s if phase == SIN else 1)})
 
 
 def make_torus_backend(n: int, K: int, v: Sequence[int]) -> TorusBackend:

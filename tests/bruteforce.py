@@ -729,7 +729,8 @@ def _star_d_star(b, w):
 
 class PolySphere(SphereBackend):
     """A sphere backend whose d, star and contraction act on whole
-    polynomials; an image past the capacity raises in ``_to_vec``."""
+    polynomials; an image past the capacity raises in the form
+    constructors."""
 
     def _polys(self, w):
         m = self.capacity + 1
@@ -820,31 +821,90 @@ class LoopTorus(TorusBackend):
         return self._out(w.degree - 1, terms)
 
 
+def sphere_eigenbasis(b, q):
+    """The whole degree-q eigenbasis of a sphere backend, one
+    ``(eigenvalue, sparse entries, squared norm)`` per vector: the Legendre
+    polynomials in degrees 0 and 2, their derivatives in both halves of
+    degree 1."""
+    m = b.capacity + 1
+    eig = []
+    if q in (0, 2):
+        for l in range(m):
+            entries = [(i, c) for i, c in enumerate(legendre(l)) if c]
+            # <P_l, P_l> rational part: 2 * 2/(2l+1)
+            eig.append((Fraction(l * (l + 1)), entries,
+                        Fraction(4, 2 * l + 1)))
+    else:
+        # exact family d(P_l) = P_l' dz and the star-conjugate coexact
+        # family P_l' (1-z^2) dphi, both with eigenvalue l(l+1)
+        polys = [legendre(l) for l in range(1, m + 1)]
+        for offset in (0, m):
+            for l, p in enumerate(polys, 1):
+                entries = [(offset + i - 1, i * c)
+                           for i, c in enumerate(p) if i and c]
+                lam = Fraction(l * (l + 1))
+                eig.append((lam, entries, lam * Fraction(4, 2 * l + 1)))
+    return eig
+
+
+def torus_eigenbasis(b, q):
+    """The whole degree-q eigenbasis of a torus backend: every basis form,
+    with eigenvalue |k|^2 and squared norm the rational part of (2 pi)^n,
+    halved for k != 0."""
+    eig = []
+    for i, (fi, I) in enumerate(b._basis[q]):
+        k = b._modes[b._funcs[fi][0]]
+        norm = Fraction(2 ** b.n) / (2 if any(k) else 1)
+        eig.append((Fraction(sum(c * c for c in k)), [(i, Fraction(1))], norm))
+    return eig
+
+
+def reference_spectrum(b, q):
+    """The eigenvalues and squared norms of degree q, two tuples in the
+    order of the eigen-coordinates, built for the whole degree at once: from
+    the listed eigenbasis of a sphere or torus, and on a product block by
+    block, row-major, as every sum of the factors' eigenvalues and every
+    product of their squared norms."""
+    if not b.dimension(q):
+        return (), ()
+    if isinstance(b, ProductBackend):
+        lams, norms = [], []
+        for q1, q2, _, _, _ in b.block_layout(q):
+            lam1, norm1 = reference_spectrum(b.b1, q1)
+            lam2, norm2 = reference_spectrum(b.b2, q2)
+            lams += [x + y for x in lam1 for y in lam2]
+            norms += [x * y for x in norm1 for y in norm2]
+        return tuple(lams), tuple(norms)
+    listing = sphere_eigenbasis if isinstance(b, SphereBackend) else torus_eigenbasis
+    eig = listing(b, q)
+    return tuple(lam for lam, _, _ in eig), tuple(n for _, _, n in eig)
+
+
 class _BackSubstitution:
     """Eigen-transforms over the whole eigenbasis of a degree that
     ``_eigen_entries`` lists: one ``(eigenvalue, sparse entries, squared
     norm)`` per vector, the vectors' largest indices distinct, so that the
     basis is triangular and the coordinates follow by back-substitution."""
 
-    def _eigen(self, q):
+    def _eigenbasis(self, q):
         cache = vars(self).setdefault("_eig_cache", {})
         if q not in cache:
             dim = self.dimension(q)
             eig = self._eigen_entries(q) if dim else []
             if len(eig) != dim:
                 raise AssertionError("eigenbasis does not span degree %d" % q)
-            lams, vectors, norms = zip(*eig) if eig else ((), (), ())
+            vectors = [vec for _, vec, _ in eig]
             pivots = [max(vec) for vec in vectors]  # (largest index, entry)
             if len({lead for lead, _ in pivots}) != dim:
                 raise AssertionError("repeated leading indices in degree %d" % q)
             steps = sorted(((lead, k, pivot, vectors[k])
                             for k, (lead, pivot) in enumerate(pivots)),
                            reverse=True)
-            cache[q] = (vectors, steps, (lams, norms))
+            cache[q] = (vectors, steps)
         return cache[q]
 
     def _to_eigen(self, w):
-        _, steps, _ = self._eigen(w.degree)
+        _, steps = self._eigenbasis(w.degree)
         r = list(w.coeffs)
         out = [Fraction(0)] * len(r)
         for lead, k, pivot, vec in steps:
@@ -856,7 +916,7 @@ class _BackSubstitution:
 
     def _from_eigen(self, c):
         q = c.degree
-        vectors, _, _ = self._eigen(q)
+        vectors, _ = self._eigenbasis(q)
         out = [Fraction(0)] * self.dimension(q)
         for ck, entries in zip(c.coeffs, vectors):
             if ck:
@@ -864,50 +924,19 @@ class _BackSubstitution:
                     out[i] += ck * v
         return InvariantForm(self, q, tuple(out))
 
-    def _spectrum(self, q):
-        return self._eigen(q)[2]
-
 
 class BackSubSphere(_BackSubstitution, SphereBackend):
-    """A sphere backend whose eigenbasis is listed whole: the Legendre
-    polynomials in degrees 0 and 2, their derivatives in both halves of
-    degree 1."""
+    """A sphere backend whose eigenbasis is listed whole."""
 
     def _eigen_entries(self, q):
-        m = self.capacity + 1
-        eig = []
-        if q in (0, 2):
-            for l in range(m):
-                entries = [(i, c) for i, c in enumerate(legendre(l)) if c]
-                # <P_l, P_l> rational part: 2 * 2/(2l+1)
-                eig.append((Fraction(l * (l + 1)), entries,
-                            Fraction(4, 2 * l + 1)))
-        else:
-            # exact family d(P_l) = P_l' dz and the star-conjugate coexact
-            # family P_l' (1-z^2) dphi, both with eigenvalue l(l+1)
-            polys = [legendre(l) for l in range(1, m + 1)]
-            for offset in (0, m):
-                for l, p in enumerate(polys, 1):
-                    entries = [(offset + i - 1, i * c)
-                               for i, c in enumerate(p) if i and c]
-                    lam = Fraction(l * (l + 1))
-                    eig.append((lam, entries, lam * Fraction(4, 2 * l + 1)))
-        return eig
+        return sphere_eigenbasis(self, q)
 
 
 class BackSubTorus(_BackSubstitution, TorusBackend):
-    """A torus backend whose eigenbasis is listed whole: every basis form,
-    with eigenvalue |k|^2 and squared norm the rational part of (2 pi)^n,
-    halved for k != 0."""
+    """A torus backend whose eigenbasis is listed whole."""
 
     def _eigen_entries(self, q):
-        eig = []
-        for i, (fi, I) in enumerate(self._basis[q]):
-            k = self._modes[self._funcs[fi][0]]
-            norm = Fraction(2 ** self.n) / (2 if any(k) else 1)
-            eig.append((Fraction(sum(c * c for c in k)), [(i, Fraction(1))],
-                        norm))
-        return eig
+        return torus_eigenbasis(self, q)
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +968,14 @@ class DenseEngine(ExactBackend):
     """The exact engine over whole coefficient tuples: every column, mat-vec
     and spectral step scans all coefficients, and no form it builds carries
     entries.  Listed after a sphere or torus backend among the bases, it
-    keeps their closed-form columns and supplies the rest."""
+    keeps their closed-form columns and supplies the rest; its spectrum is
+    the whole-degree :func:`reference_spectrum`."""
+
+    def _whole_spectrum(self, q):
+        cache = vars(self).setdefault("_spectrum_cache", {})
+        if q not in cache:
+            cache[q] = reference_spectrum(self, q)
+        return cache[q]
 
     def zero(self, q):
         return InvariantForm(self, q, (Fraction(0),) * self.dimension(q))
@@ -981,7 +1017,7 @@ class DenseEngine(ExactBackend):
         return InvariantForm(self, out_q, tuple(out))
 
     def inner_product(self, a, b):
-        _, norms = self._cached_spectrum(a.degree)
+        _, norms = self._whole_spectrum(a.degree)
         x = self._to_eigen(a).coeffs
         y = self._to_eigen(b).coeffs
         val = sum((n * s * t for n, s, t in zip(norms, x, y) if s and t),
@@ -989,16 +1025,21 @@ class DenseEngine(ExactBackend):
         return PiScalar(val, self._pi_power())
 
     def green(self, w):
-        lams, _ = self._cached_spectrum(w.degree)
+        lams, _ = self._whole_spectrum(w.degree)
         c = self._to_eigen(w).coeffs
         return self._from_eigen(InvariantForm(self, w.degree, tuple(
             a / lam if a and lam else Fraction(0) for a, lam in zip(c, lams))))
 
     def harmonic_projection(self, w):
-        lams, _ = self._cached_spectrum(w.degree)
+        lams, _ = self._whole_spectrum(w.degree)
         c = self._to_eigen(w).coeffs
         return self._from_eigen(InvariantForm(self, w.degree, tuple(
             Fraction(0) if lam else a for a, lam in zip(c, lams))))
+
+    def harmonic_basis(self, q):
+        lams, _ = self._whole_spectrum(q)
+        return [self._column("image", q, k)
+                for k, lam in enumerate(lams) if lam == 0]
 
 
 class DenseSphere(SphereBackend, DenseEngine):

@@ -7,7 +7,8 @@ compare each column with the direct operators kept in ``bruteforce``
 torus), pin where a sphere column overflows its capacity, and check that
 repeated work on one backend fills no new column.  The eigen-transforms
 are columns too, compared with the back-substitution over the whole
-eigenbasis kept in ``bruteforce``.
+eigenbasis kept in ``bruteforce``, and the spectrum, read one coordinate
+at a time, with the whole-degree spectrum kept there.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ import pytest
 from equihodge import (SphereBackend, TruncationError, make_sphere_backend,
                        make_torus_backend)
 from bruteforce import (BackSubSphere, BackSubTorus, LoopTorus, PolySphere,
-                        operator_outcome as outcome)
+                        operator_outcome as outcome, reference_spectrum)
 from conftest import rand_fraction, random_exact_form
 
 OPS = ("d", "star", "codifferential", "contraction")
@@ -132,11 +133,14 @@ def test_warm_hodge_decompose_fills_no_new_column():
 
 
 def assert_same_eigen_transforms(b, ref):
-    """The "coords" and "image" matrices and the spectrum equal the
-    reference's exactly, and coords after image is the identity."""
+    """The "coords" and "image" matrices equal the reference's exactly, the
+    eigenvalue and squared norm of every coordinate equal the reference's
+    whole-degree spectrum, and coords after image is the identity."""
     for q in range(b.n + 1):
-        assert b._spectrum(q) == ref._spectrum(q), q
+        lams, norms = reference_spectrum(ref, q)
+        assert len(lams) == b.dimension(q)
         for k in range(b.dimension(q)):
+            assert b._eigen(q, k) == (lams[k], norms[k]), ("eigen", q, k)
             e = unit(b, q, k)
             image = b._from_eigen(e)
             assert image.coeffs == ref._from_eigen(
@@ -163,9 +167,10 @@ def test_torus_eigen_columns_match_the_back_substitution(n, K, v):
 
 
 def test_harmonic_projection_fills_only_the_columns_it_reads():
-    """The harmonic part of the area form reads one coordinate column and
-    one image column; no other eigenvector is built."""
+    """The harmonic part of the area form reads one coordinate column, one
+    eigenvalue and one image column; no other eigenvector or eigenvalue is
+    built."""
     b = SphereBackend(8)
     b.harmonic_projection(b.two_form((1,)))
     assert {key: set(cols) for key, cols in b._columns.items()} == {
-        ("coords", 2): {0}, ("image", 2): {0}}
+        ("coords", 2): {0}, ("eigen", 2): {0}, ("image", 2): {0}}

@@ -281,14 +281,16 @@ def test_truncation_parity_with_the_per_row_reference():
 
 def test_warm_extend_makes_no_factor_calls():
     """A second identical extend on one product backend reads every factor
-    column from the factors' caches: no factor operator is called, no
-    column is added, and the product keeps no columns of its own."""
+    column and eigenvalue from the factors' caches: no factor operator is
+    called, no column is added, and the product keeps no columns of its
+    own, only the eigenvalues it read, which the warm run does not add
+    to."""
     b1, b2 = make_sphere_backend(4, stages=3), make_sphere_backend(4, stages=3)
     calls = []
     for b in (b1, b2):
         for name in ("d", "codifferential", "star", "contraction",
                      "inner_product", "green", "harmonic_projection",
-                     "_to_eigen", "_from_eigen", "_spectrum"):
+                     "_to_eigen", "_from_eigen", "_eigen"):
             def record(*args, _name=name, _op=getattr(b, name)):
                 calls.append(_name)
                 return _op(*args)
@@ -301,16 +303,50 @@ def test_warm_extend_makes_no_factor_calls():
 
     def sizes():
         return [{key: len(cols) for key, cols in b._columns.items()}
-                for b in (b1, b2)]
+                for b in (b1, b2, p)]
 
     cold = sizes()
     assert all(cold)
     second = extend(omega)
     assert calls == []
     assert sizes() == cold
-    assert p._columns == {}
+    assert {op for op, _ in p._columns} == {"eigen"}
     assert [t.terms for t in second.terms] == [t.terms for t in first.terms]
     assert second.final_residual_norm == first.final_residual_norm == 0.0
+
+
+def _eigen_filled(b):
+    return {key: set(cols) for key, cols in b._columns.items()
+            if key[0] == "eigen"}
+
+
+@pytest.mark.parametrize("op", ["green", "harmonic_projection"])
+@pytest.mark.parametrize("form", ["omega", "mixed"])
+def test_cold_product_reads_the_spectrum_at_the_entries(op, form):
+    """On a cold S^2 x S^2, Green's operator and harmonic projection compute
+    the eigenvalue and squared norm of exactly the eigen-coordinates where
+    the input has an entry, and each factor those of exactly the rows and
+    columns that these coordinates touch: a handful, not the degree."""
+    b1, b2 = make_sphere_backend(4, stages=3), make_sphere_backend(4, stages=3)
+    p = make_product_backend(b1, b2)
+    if form == "omega":  # omega_1 ^ omega_2
+        w = p.tensor(b1.two_form((1,)), b2.two_form((1,)))
+    else:  # entries in the (1, 2) and (2, 1) blocks of degree 3
+        w = (p.tensor(b1.one_form((1, 1), (0, 1)), b2.two_form((0, 0, 1)))
+             + p.tensor(b1.two_form((0, 1)), b2.one_form((0, 0, 1), (1,))))
+    coords = [k for k, _ in p._to_eigen(w).entries]
+    assert _eigen_filled(p) == _eigen_filled(b1) == _eigen_filled(b2) == {}
+    getattr(p, op)(w)
+    assert _eigen_filled(p) == {("eigen", w.degree): set(coords)}
+    rows, cols = {}, {}
+    for k in coords:
+        for q1, q2, offset, d1, d2 in p.block_layout(w.degree):
+            if offset <= k < offset + d1 * d2:
+                i, j = divmod(k - offset, d2)
+                rows.setdefault(("eigen", q1), set()).add(i)
+                cols.setdefault(("eigen", q2), set()).add(j)
+    assert _eigen_filled(b1) == rows and _eigen_filled(b2) == cols
+    assert len(coords) < p.dimension(w.degree) // 10
 
 
 def test_factors_must_be_exact_backends():

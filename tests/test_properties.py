@@ -4,16 +4,20 @@
 each backend's user truncation and checks the identities the Hodge engine
 rests on, exactly: ``d d = 0``, ``<d a, b> = <a, d* b>``, and
 ``d_G(alpha_hat) = 0`` for every random closed form that extends.  The
-report and form text formats must read back what they wrote.
+eigenvalue and squared norm the engine reads for one eigen-coordinate are
+those of its eigenvector.  The report and form text formats must read back
+what they wrote.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equihodge import (ProductBackend, SphereBackend, cartan_d, extend,
-                       make_product_backend, make_sphere_backend,
-                       make_torus_backend, parse_form, parse_report,
-                       serialize_form, serialize_report)
+from equihodge import (InvariantForm, PiScalar, ProductBackend, SphereBackend,
+                       cartan_d, extend, make_product_backend,
+                       make_sphere_backend, make_torus_backend, parse_form,
+                       parse_report, serialize_form, serialize_report)
 
 BACKENDS = {
     "sphere": make_sphere_backend(4),
@@ -79,6 +83,27 @@ def test_codifferential_is_the_adjoint_of_d(name, data):
     q = data.draw(st.integers(0, b.n - 1))
     a, c = sparse_form(data, b, q), sparse_form(data, b, q + 1)
     assert b.inner_product(b.d(a), c) == b.inner_product(a, b.codifferential(c))
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_eigen_pair_is_that_of_the_eigenvector(name, data):
+    """For an eigen-coordinate k inside the user truncation, the eigenvector
+    h with coordinates e_k has Laplacian lam_k h and squared norm n_k pi^p
+    exactly, (lam_k, n_k) being what the engine reads for k.  Its energy
+    |d h|^2 + |d* h|^2, read in the degrees above and below, is lam_k n_k
+    pi^p, which ties n_k to d and d* rather than to the engine alone."""
+    b = BACKENDS[name]
+    q = data.draw(st.integers(0, b.n))
+    k = data.draw(st.sampled_from(user_indices(b, q)))
+    lam, norm = b._eigen(q, k)
+    h = b._from_eigen(InvariantForm.from_entries(b, q, ((k, Fraction(1)),)))
+    assert b.laplacian(h) == h.scale(lam)
+    assert b.inner_product(h, h) == PiScalar(norm, b._pi_power())
+    up, down = b.d(h), b.codifferential(h)
+    assert b.inner_product(up, up) + b.inner_product(down, down) == PiScalar(
+        lam * norm, b._pi_power())
 
 
 @pytest.mark.parametrize("name", BACKENDS)

@@ -102,6 +102,30 @@ def test_exact_form_round_trip():
     assert again.backend.tag == b.tag
 
 
+@pytest.mark.parametrize("make", [
+    lambda: make_sphere_backend(4, stages=1),
+    lambda: make_torus_backend(2, 2, (1, 0)),
+    lambda: make_product_backend(make_sphere_backend(2, 1),
+                                 make_torus_backend(1, 2, (1,))),
+], ids=["sphere", "torus", "s2xs1"])
+def test_parsed_exact_form_is_built_from_its_lines(make):
+    """A parsed exact form gets the file's nonzero lines as its entries from
+    the parser, in index order whatever the order of the lines, and the
+    coefficients of the dense form with those values; a line "i 0" adds no
+    entry and parses to the same form."""
+    b = make()
+    dim = b.dimension(1)
+    values = {dim - 1: Fraction(-7, 2), 0: Fraction(1, 3), 2: Fraction(5)}
+    header = serialize_form(b.zero(1)).splitlines()
+    for extra in ([], ["1 0"]):
+        lines = header + ["%d %s" % kv for kv in values.items()] + extra
+        w = parse_form("\n".join(lines) + "\n", b)
+        assert w._entries == tuple(sorted(values.items()))
+        assert w.coeffs == b.form(1, [values.get(i, 0)
+                                      for i in range(dim)]).coeffs
+        assert w == b.form(1, [values.get(i, 0) for i in range(dim)])
+
+
 def test_mesh_backend_form_round_trip():
     from equihodge import DecBackend
 

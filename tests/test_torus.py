@@ -143,3 +143,22 @@ def test_basis_form_outside_the_basis_is_a_backend_mismatch(torus, q, k, I):
     assert "k=%s" % (k,) in message
     assert "I=%s" % (tuple(sorted(I)),) in message
     assert "v=(1, 0)" in message
+
+
+@pytest.mark.parametrize("q,k,phase,I,coeff,entry", [
+    (0, (0, 1), COS, (), 3, (1, 3)),
+    (0, (0, -1), SIN, (), Fraction(1, 2), (2, Fraction(-1, 2))),
+    (1, (0, 2), SIN, (1,), -1, (9, -1)),
+    (2, (0, 0), COS, (1, 0), 2, (0, 2)),
+    (0, (0, 0), SIN, (), 1, None),  # sin 0 = 0
+    (1, (0, 1), COS, (0,), 0, None),
+])
+def test_basis_form_carries_its_one_entry(torus, q, k, phase, I, coeff, entry):
+    """A basis form is built from its one nonzero entry, the mode's basis
+    index and the signed coefficient; a zero one is the zero form."""
+    w = torus.basis_form(q, k, phase, I, coeff)
+    assert w._entries == ((entry,) if entry else ())
+    coeffs = [0] * torus.dimension(q)
+    if entry:
+        coeffs[entry[0]] = entry[1]
+    assert w.coeffs == tuple(coeffs)
