@@ -9,10 +9,11 @@ On top of that contract this module builds, once and for all:
 
 * on the rational backends, ``d``, the star, the codifferential, the
   contractions and the transforms to and from the coordinates of an exact
-  Laplacian eigenbasis as sparse mat-vecs over lazily cached columns, the
-  codifferential's column being the signed star conjugate of ``d`` on a
-  unit vector (a product backend overrides the operators with the Koszul
-  rule over its factors' columns),
+  Laplacian eigenbasis as sparse mat-vecs over lazily cached columns,
+  which each backend gives one unit vector at a time (a sphere or torus
+  in closed form, with the codifferential's column by default the signed
+  star conjugate of ``d``; a product from its factors' columns by the
+  Koszul rule),
 * the Laplacian ``d d* + d* d``,
 * Green's operator, harmonic projection, the inner product and the
   harmonic basis of the rational backends, all in those eigen-coordinates
@@ -345,9 +346,10 @@ class ExactBackend(Backend):
     eigen-transforms are each one sparse rational mat-vec.  Their columns
     are cached per (operator, degree) and filled on first use by
     :meth:`_column`, the image of one unit vector, which a sphere or torus
-    gives in closed form; the spectrum is cached with them, per coordinate
-    read.  A product reads its factors' columns and spectra through
-    :meth:`_col`.
+    gives in closed form and a product as a signed tensor combination of
+    its factors' columns, read through their :meth:`_col`; the spectrum is
+    cached with them, per coordinate read, a product's from its factors'.
+    The same mat-vecs and spectral steps serve every exact backend.
     """
 
     is_exact = True
@@ -372,23 +374,17 @@ class ExactBackend(Backend):
         ``op`` is ``"d"``, ``"star"``, ``"codifferential"``,
         ``("contraction", j)``, or ``"coords"`` / ``"image"``: the
         eigen-coordinates of e_k / the form whose coordinates are e_k, held
-        as forms.  This default applies the public operator, the
-        codifferential as the signed star conjugate of d, and a product's
-        own eigen-transforms; a sphere or torus gives every column in
-        closed form.
+        as forms.  Each backend gives its columns in closed form (a product
+        from its factors' columns); this default gives only the
+        codifferential, as the signed star conjugate of d.
         """
-        e = InvariantForm.from_entries(self, q, ((k, Fraction(1)),))
-        if op == "coords":
-            return self._to_eigen(e)
-        if op == "image":
-            return self._from_eigen(e)
-        if op == "codifferential":
-            # d* = (-1)^(n(q+1)+1) * d *  on an oriented Riemannian n-manifold
-            res = self.star(self.d(self.star(e)))
-            return -res if (self.n * (q + 1) + 1) % 2 else res
-        if isinstance(op, tuple):
-            return self.contraction(op[1], e)
-        return getattr(self, op)(e)
+        if op != "codifferential":
+            raise NotImplementedError("%s gives no %r column"
+                                      % (type(self).__name__, op))
+        # d* = (-1)^(n(q+1)+1) * d *  on an oriented Riemannian n-manifold
+        res = self.star(self.d(self.star(
+            InvariantForm.from_entries(self, q, ((k, Fraction(1)),)))))
+        return -res if (self.n * (q + 1) + 1) % 2 else res
 
     # -- cached operator columns --------------------------------------------
 

@@ -31,6 +31,7 @@ from .forms import Backend, InvariantForm
 from .equivariant import (
     ExtensionReport,
     EquivariantElement,
+    cartan_d,
     format_monomial,
     monomial_degree,
 )
@@ -371,6 +372,12 @@ def parse_report(text: str) -> ExtensionReport:
     if obstruction is not None and not obstruction > 0:
         raise FormatError("an obstructed report needs a positive residual",
                           obs_line)
+    # a float extension's residual is recomputed from its terms, which the
+    # format stores bit for bit
+    if (status == "extended" and not backend.is_exact
+            and cartan_d(report.alpha_hat()).norm() != final_residual):
+        raise FormatError("final residual %r disagrees with the terms"
+                          % final_residual, residual_line)
     return report
 
 

@@ -967,8 +967,8 @@ def dense_is_zero(w):
 class DenseEngine(ExactBackend):
     """The exact engine over whole coefficient tuples: every column, mat-vec
     and spectral step scans all coefficients, and no form it builds carries
-    entries.  Listed after a sphere or torus backend among the bases, it
-    keeps their closed-form columns and supplies the rest; its spectrum is
+    entries.  Listed after a sphere, torus or product backend among the
+    bases, it keeps their columns and supplies the rest; its spectrum is
     the whole-degree :func:`reference_spectrum`."""
 
     def _whole_spectrum(self, q):
@@ -1051,8 +1051,8 @@ class DenseTorus(TorusBackend, DenseEngine):
 
 
 class DenseProduct(ProductBackend, DenseEngine):
-    """A product on the dense engine whose kernel splits a form into its
-    blocks by scanning every coefficient of each block."""
+    """The product's columns on the dense engine, with a pure tensor built
+    by scanning every coefficient of both factors."""
 
     def tensor(self, w1, w2):
         q = w1.degree + w2.degree
@@ -1068,27 +1068,6 @@ class DenseProduct(ProductBackend, DenseEngine):
                     if bcoef:
                         out[base + j] = a * bcoef
         return InvariantForm(self, q, tuple(out))
-
-    def _apply(self, w, out_q, *terms):
-        out = [Fraction(0)] * self.dimension(out_q)
-        targets = {(q1, q2): (offset, d2)
-                   for q1, q2, offset, _, d2 in self._blocks.get(out_q, [])}
-        for q1, q2, offset, d1, d2 in self._blocks.get(w.degree, []):
-            block = {divmod(k, d2): c for k, c in
-                     enumerate(w.coeffs[offset:offset + d1 * d2]) if c}
-            for op1, op2, sign in terms:
-                p1, p2, entries = q1, q2, block
-                if op2 is not None:
-                    p2, entries = self._act(self.b2, op2, q2, entries, 1)
-                if op1 is not None:
-                    p1, entries = self._act(self.b1, op1, q1, entries, 0)
-                if entries:
-                    base, width = targets[p1, p2]
-                    negate = sign is not None and sign(q1, q2) < 0
-                    for (i, j), c in entries.items():
-                        k = base + i * width + j
-                        out[k] = out[k] - c if negate else out[k] + c
-        return InvariantForm(self, out_q, tuple(out))
 
 
 def operator_outcome(op, w):

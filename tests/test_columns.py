@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from equihodge import (SphereBackend, TruncationError, make_sphere_backend,
-                       make_torus_backend)
+from equihodge import (ExactBackend, SphereBackend, TruncationError,
+                       make_sphere_backend, make_torus_backend)
 from bruteforce import (BackSubSphere, BackSubTorus, LoopTorus, PolySphere,
                         operator_outcome as outcome, reference_spectrum)
 from conftest import rand_fraction, random_exact_form
@@ -130,6 +130,26 @@ def test_warm_hodge_decompose_fills_no_new_column():
     for a, c in zip((first.harmonic, first.exact, first.coexact),
                     (second.harmonic, second.exact, second.coexact)):
         assert a == c
+
+
+def test_a_backend_without_its_own_column_raises():
+    """The engine's default column is only the codifferential's, so a
+    backend that gives no d column raises when d is applied instead of
+    recursing through the operator it is filling."""
+
+    class NoDColumn(SphereBackend):
+        def _column(self, op, q, k):
+            if op == "d":
+                return ExactBackend._column(self, op, q, k)
+            return super()._column(op, q, k)
+
+    b = NoDColumn(2, stages=1)
+    w = b.zero_form((0, 1))
+    with pytest.raises(NotImplementedError, match="NoDColumn gives no 'd'"):
+        b.d(w)
+    with pytest.raises(NotImplementedError):  # d* = +-*d* needs the d column
+        b.codifferential(b.two_form((1,)))
+    assert b.star(w) == b.two_form((0, 1))  # its own columns still serve
 
 
 def assert_same_eigen_transforms(b, ref):

@@ -7,7 +7,6 @@ import pytest
 
 from equihodge import (
     BackendMismatch,
-    ExactBackend,
     InvariantForm,
     TruncationError,
     extend,
@@ -16,7 +15,7 @@ from equihodge import (
     make_torus_backend,
     verify_extension,
 )
-from bruteforce import PerRowProduct
+from bruteforce import PerRowProduct, _star_d_star
 
 
 @pytest.fixture(scope="module")
@@ -162,14 +161,14 @@ def test_mixed_sphere_torus_product():
         make_torus_backend(1, 1, (1,))),
 ], ids=["sphere-x-sphere", "circle-x-torus2", "nested"])
 def test_codifferential_matches_the_star_reference(make):
-    """The one-pass Koszul codifferential equals the signed star conjugate
-    of d, exactly, in every degree."""
+    """The Koszul codifferential over the factors' codifferentials equals
+    the signed star conjugate of d, exactly, in every degree."""
     p = make()
     rng = np.random.default_rng(16)
     for q in range(p.n + 1):
         for _ in range(3):
             w = random_form(rng, p, q)
-            assert p.codifferential(w) == ExactBackend.codifferential(p, w)
+            assert p.codifferential(w) == _star_d_star(p, w)
 
 
 # -- the column-cached kernel against the per-row reference -----------------
@@ -280,11 +279,10 @@ def test_truncation_parity_with_the_per_row_reference():
 
 
 def test_warm_extend_makes_no_factor_calls():
-    """A second identical extend on one product backend reads every factor
-    column and eigenvalue from the factors' caches: no factor operator is
-    called, no column is added, and the product keeps no columns of its
-    own, only the eigenvalues it read, which the warm run does not add
-    to."""
+    """A second identical extend on one product backend reads every column
+    and eigenvalue from the caches: the cold run fills the product's own
+    columns from its factors', and the warm run calls no factor operator
+    and adds no column or eigenvalue to the product or to either factor."""
     b1, b2 = make_sphere_backend(4, stages=3), make_sphere_backend(4, stages=3)
     calls = []
     for b in (b1, b2):
@@ -298,7 +296,10 @@ def test_warm_extend_makes_no_factor_calls():
     p = make_product_backend(b1, b2)
     omega = p.tensor(b1.two_form((1,)), b2.two_form((1,)))
     first = extend(omega)
-    assert calls  # the wrappers see the cold run fill its columns
+    # the cold run reads the factors' columns, not their public operators;
+    # the only factor calls are the spheres' own fills: d and the star for
+    # the codifferential column (the star conjugate of d), and _eigen
+    assert set(calls) == {"d", "star", "_eigen"}
     del calls[:]
 
     def sizes():
@@ -307,10 +308,12 @@ def test_warm_extend_makes_no_factor_calls():
 
     cold = sizes()
     assert all(cold)
+    assert {op for op, _ in p._columns} == {
+        "d", "codifferential", ("contraction", 0), ("contraction", 1),
+        "coords", "image", "eigen"}
     second = extend(omega)
     assert calls == []
     assert sizes() == cold
-    assert {op for op, _ in p._columns} == {"eigen"}
     assert [t.terms for t in second.terms] == [t.terms for t in first.terms]
     assert second.final_residual_norm == first.final_residual_norm == 0.0
 

@@ -308,6 +308,25 @@ def test_exact_extended_report_has_no_final_residual(preset):
     assert "final residual 0.0, not 5.0" in str(exc.value)
 
 
+def test_dec_extended_report_final_residual_matches_its_terms():
+    """A DEC extension's residual is recomputed from the parsed terms: the
+    written value reads back, and an edited one is rejected on its line."""
+    from equihodge.cli import PRESETS
+
+    tag, build = PRESETS["dec/volume"]
+    report = extend(build(backend_from_tag(tag)))
+    text = serialize_report(report)
+    assert parse_report(text).final_residual_norm == report.final_residual_norm > 0
+    lines = text.splitlines()
+    assert lines[2] == "status: extended"
+    assert lines[4] == "final-residual: %r" % report.final_residual_norm
+    lines[4] = "final-residual: 5.0"
+    with pytest.raises(FormatError) as exc:
+        parse_report("\n".join(lines) + "\n")
+    assert exc.value.line == 5
+    assert "final residual 5.0 disagrees with the terms" in str(exc.value)
+
+
 def test_form_rejects_a_repeated_index_on_its_line():
     """A second entry for one index is ambiguous, not a silent overwrite."""
     b = make_sphere_backend(4)
