@@ -27,7 +27,8 @@ so "zero" means identically zero, never merely small.  An exact form is
 immutable and caches its nonzero entries, and every exact step above (the
 sums, the zero test, each mat-vec and each eigen-coordinate step) reads
 them, so its work is proportional to the nonzeros, not to the dimension.
-The dense coefficient tuple stays the public value of a form.
+A cached column is integers over one denominator, and a mat-vec normalises
+each output entry once.  The dense coefficient tuple stays a form's value.
 """
 
 from __future__ import annotations
@@ -343,13 +344,13 @@ class ExactBackend(Backend):
     and the inner product is ``sum n_k a_k b_k``.
 
     ``d``, the star, the codifferential, the contractions and both
-    eigen-transforms are each one sparse rational mat-vec.  Their columns
-    are cached per (operator, degree) and filled on first use by
-    :meth:`_column`, the image of one unit vector, which a sphere or torus
-    gives in closed form and a product as a signed tensor combination of
-    its factors' columns, read through their :meth:`_col`; the spectrum is
-    cached with them, per coordinate read, a product's from its factors'.
-    The same mat-vecs and spectral steps serve every exact backend.
+    eigen-transforms are each one sparse mat-vec, summed in integers with
+    each output entry normalised once.  Their columns are cached per
+    (operator, degree) as integer numerators over one denominator, filled
+    on first use from :meth:`_column`, a unit vector's closed-form image
+    on a sphere or torus; a product composes its factors' integer columns
+    (:meth:`_int_column`).  The spectrum is cached with them, per
+    coordinate read.  The same steps serve every exact backend.
     """
 
     is_exact = True
@@ -388,28 +389,44 @@ class ExactBackend(Backend):
 
     # -- cached operator columns --------------------------------------------
 
+    def _int_column(self, op, q: int, k: int):
+        """Column k of ``op`` on degree q in integers: its output degree,
+        ``den``, the lcm of the denominators of :meth:`_column`'s entries,
+        and its nonzero ``(index, numerator)`` pairs over ``den``."""
+        res = self._column(op, q, k)
+        den = math.lcm(*[c.denominator for _, c in res.entries])
+        return res.degree, den, tuple([
+            (i, c.numerator * (den // c.denominator)) for i, c in res.entries])
+
     def _col(self, op, q: int, k: int):
-        """Column k of ``op`` on degree q: its output degree and nonzero
-        ``(index, value)`` entries.  The key ``"eigen"`` holds the pair
+        """Column k of ``op`` on degree q, ``(degree, den, nums)`` as
+        :meth:`_int_column` gives it; the key ``"eigen"`` holds the pair
         ``(eigenvalue, squared norm)`` of :meth:`_eigen` instead.  A fill
         that raises (a truncation overflow) is not cached, so it raises
         again at its next use."""
         cols = self._columns.setdefault((op, q), {})
         if k not in cols:
-            if op == "eigen":
-                cols[k] = self._eigen(q, k)
-            else:
-                res = self._column(op, q, k)
-                cols[k] = (res.degree, res.entries)
+            cols[k] = (self._eigen(q, k) if op == "eigen"
+                       else self._int_column(op, q, k))
         return cols[k]
 
     def _matvec(self, op, w: InvariantForm, out_q: int) -> InvariantForm:
-        """``op`` applied to w, the sum of its columns over w's entries."""
+        """``op`` applied to w, the sum of its columns over w's entries: an
+        integer sum over one common denominator ``lcd``, with each nonzero
+        output entry normalised once, as ``Fraction(total, lcd)``."""
+        q, cols = w.degree, self._columns.get((op, w.degree), {})
+        terms = []
+        for k, c in w.entries:  # c times its column is n * nums / d
+            _, den, nums = cols[k] if k in cols else self._col(op, q, k)
+            terms.append((c.numerator, c.denominator * den, nums))
+        lcd = math.lcm(*[d for _, d, _ in terms])
         out = {}
-        for k, c in w.entries:
-            for i, v in self._col(op, w.degree, k)[1]:
-                out[i] = out[i] + c * v if i in out else c * v
-        return InvariantForm.from_values(self, out_q, out)
+        for n, d, nums in terms:
+            s = n * (lcd // d)
+            for i, m in nums:
+                out[i] = out[i] + s * m if i in out else s * m
+        return InvariantForm.from_entries(self, out_q, tuple([
+            (i, Fraction(t, lcd)) for i, t in sorted(out.items()) if t]))
 
     def d(self, w: InvariantForm) -> InvariantForm:
         return self._matvec("d", w, w.degree + 1)

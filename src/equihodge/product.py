@@ -8,8 +8,9 @@ direct sum over q1 + q2 = q of (factor-1 degree q1) (x) (factor-2 degree
 q2), flattened row-major.  The product is a column provider for the
 engine of :class:`~equihodge.forms.ExactBackend`, like the sphere and the
 torus: the column of an operator at e1_i (x) e2_j is a signed tensor
-combination of its factors' cached columns, read through their
-``_col``.  d, the codifferential and the contractions follow the Koszul
+combination of its factors' cached integer columns, read through their
+``_col``, with numerators x y over den1 den2 and no ``Fraction`` per
+entry.  d, the codifferential and the contractions follow the Koszul
 sign rule
 
     op(w1 (x) w2) = op1(w1) (x) w2 + (-1)^(deg w1) w1 (x) op2(w2),
@@ -29,6 +30,8 @@ pair, and work that repeats on one backend makes no factor calls.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import BackendMismatch
@@ -51,10 +54,12 @@ class ProductBackend(ExactBackend):
             labels=tuple("left." + l for l in s1.labels)
             + tuple("right." + l for l in s2.labels),
         )
-        # blocks[q] = list of (q1, q2, offset, d1, d2), and offsets[q1, q2]
-        # the offset of that block in degree q1 + q2
+        # blocks[q] = list of (q1, q2, offset, d1, d2), offsets[q1, q2]
+        # the offset of that block in degree q1 + q2, and dims[q] the
+        # dimension of degree q
         self._blocks: Dict[int, List[Tuple[int, int, int, int, int]]] = {}
         self._offsets: Dict[Tuple[int, int], int] = {}
+        self._dims: Dict[int, int] = {}
         for q in range(self.n + 1):
             blocks = []
             offset = 0
@@ -66,7 +71,7 @@ class ProductBackend(ExactBackend):
                 blocks.append((q1, q2, offset, d1, d2))
                 self._offsets[q1, q2] = offset
                 offset += d1 * d2
-            self._blocks[q] = blocks
+            self._blocks[q], self._dims[q] = blocks, offset
 
     @property
     def tag(self) -> str:
@@ -77,7 +82,7 @@ class ProductBackend(ExactBackend):
         return self._spec
 
     def dimension(self, q: int) -> int:
-        return sum(d1 * d2 for _, _, _, d1, d2 in self._blocks.get(q, []))
+        return self._dims.get(q, 0)
 
     def block_layout(self, q: int):
         """Blocks of the degree-q space as (q1, q2, offset, dim1, dim2)."""
@@ -100,6 +105,11 @@ class ProductBackend(ExactBackend):
     # -- operator columns ----------------------------------------------------
 
     def _column(self, op, q: int, k: int) -> InvariantForm:
+        p, den, nums = self._int_column(op, q, k)
+        return InvariantForm.from_values(
+            self, p, {i: Fraction(n, den) for i, n in nums})
+
+    def _int_column(self, op, q: int, k: int):
         # e_k is e1_i (x) e2_j of its (q1, q2) block; each term is
         # sign * (op1 (x) op2) with factor column keys, None the identity
         q1, q2, i, j = self._split(q, k)
@@ -114,17 +124,20 @@ class ProductBackend(ExactBackend):
             terms = ((op, None, 1),)
         else:
             terms = ((None, ("contraction", op[1] - r1), koszul),)
-        out = {}
-        for op1, op2, sign in terms:
-            p1, col1 = self.b1._col(op1, q1, i) if op1 else (q1, ((i, 1),))
-            p2, col2 = self.b2._col(op2, q2, j) if op2 else (q2, ((j, 1),))
+        # a term's numerators x y are over den1 den2, and its target a
+        # block of its own: the terms go over the lcm of those products
+        cols = [(sign, self.b1._col(op1, q1, i) if op1 else (q1, 1, ((i, 1),)),
+                 self.b2._col(op2, q2, j) if op2 else (q2, 1, ((j, 1),)))
+                for op1, op2, sign in terms]
+        den = math.lcm(*[c1[1] * c2[1] for _, c1, c2 in cols if c1[2] and c2[2]])
+        nums = []
+        for sign, (p1, den1, col1), (p2, den2, col2) in cols:
             if col1 and col2:  # then (p1, p2) is a block of degree p1 + p2
                 base, width = self._offsets[p1, p2], self.b2.dimension(p2)
-                for a, x in col1:
-                    x = sign * x
-                    for b, y in col2:
-                        out[base + a * width + b] = x * y
-        return InvariantForm.from_values(self, p1 + p2, out)
+                s = sign * (den // (den1 * den2))
+                nums += [(base + a * width + b, s * x * y)
+                         for a, x in col1 for b, y in col2]
+        return p1 + p2, den, tuple(nums)
 
     def _split(self, q: int, k: int):
         """The block (q1, q2) of the degree-q index k and its row-major

@@ -48,6 +48,7 @@ tensor, Green's operator, harmonic projection and the inner product scan
 whole coefficient tuples.
 """
 
+import math
 import operator
 from fractions import Fraction
 from functools import partial
@@ -969,7 +970,9 @@ class DenseEngine(ExactBackend):
     and spectral step scans all coefficients, and no form it builds carries
     entries.  Listed after a sphere, torus or product backend among the
     bases, it keeps their columns and supplies the rest; its spectrum is
-    the whole-degree :func:`reference_spectrum`."""
+    the whole-degree :func:`reference_spectrum`.  A column is stored as
+    the engine's ``(degree, den, nums)``, so a product can read it, and
+    its mat-vec sums each ``Fraction(num, den)`` into a dense tuple."""
 
     def _whole_spectrum(self, q):
         cache = vars(self).setdefault("_spectrum_cache", {})
@@ -1004,16 +1007,18 @@ class DenseEngine(ExactBackend):
         cols = self._columns.setdefault((op, q), {})
         if k not in cols:
             res = self._column(op, q, k)
-            cols[k] = (res.degree,
-                       [(i, v) for i, v in enumerate(res.coeffs) if v])
+            den = math.lcm(*[v.denominator for v in res.coeffs])
+            cols[k] = (res.degree, den, [(i, v.numerator * den // v.denominator)
+                                         for i, v in enumerate(res.coeffs) if v])
         return cols[k]
 
     def _matvec(self, op, w, out_q):
         out = [Fraction(0)] * self.dimension(out_q)
         for k, c in enumerate(w.coeffs):
             if c:
-                for i, v in self._col(op, w.degree, k)[1]:
-                    out[i] += c * v
+                _, den, nums = self._col(op, w.degree, k)
+                for i, num in nums:
+                    out[i] += c * Fraction(num, den)
         return InvariantForm(self, out_q, tuple(out))
 
     def inner_product(self, a, b):

@@ -10,13 +10,14 @@ degree, and check that every form they return caches exactly the nonzeros
 of its coefficients.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from equihodge import (EquivariantElement, FormalGenerator, InvariantForm,
-                       make_product_backend, make_sphere_backend,
+                       extend, make_product_backend, make_sphere_backend,
                        make_torus_backend, with_formal_generators)
 from bruteforce import (DenseProduct, DenseSphere, DenseTorus, dense_add,
                         dense_is_zero, dense_neg, dense_scale, dense_sub)
@@ -165,18 +166,76 @@ def test_tensor_matches_the_dense_reference(N):
 
 
 def test_operator_columns_are_stored_from_their_entries():
-    """A column fill stores the entries its producer gave, with no rescan:
-    the cached column is the very tuple of the column form's entries."""
+    """A column fill stores the column form's entries as integer
+    numerators over one denominator, the lcm of the entries'
+    denominators, and they give back exactly those entries."""
     b = make_sphere_backend(4)
     seen = []
     column = b._column
     b._column = lambda op, q, k: seen.append(column(op, q, k)) or seen[-1]
     b.d(b.zero_form((1, 2, 3)))
-    assert len(seen) == 3
-    for k, res in enumerate(seen):
-        assert b._columns["d", 0][k] == (1, res.entries)
-        assert b._columns["d", 0][k][1] is res._entries
+    b._to_eigen(b.zero_form((1, 2, 3, 4, 5)))
+    assert len(seen) == 8
+    keys = [("d", 0, k) for k in range(3)] + [("coords", 0, k) for k in range(5)]
+    for (op, q, k), res in zip(keys, seen):
+        degree, den, nums = b._columns[op, q][k]
+        assert degree == res.degree
+        assert den == math.lcm(*[c.denominator for _, c in res.entries])
+        assert all(type(n) is int for _, n in nums)
+        assert tuple((i, Fraction(n, den)) for i, n in nums) == res.entries
         assert_entries(res, seeded=True)
+    assert [b._columns["coords", 0][k][1] for k in range(5)] == [1, 1, 3, 5, 35]
+
+
+def test_warm_matvecs_do_no_fraction_arithmetic(monkeypatch):
+    """Once its columns are cached, every mat-vec on a sphere at N = 32 and
+    on S^2 x S^2 at N = 3 sums integer numerators: it multiplies or adds
+    no Fraction, and gives the same forms as on its cold run."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for b in (make_sphere_backend(32), make_product_backend(
+            make_sphere_backend(3, 1), make_sphere_backend(3, 1))):
+        ops = [b.d, b.star, b.codifferential, b._to_eigen, b._from_eigen]
+        ops += [lambda w, b=b, j=j: b.contraction(j, w)
+                for j in range(b.generator_spec.rank)]
+        cases += [(op, random_form(rng, b, q)) for q in range(b.n + 1)
+                  for op in ops]
+    cold = [op(w) for op, w in cases]
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        real = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda a, b, real=real, name=name:
+                            calls.append(name) or real(a, b))
+    warm = [op(w) for op, w in cases]
+    assert calls == []
+    assert [(r.degree, r.entries) for r in warm] == [
+        (r.degree, r.entries) for r in cold]
+
+
+def test_sphere_at_n_64_matches_the_dense_reference_exactly():
+    """At N = 64 the eigen-transform columns and the results carry
+    denominators of well over a hundred bits; the extension, the degree-1
+    Hodge split and Green's operator in every degree still equal the dense
+    Fraction engine's exactly."""
+    b, ref = make_sphere_backend(64), DenseSphere(64)
+    c = [Fraction(1, j + 1) for j in range(32)]
+    got, want = extend(b.two_form(c)), extend(ref.two_form(c))
+    assert got.status == want.status == "extended"
+    assert [[(m, f.coeffs) for m, f in t.terms.items()] for t in got.terms] == [
+        [(m, f.coeffs) for m, f in t.terms.items()] for t in want.terms]
+    rng = np.random.default_rng(64)
+    w = random_form(rng, b, 1)
+    split, split_ref = b.hodge_decompose(w), ref.hodge_decompose(on(ref, w))
+    for part in ("harmonic", "exact", "coexact"):
+        assert getattr(split, part).coeffs == getattr(split_ref, part).coeffs
+    bits = 0
+    for q in range(3):
+        w = random_form(rng, b, q)
+        g = b.green(w)
+        assert g.coeffs == ref.green(on(ref, w)).coeffs, q
+        assert_entries(g, seeded=True)
+        bits = max(bits, max(c.denominator for c in g.coeffs).bit_length())
+    assert bits > 128
 
 
 ZERO_OPS = []
