@@ -182,14 +182,15 @@ def _run_moment_map(args) -> int:
 
 def _run_convergence(args) -> int:
     from .dec import DecBackend
-    from .mesh import build_symmetric_sphere
+    from .mesh import build_symmetric_sphere, subdivide
 
     rows = []
     prev = None
     monotone = True
+    mesh = build_symmetric_sphere(CONVERGENCE_NSYM, 0, zigzag=CONVERGENCE_ZIGZAG)
     for level in range(args.levels + 1):
-        mesh = build_symmetric_sphere(CONVERGENCE_NSYM, level,
-                                      zigzag=CONVERGENCE_ZIGZAG)
+        if level:
+            mesh = subdivide(mesh)
         backend = DecBackend(mesh)
         report = extend(backend.volume_form_cochain())
         residual = report.final_residual_norm

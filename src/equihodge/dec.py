@@ -25,6 +25,11 @@ matrices are built on representative entries and replicated along the
 orbits by one rule, which also covers the rows of the poles, so every
 operator matrix commutes with the mesh symmetry permutation exactly.
 
+Every operator matrix is built once, straight into CSR, and rounds as the
+general sparse constructors and products round it: a codifferential is the
+transpose of a coboundary scaled by the stars on both sides, and the edge
+Laplacian is built on the first degree-1 solve or Laplacian.
+
 A cochain is zero only when all its values are; the closedness and harmonic
 tests instead compare its norm with ``ZERO_RTOL`` times the input's norm.
 """
@@ -53,6 +58,15 @@ ZERO_RTOL = 1e-9
 def _killing_field(p: np.ndarray) -> np.ndarray:
     """The rotation field about the z-axis at the point(s) p."""
     return np.stack([-p[..., 1], p[..., 0], np.zeros_like(p[..., 0])], axis=-1)
+
+
+def _scaled_transpose(D: sp.csr_matrix, left, right) -> sp.csr_matrix:
+    """diag(left) @ D.T @ diag(right) as CSR, for D of entries +-1: entry
+    (i, j) is D[j, i] * left[i] * right[j], which the product rounds alike."""
+    T = D.tocsc()
+    rows = np.repeat(np.arange(len(left)), np.diff(T.indptr))
+    return sp.csr_matrix((T.data * left[rows] * right[T.indices], T.indices, T.indptr),
+                         shape=(len(left), len(right)))
 
 
 class DecBackend(Backend):
@@ -88,16 +102,15 @@ class DecBackend(Backend):
         V, E, F = (mesh.simplex_count(q) for q in range(3))
         rep = mesh.orbit_rep
 
-        self.d0 = sp.csr_matrix(
-            (np.tile([-1.0, 1.0], E),
-             (np.repeat(np.arange(E), 2), mesh.edge_vertices.ravel())),
-            shape=(E, V),
-        )
-        self.d1 = sp.csr_matrix(
-            (mesh.tri_edge_signs.ravel().astype(float),
-             (np.repeat(np.arange(F), 3), mesh.tri_edges.ravel())),
-            shape=(F, E),
-        )
+        # the coboundaries row by row: an edge runs from its low to its high
+        # vertex, and a triangle's sides are sorted by edge index, the order
+        # in which the products that read d1 sum
+        self.d0 = sp.csr_matrix((np.tile([-1.0, 1.0], E), mesh.edge_vertices.ravel(),
+                                 np.arange(0, 2 * E + 1, 2)), shape=(E, V))
+        self.d1 = sp.csr_matrix((mesh.tri_edge_signs.ravel().astype(float),
+                                 mesh.tri_edges.ravel(), np.arange(0, 3 * F + 1, 3)),
+                                shape=(F, E))
+        self.d1.sort_indices()
 
         # per-triangle geometry; entry i of a leading axis of length 3 is
         # side i, which runs from corner i to corner i + 1 and faces corner
@@ -130,15 +143,9 @@ class DecBackend(Backend):
             raise MeshError("nonpositive circumcentric dual ratio")
         self._stars = (star0, star1, star2)
 
-        self._delta = {
-            1: (sp.diags(1.0 / star0) @ self.d0.T @ sp.diags(star1)).tocsr(),
-            2: (sp.diags(1.0 / star1) @ self.d1.T @ sp.diags(star2)).tocsr(),
-        }
-        self._lap = {
-            0: (self._delta[1] @ self.d0).tocsr(),
-            1: (self.d0 @ self._delta[1] + self._delta[2] @ self.d1).tocsr(),
-            2: (self.d1 @ self._delta[2]).tocsr(),
-        }
+        self._delta = {1: _scaled_transpose(self.d0, 1.0 / star0, star1),
+                       2: _scaled_transpose(self.d1, 1.0 / star1, star2)}
+        self._lap = {0: self._delta[1] @ self.d0, 2: self.d1 @ self._delta[2]}
 
         # Whitney 1-form of each side at the circumcenter, from the
         # barycentric gradients, paired with the Killing field there
@@ -161,19 +168,21 @@ class DecBackend(Backend):
         around it."""
         mesh = self.mesh
         V, E = mesh.simplex_count(0), mesh.simplex_count(1)
-        v, t = mesh.tri_vertices.ravel(), np.repeat(np.arange(mesh.num_tris), 3)
-        keep = mesh.orbit_rep[0][v] == v
-        v, t = v[keep], t[keep]
-        sums = sp.csr_matrix(                   # sums the fluxes of each edge
-            ((area[:, None] * flux)[t].ravel(),
-             (np.repeat(v, 3), mesh.tri_edges[t].ravel())),
-            shape=(V, E),
-        ).tocoo()
-        r, c = sums.row, sums.col
-        vals = sums.data / np.bincount(v, area[t], V)[r]
-        # a vertex fixed by the symmetry (a pole) keeps its representative
-        # edges; replication fills in the rest of each edge orbit
-        keep = (mesh.vperm[r] != r) | (mesh.orbit_rep[1][c] == c)
+        weighted = area[:, None] * flux                           # (F, 3)
+        # both triangles of an edge hold both its ends, so each end gets the
+        # same sum of two fluxes; the corner facing a side gets that one flux
+        edge_sum = np.bincount(mesh.tri_edges.ravel(), weighted.ravel(), E)
+        r = np.concatenate([mesh.edge_vertices.ravel(), mesh.tri_vertices.ravel()])
+        c = np.concatenate([np.repeat(np.arange(E), 2),
+                            np.roll(mesh.tri_edges, -1, axis=1).ravel()])
+        vals = np.concatenate([np.repeat(edge_sum, 2),
+                               np.roll(weighted, -1, axis=1).ravel()])
+        vals /= np.bincount(mesh.tri_vertices.ravel(), np.repeat(area, 3), V)[r]
+        # rows of representative vertices; a vertex fixed by the symmetry (a
+        # pole) keeps its representative edges, and replication fills in the
+        # rest of each orbit
+        keep = (mesh.orbit_rep[0][r] == r) & (
+            (mesh.vperm[r] != r) | (mesh.orbit_rep[1][c] == c))
         return self._replicate(r[keep], c[keep], vals[keep], 0, 1)
 
     def _assemble_contraction_21(self, area, normal, field) -> sp.csr_matrix:
@@ -228,10 +237,18 @@ class DecBackend(Backend):
         raise BackendMismatch("the DEC star of a %d-cochain is a dual cochain, "
                               "not a form of this backend" % w.degree)
 
+    def _laplacian(self, q: int):
+        """The degree-q Laplacian, or None outside degrees 0-2.  The edge one
+        is built on first use: extend and the Hodge split never solve on edges."""
+        if q == 1 and q not in self._lap:
+            self._lap[1] = self.d0 @ self._delta[1] + self._delta[2] @ self.d1
+        return self._lap.get(q)
+
     def laplacian(self, w: InvariantForm) -> InvariantForm:
-        if w.degree not in self._lap:
+        lap = self._laplacian(w.degree)
+        if lap is None:
             return self.zero(w.degree)
-        return InvariantForm(self, w.degree, self._lap[w.degree] @ w.coeffs)
+        return InvariantForm(self, w.degree, lap @ w.coeffs)
 
     def contraction(self, j: int, w: InvariantForm) -> InvariantForm:
         if j != 0:
@@ -264,9 +281,9 @@ class DecBackend(Backend):
         there: the right-hand side is deflated once, and the result once
         more to clear rounding."""
         q = w.degree
-        if q not in self._lap:
+        lap = self._laplacian(q)
+        if lap is None:
             return self.zero(q)
-        lap = self._lap[q]
         star = self._stars[q]
         b = (w - self.harmonic_projection(w)).coeffs
         bnorm = math.sqrt(float(b @ (star * b)))

@@ -3,6 +3,7 @@
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from equihodge import parse_form, parse_report, serialize_form
@@ -137,6 +138,30 @@ def test_convergence_study_to_level_3(capsys):
     assert len(lines) == 4
     residuals = [float(l.split()[2]) for l in lines]
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
+
+
+def test_convergence_refines_each_level_into_the_next(capsys, monkeypatch):
+    from equihodge import build_symmetric_sphere, dec
+    from equihodge.cli import CONVERGENCE_NSYM, CONVERGENCE_ZIGZAG
+
+    meshes = []
+
+    class Recording(dec.DecBackend):
+        def __init__(self, mesh):
+            meshes.append(mesh)
+            super().__init__(mesh)
+
+    monkeypatch.setattr(dec, "DecBackend", Recording)
+    code, out, err = run(capsys, "convergence", "--levels", "2")
+    assert code == 0
+    assert [m.level for m in meshes] == [0, 1, 2]
+    for mesh in meshes:
+        fresh = build_symmetric_sphere(CONVERGENCE_NSYM, mesh.level,
+                                       zigzag=CONVERGENCE_ZIGZAG)
+        for name in ("positions", "tri_vertices", "vperm"):
+            assert np.array_equal(getattr(mesh, name), getattr(fresh, name)), name
+        for q in range(3):
+            assert np.array_equal(mesh.orbit_rep[q], fresh.orbit_rep[q])
 
 
 def test_dec_preset_extends(capsys):

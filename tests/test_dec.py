@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from equihodge import (
@@ -97,7 +98,8 @@ def test_all_operators_commute_with_the_symmetry_exactly(dec):
     # the Laplacians are sparse products of the exact primitives; their
     # entries pick up summation-order rounding of at most a few ulps
     for q in range(3):
-        commutator = (P[q] @ dec._lap[q] - dec._lap[q] @ P[q]).toarray()
+        lap = dec._laplacian(q)
+        commutator = (P[q] @ lap - lap @ P[q]).toarray()
         assert np.max(np.abs(commutator)) < 1e-12
 
 
@@ -228,6 +230,83 @@ def test_assembly_matches_the_per_simplex_reference(n_sym, zigzag, level):
         mat = mat.toarray() if hasattr(mat, "toarray") else mat
         scale = np.max(np.abs(ref[name]))
         assert np.max(np.abs(mat - ref[name])) <= 1e-13 * scale, name
+
+
+class CooAssembly(DecBackend):
+    """The interior product of 1-cochains with its (vertex, edge) sums
+    summed by scipy's COO constructor over the (corner, side) pairs of the
+    triangles, and read back as COO."""
+
+    def _assemble_contraction_10(self, area, flux):
+        mesh = self.mesh
+        V, E = mesh.simplex_count(0), mesh.simplex_count(1)
+        v, t = mesh.tri_vertices.ravel(), np.repeat(np.arange(mesh.num_tris), 3)
+        keep = mesh.orbit_rep[0][v] == v
+        v, t = v[keep], t[keep]
+        sums = sp.csr_matrix(
+            ((area[:, None] * flux)[t].ravel(),
+             (np.repeat(v, 3), mesh.tri_edges[t].ravel())),
+            shape=(V, E),
+        ).tocoo()
+        r, c = sums.row, sums.col
+        vals = sums.data / np.bincount(v, area[t], V)[r]
+        keep = (mesh.vperm[r] != r) | (mesh.orbit_rep[1][c] == c)
+        return self._replicate(r[keep], c[keep], vals[keep], 0, 1)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("n_sym,zigzag", [(4, 0.0), (4, 0.1), (5, 0.0), (5, 0.1)])
+def test_assembly_rounds_like_the_sparse_product_chain(n_sym, zigzag, level):
+    """Each operator matrix, built straight into CSR, equals bit for bit the
+    one built from COO entries and chains of sparse products, and the
+    interior product of 1-cochains the one whose sums scipy forms."""
+    mesh = build_symmetric_sphere(n_sym, level, zigzag=zigzag)
+    try:
+        dec = DecBackend(mesh)
+    except MeshError:
+        return
+    ref = CooAssembly(mesh)
+    V, E, F = (mesh.simplex_count(q) for q in range(3))
+    d0 = sp.csr_matrix((np.tile([-1.0, 1.0], E),
+                        (np.repeat(np.arange(E), 2), mesh.edge_vertices.ravel())),
+                       shape=(E, V))
+    d1 = sp.csr_matrix((mesh.tri_edge_signs.ravel().astype(float),
+                        (np.repeat(np.arange(F), 3), mesh.tri_edges.ravel())),
+                       shape=(F, E))
+    star0, star1, star2 = ref._stars
+    delta1 = (sp.diags(1.0 / star0) @ d0.T @ sp.diags(star1)).tocsr()
+    delta2 = (sp.diags(1.0 / star1) @ d1.T @ sp.diags(star2)).tocsr()
+    pairs = {
+        "d0": (dec.d0, d0), "d1": (dec.d1, d1),
+        "delta1": (dec._delta[1], delta1), "delta2": (dec._delta[2], delta2),
+        "lap0": (dec._laplacian(0), (delta1 @ d0).tocsr()),
+        "lap1": (dec._laplacian(1), (d0 @ delta1 + delta2 @ d1).tocsr()),
+        "lap2": (dec._laplacian(2), (d1 @ delta2).tocsr()),
+        "c10": (dec._c10, ref._c10), "c21": (dec._c21, ref._c21),
+    }
+    for name, (got, want) in pairs.items():
+        assert got.shape == want.shape and (got != want).nnz == 0, name
+        # the same entries in the same order, which sets the rounding of
+        # the products that read them
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), name
+    for got, want in zip(dec._stars, ref._stars):
+        assert np.array_equal(got, want)
+
+
+def test_the_edge_laplacian_is_built_on_its_first_use():
+    dec = DecBackend(build_symmetric_sphere(4, 1, zigzag=0.1))
+    vol = dec.volume_form_cochain()
+    extend(vol)
+    moment_map(vol)
+    z = dec.form(0, dec.vertex_heights())
+    for w in (z, dec.d(z) + dec.contraction(0, vol), vol):
+        dec.hodge_decompose(w)
+    assert 1 not in dec._lap
+    dec.laplacian(dec.d(z))
+    lap = dec._lap[1]
+    dec.laplacian(dec.d(z))
+    assert dec._laplacian(1) is lap
 
 
 def _chordal_areas(mesh):
