@@ -94,9 +94,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb in ("extend", "hodge", "moment-map", "verify"):
         sub.add_parser(verb, parents=[common])
     conv = sub.add_parser("convergence", parents=[output])
-    conv.add_argument("--levels", type=int, default=3,
+    conv.add_argument("--levels", type=level, default=3,
                       help="finest refinement level (default 3)")
     return parser
+
+
+def level(text: str) -> int:
+    """A refinement level: an integer >= 0 (argparse turns the error into
+    a usage error)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("level must be >= 0, got %d" % value)
+    return value
 
 
 def _override_truncation(tag: str, truncation: int) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -34,20 +34,21 @@ class SymmetricMesh:
     Besides the simplex lists it holds the two incidence arrays the
     discrete operators are assembled from, both indexed by triangle:
     ``tri_vertices[t]`` are the corners of triangle ``t``, and side ``i``,
-    which runs from ``tris[t][i]`` to ``tris[t][(i + 1) % 3]``, is edge
-    ``tri_edges[t, i]`` and agrees with that edge's (low, high) orientation
-    when ``tri_edge_signs[t, i]`` is +1.  ``orbit_rep[q][i]`` is the first
-    member of the orbit of the q-simplex ``i``.
+    which runs from ``tri_vertices[t, i]`` to ``tri_vertices[t, (i + 1) % 3]``,
+    is edge ``tri_edges[t, i]`` and agrees with that edge's (low, high)
+    orientation when ``tri_edge_signs[t, i]`` is +1.  ``orbit_rep[q][i]`` is
+    the first member of the orbit of the q-simplex ``i``.  ``tris``, the
+    rows of ``tri_vertices`` as a list of tuples, is built on first read.
     """
 
     positions: np.ndarray          # (V, 3) unit vectors
-    tris: List[Tuple[int, int, int]]  # canonical cyclic, outward oriented
+    tris: InitVar[np.ndarray]      # (F, 3) corners, outward oriented
     n_sym: int
     level: int
     vperm: np.ndarray              # vertex permutation of the symmetry
     zigzag: float = 0.0            # latitude stagger of the base rings
 
-    tri_vertices: np.ndarray = field(init=False)    # (F, 3) rows of tris
+    tri_vertices: np.ndarray = field(init=False)    # (F, 3) canonical cyclic
     edge_vertices: np.ndarray = field(init=False)   # (E, 2) rows of edges
     tri_edges: np.ndarray = field(init=False)       # (F, 3) edge of each side
     tri_edge_signs: np.ndarray = field(init=False)  # (F, 3) +1 or -1
@@ -56,10 +57,9 @@ class SymmetricMesh:
     tperm: np.ndarray = field(init=False)
     orbit_rep: Dict[int, np.ndarray] = field(init=False)  # orbit[0] per simplex
 
-    def __post_init__(self):
-        tv = _canon_tris(np.asarray(self.tris, dtype=np.int64).reshape(-1, 3))
+    def __post_init__(self, tris):
+        tv = _canon_tris(np.asarray(tris, dtype=np.int64).reshape(-1, 3))
         self.tri_vertices = tv
-        self.tris = list(map(tuple, tv.tolist()))
         nv, nt = len(self.positions), len(tv)
         tail, head = tv, np.roll(tv, -1, axis=1)
         keys, side_edge = np.unique(
@@ -78,6 +78,12 @@ class SymmetricMesh:
         self.tri_edge_signs = np.where(tail < head, 1, -1)
         self._build_permutations(keys)
         self._build_orbits()
+
+    def __getattr__(self, name):
+        if name != "tris":
+            raise AttributeError(name)
+        self.tris = list(map(tuple, self.tri_vertices.tolist()))
+        return self.tris
 
     # -- combinatorics ------------------------------------------------------
 

@@ -58,16 +58,16 @@ def backend_from_tag(tag: str) -> Backend:
     malformed parameter, and parameter values the backend rejects.
     """
     tag = tag.strip()
-    if tag.startswith("product:[") and tag.endswith("]"):
-        from .product import ProductBackend
-
-        left, right = _split_product(tag[len("product:["):-1])
-        return ProductBackend(backend_from_tag(left), backend_from_tag(right))
-    kind, _, body = tag.partition(":")
-    if kind not in _TAG_PARAMS:
-        raise FormatError("unknown backend tag %r" % tag)
-    params = _parse_params(kind, body)
     try:
+        if tag.startswith("product:[") and tag.endswith("]"):
+            from .product import ProductBackend
+
+            left, right = _split_product(tag[len("product:["):-1])
+            return ProductBackend(backend_from_tag(left), backend_from_tag(right))
+        kind, _, body = tag.partition(":")
+        if kind not in _TAG_PARAMS:
+            raise FormatError("unknown backend tag %r" % tag)
+        params = _parse_params(kind, body)
         if kind == "sphere":
             from .sphere import SphereBackend
 

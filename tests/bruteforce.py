@@ -1,13 +1,34 @@
-"""Independent dense operator matrices, built directly from the basis
-definitions with sympy.
+"""Independent references for the library's operators.
 
-Nothing here calls the library's operators: the sphere oracle works on
-symbolic polynomials in z with the round metric written out by hand, and
-the torus oracle works on symbolic trigonometric functions with symbolic
-integration for every projection.  The only thing shared with the library
-is the basis *ordering*, so matrices can be compared entry for entry.
+Nothing here calls a library operator or engine hook: the references read
+only a backend's dimensions, capacity and basis labels, so that matrices
+can be compared entry for entry.
 
-Conventions restated from first principles:
+* The sympy oracles (``SphereOracle``, ``TorusOracle``) build small dense
+  matrices of every operator, Green's operator and P = d* G i_V from
+  symbolic polynomials in z with the round metric written out by hand, and
+  from symbolic trigonometric functions with symbolic integration for every
+  projection.  They check the operators at the oracles' tiny truncations.
+* The formula references (``SphereReference``, ``TorusReference``,
+  ``ProductReference``, built by ``reference(backend)``) are dense exact
+  ``Fraction`` matrices written from the formulas of each backend: whole
+  polynomials on the sphere, the mode formulas on the torus and Kronecker
+  combinations of the factors on a product, with the eigenbasis listed
+  (Legendre polynomials, trigonometric modes, their tensor products).
+  Coordinates are orthogonal projections onto that eigenbasis, and Green's
+  operator, the harmonic projection and the inner product are dense sums
+  over them.  An image past a sphere's capacity is flagged, so truncation
+  parity is checkable.  They check every operator column, the
+  eigen-transforms and the spectral engine exactly at any truncation.
+* ``dec_reference`` evaluates the discrete (DEC) formulas simplex by
+  simplex with plain loops over the mesh's vertex, edge and triangle
+  lists, and ``dec_green_reference`` takes the DEC backend's own Laplacian
+  and stars but solves with one direct sparse factorisation instead of the
+  backend's conjugate gradients.
+* The ``dense_*`` helpers are element-wise maps over whole coefficient
+  tuples, the reference for the sparse form arithmetic.
+
+Conventions of the sympy oracles, restated from first principles:
 
 sphere  (z, phi), metric (1-z^2)^{-1} dz^2 + (1-z^2) dphi^2, V = d/dphi:
     degree 0: f(z)
@@ -21,49 +42,22 @@ sphere  (z, phi), metric (1-z^2)^{-1} dz^2 + (1-z^2) dphi^2, V = d/dphi:
 torus   flat T^2, V = v . d/dx, forms are sums f_I(x) dx_I with
     orthonormal covectors; star permutes index sets with the permutation
     sign; codifferential = -(star d star); integrals over [0, 2 pi]^2.
-
-The DEC reference is numeric, not symbolic: it evaluates the discrete
-formulas simplex by simplex with plain loops over the mesh's vertex, edge
-and triangle lists.  The DEC Green reference after it takes the backend's
-own Laplacian and stars but solves with one direct sparse factorisation
-instead of the backend's conjugate gradients.
-
-The per-row product reference is the product backend's kernel before its
-factor operators were cached as sparse columns: it calls the factors'
-operators once per block row and column.  It checks the cached kernel
-against the factors themselves, not against the sympy oracles.  The direct
-sphere and torus references at the end likewise keep the leaf operators as
-they were before every exact operator became a cached column: whole-
-polynomial arithmetic on the sphere, a loop over the basis on the torus,
-and the codifferential as the signed star conjugate of d, applied to the
-whole form.  They check the closed-form columns at every truncation, not
-only at the oracles' tiny ones.  The back-substitution references keep
-the eigen-transforms as they were before they became cached columns too:
-the whole triangular eigenbasis of a degree, with coordinates found by
-back-substitution.  The dense-arithmetic references keep the exact engine
-as it was before forms cached their nonzero entries: sums, negation and
-scaling map over every coefficient, the zero test compares every
-coefficient with 0, and the mat-vec, the product's block split, its
-tensor, Green's operator, harmonic projection and the inner product scan
-whole coefficient tuples.
 """
 
+import functools
 import math
 import operator
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sps
 import sympy as sp
 from scipy.sparse.linalg import spsolve
 
-from equihodge import (ExactBackend, InvariantForm, ProductBackend,
-                       SphereBackend, TorusBackend)
+from equihodge import ProductBackend, SphereBackend
 from equihodge.errors import TruncationError
 from equihodge.scalars import PiScalar
-from equihodge.sphere import legendre
-from equihodge.torus import COS, SIN
+from equihodge.torus import COS
 
 # ---------------------------------------------------------------------------
 # sphere oracle
@@ -606,96 +600,8 @@ def dec_green_reference(backend, w):
     rhs = np.concatenate([w.coeffs, np.zeros(len(basis))])
     return spsolve(system, rhs)[:len(w.coeffs)]
 
-
 # ---------------------------------------------------------------------------
-# per-row product kernel
-# ---------------------------------------------------------------------------
-
-class PerRowProduct(ProductBackend):
-    """A product backend whose kernel makes one factor call per block row
-    and column, with bound factor methods as operators.
-
-    Green's operator, harmonic projection and the inner product are the
-    spectral engine's, over this class's ``_to_eigen`` and ``_from_eigen``.
-    """
-
-    def _apply(self, w, out_q, *terms):
-        out = [Fraction(0)] * self.dimension(out_q)
-        targets = {(q1, q2): (offset, d2)
-                   for q1, q2, offset, _, d2 in self._blocks.get(out_q, [])}
-        for q1, q2, offset, d1, d2 in self._blocks.get(w.degree, []):
-            block = [w.coeffs[offset + i * d2: offset + (i + 1) * d2]
-                     for i in range(d1)]
-            for op1, op2, sign in terms:
-                p1, p2, rows = q1, q2, block
-                if op2 is not None:
-                    res = [op2(InvariantForm(self.b2, q2, row)) for row in rows]
-                    p2, rows = res[0].degree, [r.coeffs for r in res]
-                if op1 is not None and self.b2.dimension(p2) > 0:
-                    res = [op1(InvariantForm(self.b1, q1, col))
-                           for col in zip(*rows)]
-                    p1, rows = res[0].degree, list(zip(*(r.coeffs for r in res)))
-                if (p1, p2) not in targets:  # a factor space of dimension 0
-                    if any(map(any, rows)):
-                        raise AssertionError("block (%d,%d) missing in degree %d"
-                                             % (p1, p2, out_q))
-                    continue
-                base, width = targets[p1, p2]
-                negate = sign is not None and sign(q1, q2) < 0
-                for row in rows:
-                    for j, c in enumerate(row):
-                        if c:
-                            k = base + j
-                            out[k] = out[k] - c if negate else out[k] + c
-                    base += width
-        return InvariantForm(self, out_q, tuple(out))
-
-    def d(self, w):
-        return self._apply(w, w.degree + 1, (self.b1.d, None, None),
-                           (None, self.b2.d, _koszul))
-
-    def codifferential(self, w):
-        return self._apply(w, w.degree - 1, (self.b1.codifferential, None, None),
-                           (None, self.b2.codifferential, _koszul))
-
-    def star(self, w):
-        n1 = self.b1.n
-        return self._apply(w, self.n - w.degree,
-                           (self.b1.star, self.b2.star,
-                            lambda q1, q2: -1 if q2 * (n1 - q1) % 2 else 1))
-
-    def contraction(self, j, w):
-        r1 = self.b1.generator_spec.rank
-        if not 0 <= j < self.generator_spec.rank:
-            raise IndexError("generator index out of range")
-        out_q = w.degree - (self.generator_spec.degrees[j] - 1)
-        if j < r1:
-            return self._apply(w, out_q, (partial(self.b1.contraction, j),
-                                          None, None))
-        return self._apply(w, out_q, (None, partial(self.b2.contraction, j - r1),
-                                      _koszul))
-
-    def _to_eigen(self, w):
-        return self._apply(w, w.degree, (_coords, _coords, None))
-
-    def _from_eigen(self, c):
-        return self._apply(c, c.degree, (_image, _image, None))
-
-
-def _koszul(q1, q2):
-    return -1 if q1 % 2 else 1
-
-
-def _coords(w):
-    return w.backend._to_eigen(w)
-
-
-def _image(c):
-    return c.backend._from_eigen(c)
-
-
-# ---------------------------------------------------------------------------
-# direct sphere and torus operators
+# formula references of the exact backends
 # ---------------------------------------------------------------------------
 
 def _trim(p):
@@ -705,239 +611,432 @@ def _trim(p):
     return tuple(p)
 
 
-def _poly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
+def _times_one_minus_z2(p):
+    p = tuple(p) + (Fraction(0),) * 2
+    return _trim([a - p[i - 2] if i > 1 else a for i, a in enumerate(p)])
 
 
 def _poly_deriv(p):
     return _trim([Fraction(i) * p[i] for i in range(1, len(p))])
 
 
-_ONE_MINUS_Z2 = (Fraction(1), Fraction(0), Fraction(-1))
+def _neg(p):
+    return tuple(-x for x in p)
 
 
-def _star_d_star(b, w):
-    """d* = (-1)^(n(q+1)+1) * d * on an oriented Riemannian n-manifold."""
-    res = b.star(b.d(b.star(w)))
-    return -res if (b.n * (w.degree + 1) + 1) % 2 else res
+@functools.lru_cache(maxsize=None)
+def _moment(s, weighted):
+    """2 times the integral over [-1, 1] of z^s, times (1 - z^2) when
+    weighted, for an even s."""
+    return Fraction(4, s + 1) - (Fraction(4, s + 3) if weighted else 0)
 
 
-class PolySphere(SphereBackend):
-    """A sphere backend whose d, star and contraction act on whole
-    polynomials; an image past the capacity raises in the form
-    constructors."""
+_ZERO = Fraction(0)
 
-    def _polys(self, w):
+
+def _dot(products, divisor=1):
+    """The exact sum of the products of the tuples of rationals, divided by
+    the divisor and normalised once."""
+    if not products:
+        return _ZERO
+    num, den = 0, 1
+    for factors in products:
+        n = d = 1
+        for f in factors:
+            n, d = n * f.numerator, d * f.denominator
+        g = math.gcd(den, d)
+        num, den = num * (d // g) + n * (den // g), den // g * d
+    return Fraction(num * divisor.denominator, den * divisor.numerator)
+
+
+def _combine(coeffs, images):
+    """The nonzero {key: value} of the sum of c * image over the nonzero
+    coefficients c, each image a list of (key, value) pairs; raises
+    TruncationError at a flagged (None) image."""
+    terms = {}
+    for c, image in zip(coeffs, images):
+        if c and image is None:
+            raise TruncationError("reference image past the capacity")
+        for key, a in image if c else ():
+            terms.setdefault(key, []).append((c, a))
+    sums = {key: _dot(t) for key, t in terms.items()}
+    return {key: v for key, v in sums.items() if v}
+
+
+def _unit(dim, k):
+    return tuple(Fraction(int(i == k)) for i in range(dim))
+
+
+class _Reference:
+    """Dense exact matrices of an exact backend, written from its formulas.
+
+    ``matrix(op, q)`` lists the images of the degree-q unit vectors as
+    dense ``Fraction`` tuples, with ``None`` for an image past the
+    capacity.  ``apply(op, q, coeffs)`` gives ``(degree, coefficients)``,
+    or raises :class:`TruncationError` when the image passes the capacity
+    (a flagged column has a nonzero coefficient; on the sphere, the whole
+    image is checked).  The ops are ``"d"``, ``"star"``, ``"codifferential"``,
+    ``("contraction", j)``, ``"coords"`` and ``"image"`` (the coordinates
+    in the listed eigenbasis, and the form with given coordinates),
+    ``"green"`` and ``"harmonic_projection"``; ``None`` is the identity.
+    Coordinates are orthogonal projections onto the listed eigenvectors,
+    and Green's operator, the harmonic projection and the inner product
+    are dense sums over those coordinates.
+    """
+
+    def __init__(self):
+        self._matrices = {}
+
+    def degree(self, op, q):
+        """The output degree of op on degree q (every generator has
+        degree 2)."""
+        if isinstance(op, tuple):
+            return q - 1
+        return {"d": q + 1, "codifferential": q - 1, "star": self.n - q}.get(op, q)
+
+    def matrix(self, op, q):
+        if (op, q) not in self._matrices:
+            self._matrices[op, q] = [
+                self._unit_image(op, q, k) if op else _unit(self.dim(q), k)
+                for k in range(self.dim(q))]
+        return self._matrices[op, q]
+
+    def sparse(self, op, q):
+        """The nonzero (index, value) pairs of each column of matrix(op, q)."""
+        if ("sparse", op, q) not in self._matrices:
+            self._matrices["sparse", op, q] = [
+                None if col is None else [(i, a) for i, a in enumerate(col) if a]
+                for col in self.matrix(op, q)]
+        return self._matrices["sparse", op, q]
+
+    def apply(self, op, q, coeffs):
+        if op in ("green", "harmonic_projection"):
+            x = self._coordinates(q, tuple(coeffs))
+            if op == "green":
+                x = [a / lam if lam else 0 for a, (lam, _) in zip(x, self.spectrum(q))]
+            else:
+                x = [0 if lam else a for a, (lam, _) in zip(x, self.spectrum(q))]
+            return self.apply("image", q, x)
+        p = self.degree(op, q)
+        out = _combine(coeffs, self.sparse(op, q))
+        return p, tuple(out.get(i, _ZERO) for i in range(self.dim(p)))
+
+    @functools.lru_cache(maxsize=256)
+    def _coordinates(self, q, coeffs):
+        """The eigen-coordinates of coeffs; Green's operator, the harmonic
+        projection and the inner product of one form share them."""
+        return self.apply("coords", q, coeffs)[1]
+
+    def inner_product(self, q, a, b):
+        """sum n_k a_k b_k over the eigen-coordinates, with its power of pi."""
+        x, y = self._coordinates(q, tuple(a)), self._coordinates(q, tuple(b))
+        return PiScalar(_dot([(n, s, t) for (_, n), s, t in
+                              zip(self.spectrum(q), x, y) if s and t]),
+                        self.pi_power)
+
+    def eigenbasis(self, q):
+        """``(eigenvalue, vector, squared norm)`` of every eigen-coordinate."""
+        if ("eigen", q) not in self._matrices:
+            self._matrices["eigen", q] = self._listing(q)
+        return self._matrices["eigen", q]
+
+    def spectrum(self, q):
+        """``(eigenvalue, squared norm)`` of every eigen-coordinate."""
+        return [(lam, norm) for lam, _, norm in self.eigenbasis(q)]
+
+    def _unit_image(self, op, q, k):
+        if op == "image":
+            return self.eigenbasis(q)[k][1]
+        if op == "coords":  # <e_k, v> / <v, v> for each listed v
+            mass = self._mass(q, k)
+            return tuple(_dot([(a, mass[i]) for i, a in vec if mass[i]], norm)
+                         for (_, norm), vec in zip(self.spectrum(q),
+                                                   self.sparse("image", q)))
+        return self._formula(op, q, k)
+
+
+class SphereReference(_Reference):
+    """The round S^2 from the whole-polynomial rules of the sphere oracle:
+    a form is f(z) in degrees 0 and 2 and (a, b) in degree 1, d f = f' dz,
+    d(a, b) = (b (1-z^2))', star (a, b) = (-b, a) and the identity in
+    degrees 0 and 2, i_V (a, b) = b (1-z^2) and i_V c = (-c, 0).  The
+    eigenbasis lists the Legendre polynomials P_l (from Bonnet's
+    recursion) in degrees 0 and 2 and P_l' in each half of degree 1."""
+
+    n, rank, pi_power = 2, 1, 1
+
+    def __init__(self, capacity):
+        super().__init__()
+        self.capacity = capacity
+
+    def dim(self, q):
+        return {0: 1, 1: 2, 2: 1}.get(q, 0) * (self.capacity + 1)
+
+    def _whole(self, op, q, w):
+        """op on the whole polynomials w, f in degrees 0 and 2 and (a, b)
+        in degree 1, with no capacity; () outside degrees 0 to 2."""
+        if op == "codifferential":  # -(star d star) when n = 2
+            w = self._whole("star", 3 - q, self._whole("d", 2 - q,
+                                                       self._whole("star", q, w)))
+            return (_neg(w[0]), _neg(w[1])) if q == 2 else _neg(w)
+        if op == "d" and q == 0:
+            return (_poly_deriv(w), ())
+        if op == "d" and q == 1:
+            return _poly_deriv(_times_one_minus_z2(w[1]))
+        if op == "star" and q == 1:
+            return (_neg(w[1]), w[0])
+        if op == "star" and q in (0, 2):
+            return w
+        if op == ("contraction", 0) and q == 1:
+            return _times_one_minus_z2(w[1])
+        if op == ("contraction", 0) and q == 2:
+            return (_neg(w), ())
+        return ()
+
+    def _images(self, op, q):
+        """The whole image of each degree-q unit vector, as its nonzero
+        ((half, power), value) pairs."""
+        if ("whole", op, q) not in self._matrices:
+            m, p, images = self.capacity + 1, self.degree(op, q), []
+            for k in range(self.dim(q)):
+                e = (Fraction(0),) * (k % m) + (Fraction(1),)
+                w = self._whole(op, q, ((e, ()) if k < m else ((), e)) if q == 1 else e)
+                images.append([((h, i), a) for h, poly in enumerate(w if p == 1 else (w,))
+                               for i, a in enumerate(poly) if a])
+            self._matrices["whole", op, q] = images
+        return self._matrices["whole", op, q]
+
+    def _vector(self, p, image):
+        """The coefficients of a whole degree-p image, given by its nonzero
+        pairs, or None past the capacity."""
+        m, out = self.capacity + 1, [_ZERO] * self.dim(p)
+        for (h, i), a in image:
+            if i >= m:
+                return None
+            out[h * m + i] = a
+        return tuple(out)
+
+    def _formula(self, op, q, k):
+        return self._vector(self.degree(op, q), self._images(op, q)[k])
+
+    def apply(self, op, q, coeffs):
+        """The operators through whole polynomials: a form raises
+        TruncationError when its whole image passes the capacity."""
+        if op in ("coords", "image", "green", "harmonic_projection"):
+            return super().apply(op, q, coeffs)
+        p = self.degree(op, q)
+        out = self._vector(p, _combine(coeffs, self._images(op, q)).items())
+        if out is None:
+            raise TruncationError("reference image past the capacity")
+        return p, out
+
+    def matrix(self, op, q):
+        # a 2-form c dz^dphi has the eigenbasis and inner product of the
+        # function c, so both degrees share their transforms
+        return super().matrix(op, 0 if q == 2 and op in ("coords", "image") else q)
+
+    def _mass(self, q, k):
+        """<e_i, e_k> without its pi for every i: the moment of z^(i+k); in
+        degree 1 the halves are orthogonal."""
         m = self.capacity + 1
-        if w.degree == 1:
-            return _trim(w.coeffs[:m]), _trim(w.coeffs[m:])
-        return _trim(w.coeffs)
+        return [0 if (i + k) % 2 or (q == 1 and i // m != k // m)
+                else _moment(i % m + k % m, q == 1) for i in range(self.dim(q))]
 
-    def d(self, w):
-        if self.dimension(w.degree) == 0 or w.degree >= 2:
-            return self.zero(w.degree + 1)
-        if w.degree == 0:
-            return self.one_form(_poly_deriv(self._polys(w)), ())
-        a, b = self._polys(w)
-        # d(b (1-z^2) dphi) = (b (1-z^2))' dz ^ dphi
-        return self.two_form(_poly_deriv(_poly_mul(b, _ONE_MINUS_Z2)))
-
-    def star(self, w):
-        if self.dimension(w.degree) == 0:
-            return self.zero(self.n - w.degree)
-        if w.degree == 0:
-            return self.two_form(self._polys(w))
-        if w.degree == 2:
-            return self.zero_form(self._polys(w))
-        a, b = self._polys(w)
-        return self.one_form([-x for x in b], a)
-
-    def codifferential(self, w):
-        return _star_d_star(self, w)
-
-    def contraction(self, j, w):
-        if j != 0:
-            raise IndexError("sphere backend has a single generator")
-        if self.dimension(w.degree) == 0 or w.degree == 0:
-            return self.zero(w.degree - 1)
-        if w.degree == 1:
-            a, b = self._polys(w)
-            return self.zero_form(_poly_mul(b, _ONE_MINUS_Z2))
-        return self.one_form([-x for x in self._polys(w)], ())
+    def _listing(self, q):
+        """P_l, l(l+1) and 4/(2l+1) in degrees 0 and 2; P_l' dz and then
+        P_l' (1-z^2) dphi for l = 1 .. capacity + 1 in degree 1, with
+        l(l+1) times that norm."""
+        m, zero = self.capacity + 1, (Fraction(0),)
+        polys = [(Fraction(1),), (Fraction(0), Fraction(1))]
+        while len(polys) <= m:  # (l+1) P_(l+1) = (2l+1) z P_l - l P_(l-1)
+            l = len(polys) - 1
+            polys.append(tuple(((2 * l + 1) * a - l * b) / (l + 1) for a, b in
+                               zip(zero + polys[l], polys[l - 1] + zero * 2)))
+        if q in (0, 2):
+            return [(Fraction(l * (l + 1)), polys[l] + zero * (m - l - 1),
+                     Fraction(4, 2 * l + 1)) for l in range(m)]
+        if q != 1:
+            return []
+        return [(Fraction(l * (l + 1)),
+                 zero * (half * m) + _poly_deriv(polys[l]) + zero * (m - l)
+                 + zero * ((1 - half) * m),
+                 Fraction(l * (l + 1) * 4, 2 * l + 1))
+                for half in (0, 1) for l in range(1, m + 1)]
 
 
-class LoopTorus(TorusBackend):
-    """A torus backend whose d, star and contraction loop over the nonzero
-    coefficients of a form, basis element by basis element."""
+class TorusReference(_Reference):
+    """Flat T^n from the mode formulas: d cos(k.x) = -k_a sin(k.x) dx_a and
+    d sin(k.x) = k_a cos(k.x) dx_a with the shuffle sign of (a, I); the
+    star dx_I -> sign(I, complement) dx_complement; i_v dx_I the signed sum
+    over the axes of I.  The basis (labels read from a backend) is its own
+    eigenbasis, eigenvalue |k|^2, with squared norm 2^n, halved for k != 0."""
 
-    def _out(self, q, terms):
-        out = [Fraction(0)] * self.dimension(q)
+    rank = 1
+
+    def __init__(self, backend):
+        super().__init__()
+        self.n, self.v, self.pi_power = backend.n, backend.v, backend.n
+        self._modes, self._funcs = backend._modes, backend._funcs
+        self._basis = {q: backend._basis[q] for q in range(self.n + 1)}
+        self._func_index = {f: i for i, f in enumerate(self._funcs)}
+
+    def dim(self, q):
+        return len(self._basis.get(q, ()))
+
+    def _formula(self, op, q, k):
+        fi, I = self._basis[q][k]
+        mi, phase = self._funcs[fi]
+        terms = []
+        if op == "d":
+            for a, ka in enumerate(self._modes[mi]):
+                if ka and a not in I:
+                    fj = self._func_index[mi, 1 - phase]
+                    terms.append(((fj, tuple(sorted(I + (a,)))), _perm_sign((a,) + I)
+                                  * (-ka if phase == COS else ka)))
+        elif op == "star":
+            comp = tuple(a for a in range(self.n) if a not in I)
+            terms.append(((fi, comp), _perm_sign(I + comp)))
+        elif op == "codifferential":
+            # d* = (-1)^(n(q+1)+1) * d * on an oriented Riemannian n-manifold
+            p, w = self.apply("star", *self.apply(
+                "d", *self.apply("star", q, _unit(self.dim(q), k))))
+            return _neg(w) if (self.n * (q + 1) + 1) % 2 else w
+        else:  # ("contraction", 0)
+            terms = [((fi, I[:pos] + I[pos + 1:]), (-1) ** pos * self.v[a])
+                     for pos, a in enumerate(I)]
+        p = self.degree(op, q)
+        out = [Fraction(0)] * self.dim(p)
         for key, c in terms:
-            out[self._index[q][key]] += c
-        return InvariantForm(self, q, tuple(out))
+            out[self._basis[p].index(key)] += c
+        return tuple(out)
 
-    def _support(self, w):
-        return [(self._basis[w.degree][i], c)
-                for i, c in enumerate(w.coeffs) if c]
+    def _mass(self, q, k):
+        return [0 if i != k else self.eigenbasis(q)[k][2] for i in range(self.dim(q))]
 
-    def d(self, w):
-        terms = []
-        for (fi, I), c in self._support(w):
-            mi, phase = self._funcs[fi]
-            for axis in range(self.n):
-                kx = self._modes[mi][axis]
-                if axis in I or kx == 0:
-                    continue
-                # d/dx cos(k.x) = -k_x sin(k.x), d/dx sin(k.x) = k_x cos(k.x)
-                fj = self._func_index[(mi, SIN if phase == COS else COS)]
-                sign = _perm_sign((axis,) + I)
-                terms.append(((fj, tuple(sorted(I + (axis,)))),
-                              sign * (-kx if phase == COS else kx) * c))
-        return self._out(w.degree + 1, terms)
-
-    def star(self, w):
-        terms = []
-        for (fi, I), c in self._support(w):
-            comp = tuple(i for i in range(self.n) if i not in I)
-            terms.append(((fi, comp), _perm_sign(I + comp) * c))
-        return self._out(self.n - w.degree, terms)
-
-    def codifferential(self, w):
-        return _star_d_star(self, w)
-
-    def contraction(self, j, w):
-        if j != 0:
-            raise IndexError("torus backend has a single generator")
-        terms = []
-        for (fi, I), c in self._support(w):
-            for pos, axis in enumerate(I):
-                J = I[:pos] + I[pos + 1:]
-                terms.append(((fi, J), (-1) ** pos * self.v[axis] * c))
-        return self._out(w.degree - 1, terms)
+    def _listing(self, q):
+        modes = [self._modes[self._funcs[fi][0]] for fi, _ in self._basis.get(q, ())]
+        return [(Fraction(sum(c * c for c in k)), _unit(len(modes), i),
+                 Fraction(2 ** self.n, 2 if any(k) else 1))
+                for i, k in enumerate(modes)]
 
 
-def sphere_eigenbasis(b, q):
-    """The whole degree-q eigenbasis of a sphere backend, one
-    ``(eigenvalue, sparse entries, squared norm)`` per vector: the Legendre
-    polynomials in degrees 0 and 2, their derivatives in both halves of
-    degree 1."""
-    m = b.capacity + 1
-    eig = []
-    if q in (0, 2):
-        for l in range(m):
-            entries = [(i, c) for i, c in enumerate(legendre(l)) if c]
-            # <P_l, P_l> rational part: 2 * 2/(2l+1)
-            eig.append((Fraction(l * (l + 1)), entries,
-                        Fraction(4, 2 * l + 1)))
-    else:
-        # exact family d(P_l) = P_l' dz and the star-conjugate coexact
-        # family P_l' (1-z^2) dphi, both with eigenvalue l(l+1)
-        polys = [legendre(l) for l in range(1, m + 1)]
-        for offset in (0, m):
-            for l, p in enumerate(polys, 1):
-                entries = [(offset + i - 1, i * c)
-                           for i, c in enumerate(p) if i and c]
-                lam = Fraction(l * (l + 1))
-                eig.append((lam, entries, lam * Fraction(4, 2 * l + 1)))
-    return eig
+class ProductReference(_Reference):
+    """The product of two references, in blocks (q1, q2) of degree q1 + q2
+    flattened row-major.  Every operator is a signed Kronecker combination
+    of the factors' matrices: d and d* as op1 (x) 1 + (-1)^q1 1 (x) op2,
+    the star as (-1)^(q2 (n1 - q1)) star1 (x) star2, a contraction on the
+    factor that owns its generator (Koszul sign on the second), and the
+    eigen-transforms as coords1 (x) coords2 and image1 (x) image2.  An
+    eigenvalue is the sum of the factors' and a squared norm their
+    product."""
+
+    def __init__(self, r1, r2):
+        super().__init__()
+        self.r1, self.r2 = r1, r2
+        self.n, self.rank = r1.n + r2.n, r1.rank + r2.rank
+        self.pi_power = r1.pi_power + r2.pi_power
+
+    def blocks(self, q):
+        out, offset = [], 0
+        for q1 in range(self.r1.n + 1):
+            d1, d2 = self.r1.dim(q1), self.r2.dim(q - q1)
+            if d1 and d2:
+                out.append((q1, q - q1, offset, d1, d2))
+                offset += d1 * d2
+        return out
+
+    def dim(self, q):
+        return sum(d1 * d2 for _, _, _, d1, d2 in self.blocks(q))
+
+    def spectrum(self, q):
+        if ("spectrum", q) not in self._matrices:
+            self._matrices["spectrum", q] = [
+                (l1 + l2, n1 * n2) for q1, q2, _, _, _ in self.blocks(q)
+                for l1, n1 in self.r1.spectrum(q1) for l2, n2 in self.r2.spectrum(q2)]
+        return self._matrices["spectrum", q]
+
+    def _terms(self, op, q1, q2):
+        """(op1, op2, sign) of each Kronecker term on block (q1, q2)."""
+        koszul = -1 if q1 % 2 else 1
+        if op in ("d", "codifferential"):
+            return [(op, None, 1), (None, op, koszul)]
+        if op == "star":
+            return [(op, op, -1 if q2 * (self.r1.n - q1) % 2 else 1)]
+        if op in ("coords", "image"):
+            return [(op, op, 1)]
+        if op[1] < self.r1.rank:
+            return [(op, None, 1)]
+        return [(None, ("contraction", op[1] - self.r1.rank), koszul)]
+
+    def apply(self, op, q, coeffs):
+        if op in ("green", "harmonic_projection"):
+            return super().apply(op, q, coeffs)
+        p = self.degree(op, q)
+        terms = {}
+        targets = {(p1, p2): offset for p1, p2, offset, _, _ in self.blocks(p)}
+        for q1, q2, offset, d1, d2 in self.blocks(q):
+            for op1, op2, sign in self._terms(op, q1, q2):
+                cols1, cols2 = self.r1.sparse(op1, q1), self.r2.sparse(op2, q2)
+                p1 = self.r1.degree(op1, q1) if op1 else q1
+                p2 = self.r2.degree(op2, q2) if op2 else q2
+                base, width = targets.get((p1, p2)), self.r2.dim(p2)
+                # e_i (x) e_j maps to sign * u_i (x) v_j, with u_i = cols1[i]
+                # and v_j = cols2[j]
+                for k, c in enumerate(coeffs[offset:offset + d1 * d2]):
+                    if not c:
+                        continue
+                    u, v = cols1[k // d2], cols2[k % d2]
+                    if u is None or v is None:
+                        raise TruncationError("reference image past the capacity")
+                    for a, x in u:
+                        for b, y in v:
+                            terms.setdefault(base + a * width + b, []).append(
+                                (sign, c, x, y))
+        return p, tuple(_dot(terms.get(i, ())) for i in range(self.dim(p)))
+
+    def _unit_image(self, op, q, k):
+        try:
+            return self.apply(op, q, _unit(self.dim(q), k))[1]
+        except TruncationError:
+            return None
+
+    def tensor(self, q1, a, q2, b):
+        """The degree and coefficients of the pure tensor a (x) b."""
+        q = q1 + q2
+        out = [Fraction(0)] * self.dim(q)
+        for p1, _, offset, _, d2 in self.blocks(q):
+            if p1 == q1:
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        out[offset + i * d2 + j] = x * y
+        return q, tuple(out)
 
 
-def torus_eigenbasis(b, q):
-    """The whole degree-q eigenbasis of a torus backend: every basis form,
-    with eigenvalue |k|^2 and squared norm the rational part of (2 pi)^n,
-    halved for k != 0."""
-    eig = []
-    for i, (fi, I) in enumerate(b._basis[q]):
-        k = b._modes[b._funcs[fi][0]]
-        norm = Fraction(2 ** b.n) / (2 if any(k) else 1)
-        eig.append((Fraction(sum(c * c for c in k)), [(i, Fraction(1))], norm))
-    return eig
+_REFERENCES = {}
 
 
-def reference_spectrum(b, q):
-    """The eigenvalues and squared norms of degree q, two tuples in the
-    order of the eigen-coordinates, built for the whole degree at once: from
-    the listed eigenbasis of a sphere or torus, and on a product block by
-    block, row-major, as every sum of the factors' eigenvalues and every
-    product of their squared norms."""
-    if not b.dimension(q):
-        return (), ()
-    if isinstance(b, ProductBackend):
-        lams, norms = [], []
-        for q1, q2, _, _, _ in b.block_layout(q):
-            lam1, norm1 = reference_spectrum(b.b1, q1)
-            lam2, norm2 = reference_spectrum(b.b2, q2)
-            lams += [x + y for x in lam1 for y in lam2]
-            norms += [x * y for x in norm1 for y in norm2]
-        return tuple(lams), tuple(norms)
-    listing = sphere_eigenbasis if isinstance(b, SphereBackend) else torus_eigenbasis
-    eig = listing(b, q)
-    return tuple(lam for lam, _, _ in eig), tuple(n for _, _, n in eig)
+def reference(b):
+    """The formula reference of a sphere, torus or product backend, one per
+    tag.  It reads the backend's capacity, dimensions and basis labels, and
+    none of its operators."""
+    if b.tag not in _REFERENCES:
+        if isinstance(b, ProductBackend):
+            ref = ProductReference(reference(b.b1), reference(b.b2))
+        elif isinstance(b, SphereBackend):
+            ref = SphereReference(b.capacity)
+        else:
+            ref = TorusReference(b)
+        _REFERENCES[b.tag] = ref
+    return _REFERENCES[b.tag]
 
 
-class _BackSubstitution:
-    """Eigen-transforms over the whole eigenbasis of a degree that
-    ``_eigen_entries`` lists: one ``(eigenvalue, sparse entries, squared
-    norm)`` per vector, the vectors' largest indices distinct, so that the
-    basis is triangular and the coordinates follow by back-substitution."""
-
-    def _eigenbasis(self, q):
-        cache = vars(self).setdefault("_eig_cache", {})
-        if q not in cache:
-            dim = self.dimension(q)
-            eig = self._eigen_entries(q) if dim else []
-            if len(eig) != dim:
-                raise AssertionError("eigenbasis does not span degree %d" % q)
-            vectors = [vec for _, vec, _ in eig]
-            pivots = [max(vec) for vec in vectors]  # (largest index, entry)
-            if len({lead for lead, _ in pivots}) != dim:
-                raise AssertionError("repeated leading indices in degree %d" % q)
-            steps = sorted(((lead, k, pivot, vectors[k])
-                            for k, (lead, pivot) in enumerate(pivots)),
-                           reverse=True)
-            cache[q] = (vectors, steps)
-        return cache[q]
-
-    def _to_eigen(self, w):
-        _, steps = self._eigenbasis(w.degree)
-        r = list(w.coeffs)
-        out = [Fraction(0)] * len(r)
-        for lead, k, pivot, vec in steps:
-            if r[lead]:
-                a = out[k] = r[lead] / pivot
-                for i, v in vec:
-                    r[i] -= a * v
-        return InvariantForm(self, w.degree, tuple(out))
-
-    def _from_eigen(self, c):
-        q = c.degree
-        vectors, _ = self._eigenbasis(q)
-        out = [Fraction(0)] * self.dimension(q)
-        for ck, entries in zip(c.coeffs, vectors):
-            if ck:
-                for i, v in entries:
-                    out[i] += ck * v
-        return InvariantForm(self, q, tuple(out))
-
-
-class BackSubSphere(_BackSubstitution, SphereBackend):
-    """A sphere backend whose eigenbasis is listed whole."""
-
-    def _eigen_entries(self, q):
-        return sphere_eigenbasis(self, q)
-
-
-class BackSubTorus(_BackSubstitution, TorusBackend):
-    """A torus backend whose eigenbasis is listed whole."""
-
-    def _eigen_entries(self, q):
-        return torus_eigenbasis(self, q)
+def reference_outcome(ref, op, q, coeffs):
+    """The degree and coefficients the reference gives for op on coeffs, or
+    TruncationError."""
+    try:
+        return ref.apply(op, q, coeffs)
+    except TruncationError:
+        return TruncationError
 
 
 # ---------------------------------------------------------------------------
@@ -963,116 +1062,6 @@ def dense_scale(a, c):
 
 def dense_is_zero(w):
     return all(c == 0 for c in w.coeffs)
-
-
-class DenseEngine(ExactBackend):
-    """The exact engine over whole coefficient tuples: every column, mat-vec
-    and spectral step scans all coefficients, and no form it builds carries
-    entries.  Listed after a sphere, torus or product backend among the
-    bases, it keeps their columns and supplies the rest; its spectrum is
-    the whole-degree :func:`reference_spectrum`.  A column is stored as
-    the engine's ``(degree, den, nums)``, so a product can read it, and
-    its mat-vec sums each ``Fraction(num, den)`` into a dense tuple."""
-
-    def _whole_spectrum(self, q):
-        cache = vars(self).setdefault("_spectrum_cache", {})
-        if q not in cache:
-            cache[q] = reference_spectrum(self, q)
-        return cache[q]
-
-    def zero(self, q):
-        return InvariantForm(self, q, (Fraction(0),) * self.dimension(q))
-
-    def is_zero(self, w, relative_to=None):
-        return dense_is_zero(w)
-
-    def _column(self, op, q, k):
-        unit = [Fraction(0)] * self.dimension(q)
-        unit[k] = Fraction(1)
-        e = InvariantForm(self, q, tuple(unit))
-        if op == "coords":
-            return self._to_eigen(e)
-        if op == "image":
-            return self._from_eigen(e)
-        if op == "codifferential":
-            res = self.star(self.d(self.star(e)))
-            if (self.n * (q + 1) + 1) % 2:
-                return InvariantForm(self, res.degree, dense_neg(res))
-            return res
-        if isinstance(op, tuple):
-            return self.contraction(op[1], e)
-        return getattr(self, op)(e)
-
-    def _col(self, op, q, k):
-        cols = self._columns.setdefault((op, q), {})
-        if k not in cols:
-            res = self._column(op, q, k)
-            den = math.lcm(*[v.denominator for v in res.coeffs])
-            cols[k] = (res.degree, den, [(i, v.numerator * den // v.denominator)
-                                         for i, v in enumerate(res.coeffs) if v])
-        return cols[k]
-
-    def _matvec(self, op, w, out_q):
-        out = [Fraction(0)] * self.dimension(out_q)
-        for k, c in enumerate(w.coeffs):
-            if c:
-                _, den, nums = self._col(op, w.degree, k)
-                for i, num in nums:
-                    out[i] += c * Fraction(num, den)
-        return InvariantForm(self, out_q, tuple(out))
-
-    def inner_product(self, a, b):
-        _, norms = self._whole_spectrum(a.degree)
-        x = self._to_eigen(a).coeffs
-        y = self._to_eigen(b).coeffs
-        val = sum((n * s * t for n, s, t in zip(norms, x, y) if s and t),
-                  Fraction(0))
-        return PiScalar(val, self._pi_power())
-
-    def green(self, w):
-        lams, _ = self._whole_spectrum(w.degree)
-        c = self._to_eigen(w).coeffs
-        return self._from_eigen(InvariantForm(self, w.degree, tuple(
-            a / lam if a and lam else Fraction(0) for a, lam in zip(c, lams))))
-
-    def harmonic_projection(self, w):
-        lams, _ = self._whole_spectrum(w.degree)
-        c = self._to_eigen(w).coeffs
-        return self._from_eigen(InvariantForm(self, w.degree, tuple(
-            Fraction(0) if lam else a for a, lam in zip(c, lams))))
-
-    def harmonic_basis(self, q):
-        lams, _ = self._whole_spectrum(q)
-        return [self._column("image", q, k)
-                for k, lam in enumerate(lams) if lam == 0]
-
-
-class DenseSphere(SphereBackend, DenseEngine):
-    """The sphere's closed-form columns on the dense engine."""
-
-
-class DenseTorus(TorusBackend, DenseEngine):
-    """The torus's closed-form columns on the dense engine."""
-
-
-class DenseProduct(ProductBackend, DenseEngine):
-    """The product's columns on the dense engine, with a pure tensor built
-    by scanning every coefficient of both factors."""
-
-    def tensor(self, w1, w2):
-        q = w1.degree + w2.degree
-        out = [Fraction(0)] * self.dimension(q)
-        for q1, q2, offset, d1, d2 in self._blocks.get(q, []):
-            if q1 != w1.degree:
-                continue
-            for i, a in enumerate(w1.coeffs):
-                if a == 0:
-                    continue
-                base = offset + i * d2
-                for j, bcoef in enumerate(w2.coeffs):
-                    if bcoef:
-                        out[base + j] = a * bcoef
-        return InvariantForm(self, q, tuple(out))
 
 
 def operator_outcome(op, w):

@@ -131,6 +131,17 @@ def test_convergence_short_run(capsys):
     assert residuals[1] < residuals[0]
 
 
+def test_negative_convergence_level_is_a_usage_error(capsys):
+    """No level runs below 0, so an empty study is refused instead of
+    printed as a monotone one."""
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--levels", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "level must be >= 0, got -1" in captured.err
+
+
 def test_convergence_study_to_level_3(capsys):
     code, out, err = run(capsys, "convergence", "--levels", "3")
     assert code == 0

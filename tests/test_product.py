@@ -7,7 +7,6 @@ import pytest
 
 from equihodge import (
     BackendMismatch,
-    InvariantForm,
     TruncationError,
     extend,
     make_product_backend,
@@ -15,7 +14,7 @@ from equihodge import (
     make_torus_backend,
     verify_extension,
 )
-from bruteforce import PerRowProduct, _star_d_star
+from bruteforce import operator_outcome, reference, reference_outcome
 
 
 @pytest.fixture(scope="module")
@@ -162,16 +161,23 @@ def test_mixed_sphere_torus_product():
 ], ids=["sphere-x-sphere", "circle-x-torus2", "nested"])
 def test_codifferential_matches_the_star_reference(make):
     """The Koszul codifferential over the factors' codifferentials equals
-    the signed star conjugate of d, exactly, in every degree."""
+    the signed star conjugate of d, (-1)^(n(q+1)+1) * d *, and the
+    reference's Kronecker codifferential, exactly, in every degree."""
     p = make()
+    ref = reference(p)
     rng = np.random.default_rng(16)
     for q in range(p.n + 1):
         for _ in range(3):
             w = random_form(rng, p, q)
-            assert p.codifferential(w) == _star_d_star(p, w)
+            conjugate = p.star(p.d(p.star(w)))
+            if (p.n * (q + 1) + 1) % 2:
+                conjugate = -conjugate
+            assert p.codifferential(w) == conjugate
+            assert operator_outcome(p.codifferential, w) == ref.apply(
+                "codifferential", q, w.coeffs)
 
 
-# -- the column-cached kernel against the per-row reference -----------------
+# -- the column-cached kernel against the Kronecker reference ---------------
 
 PRODUCTS = {
     "S2xS2-N2": lambda: (make_sphere_backend(2, stages=1),
@@ -195,45 +201,35 @@ def capacity_form(rng, p, q, nonzeros=None):
                       for _ in range(dim)])
 
 
-def outcome(op, *args):
-    """The coefficients (or value) op returns, or the truncation it raises."""
-    try:
-        res = op(*args)
-    except TruncationError:
-        return TruncationError
-    return res.coeffs if isinstance(res, InvariantForm) else res
-
-
-def operator_pairs(p, ref):
-    """(name, product operator, reference operator) on one form."""
-    pairs = [(name, getattr(p, name), getattr(ref, name))
-             for name in ("d", "codifferential", "star", "_to_eigen", "green",
+def operators(p):
+    """(name, product operator, reference op) on one form."""
+    pairs = [(name, getattr(p, name), name)
+             for name in ("d", "codifferential", "star", "green",
                           "harmonic_projection")]
     pairs += [("contraction %d" % j, lambda w, j=j: p.contraction(j, w),
-               lambda w, j=j: ref.contraction(j, w))
-              for j in range(p.generator_spec.rank)]
-    pairs.append(("_from_eigen", p._from_eigen, ref._from_eigen))
-    return pairs
+               ("contraction", j)) for j in range(p.generator_spec.rank)]
+    return pairs + [("_to_eigen", p._to_eigen, "coords"),
+                    ("_from_eigen", p._from_eigen, "image")]
 
 
 @pytest.mark.parametrize("factors", PRODUCTS.values(), ids=PRODUCTS.keys())
 def test_column_kernel_matches_the_per_row_reference(factors):
-    """Every operator equals the per-row kernel's exactly, or both raise
-    TruncationError, on forms that reach the factors' capacity."""
+    """Every operator equals the Kronecker reference's exactly, or both
+    raise TruncationError, on forms that reach the factors' capacity."""
     b1, b2 = factors()
-    p, ref = make_product_backend(b1, b2), PerRowProduct(b1, b2)
+    p = make_product_backend(b1, b2)
+    ref = reference(p)
     rng = np.random.default_rng(21)
     seen = set()
     for q in range(p.n + 1):
         forms = ([random_form(rng, p, q), capacity_form(rng, p, q, 80)]
                  + [capacity_form(rng, p, q, 12) for _ in range(6)])
         for w, u in zip(forms, forms[1:] + forms[:1]):
-            w_ref, u_ref = (InvariantForm(ref, q, x.coeffs) for x in (w, u))
-            for name, op, op_ref in operator_pairs(p, ref):
-                got = outcome(op, w)
-                assert got == outcome(op_ref, w_ref), (name, q)
+            for name, op, key in operators(p):
+                got = operator_outcome(op, w)
+                assert got == reference_outcome(ref, key, q, w.coeffs), (name, q)
                 seen.add((name, got is TruncationError))
-            assert p.inner_product(w, u) == ref.inner_product(w_ref, u_ref)
+            assert p.inner_product(w, u) == ref.inner_product(q, w.coeffs, u.coeffs)
     # the forms exercise both the raising and the regular columns
     assert {("d", True), ("d", False), ("codifferential", True),
             ("contraction 0", True), ("contraction 0", False)} <= seen
@@ -241,41 +237,44 @@ def test_column_kernel_matches_the_per_row_reference(factors):
 
 def test_truncation_parity_with_the_per_row_reference():
     """d, d* and each contraction raise on a product form exactly when the
-    per-row kernel does: on the unit vectors, on sums of overflowing unit
-    vectors (which cannot cancel), and not on a dense form that avoids
-    them; a raising column raises again at its next use."""
+    Kronecker reference meets a flagged factor column: on the unit vectors,
+    on sums of overflowing unit vectors (which cannot cancel), and not on a
+    dense form that avoids them; a raising column raises again at its next
+    use."""
     b1, b2 = make_sphere_backend(2, stages=1), make_sphere_backend(2, stages=1)
-    p, ref = make_product_backend(b1, b2), PerRowProduct(b1, b2)
+    p = make_product_backend(b1, b2)
+    ref = reference(p)
     rng = np.random.default_rng(22)
     names = ("d", "codifferential", "contraction 0", "contraction 1")
     for q in range(p.n + 1):
         dim = p.dimension(q)
-        for name, op, op_ref in operator_pairs(p, ref):
+        for name, op, key in operators(p):
             if name not in names:
                 continue
             overflow = []
             for k in range(dim):
-                unit = [0] * dim
-                unit[k] = 1
-                raises = outcome(op, p.form(q, unit)) is TruncationError
-                assert raises == (outcome(op_ref, ref.form(q, unit))
+                unit = p.form(q, [int(i == k) for i in range(dim)])
+                raises = operator_outcome(op, unit) is TruncationError
+                assert raises == (reference_outcome(ref, key, q, unit.coeffs)
                                   is TruncationError), (name, q, k)
                 if raises:
                     overflow.append(k)
             if name == "d" and q in (1, 2, 3):  # the sphere 1-forms' top b
                 assert overflow
             dense = capacity_form(rng, p, q).coeffs
-            clear = [0 if k in overflow else c for k, c in enumerate(dense)]
-            assert outcome(op, p.form(q, clear)) == outcome(
-                op_ref, ref.form(q, clear)) is not TruncationError
+            clear = p.form(q, [0 if k in overflow else c
+                               for k, c in enumerate(dense)])
+            assert operator_outcome(op, clear) == reference_outcome(
+                ref, key, q, clear.coeffs) is not TruncationError
             if overflow:
                 hits = [c if k in overflow else 0 for k, c in enumerate(dense)]
                 hits[overflow[0]] = 1
                 hits[overflow[-1]] = -1
-                for coeffs in (hits, [a + b for a, b in zip(clear, hits)]):
-                    assert outcome(op, p.form(q, coeffs)) is TruncationError
-                    assert outcome(op, p.form(q, coeffs)) is TruncationError
-                    assert outcome(op_ref, ref.form(q, coeffs)) is TruncationError
+                for coeffs in (hits, [a + b for a, b in zip(clear.coeffs, hits)]):
+                    w = p.form(q, coeffs)
+                    assert operator_outcome(op, w) is TruncationError
+                    assert operator_outcome(op, w) is TruncationError
+                    assert reference_outcome(ref, key, q, w.coeffs) is TruncationError
 
 
 def test_warm_extend_makes_no_factor_calls():

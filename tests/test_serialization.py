@@ -52,6 +52,7 @@ def test_unknown_tag_rejected():
     "dec:nsym=2,level=0",
     "dec:nsym=4,level=-1",
     "dec:nsym=4,level=0,zigzag=0.7",
+    "product:[sphere:N=2,stages=0|dec:nsym=4,level=0]",
 ])
 def test_malformed_backend_tag_is_a_format_error(tag):
     text = "equihodge-form v1\nbackend: %s\ndegree: 0\ndim: 1\n" % tag

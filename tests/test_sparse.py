@@ -3,11 +3,11 @@
 Every exact form caches its nonzero ``(index, value)`` entries, and sums,
 negation, scaling, the zero test, the operators, Green's operator, harmonic
 projection and the inner product read them instead of the whole
-coefficient tuple.  These tests compare each of them exactly with the dense
-arithmetic kept in ``bruteforce`` (element-wise maps, ``all(c == 0 ...)``,
-full-scan mat-vecs and block splits), on sparse and dense forms of every
-degree, and check that every form they return caches exactly the nonzeros
-of its coefficients.
+coefficient tuple.  These tests compare the arithmetic exactly with the
+element-wise maps of ``bruteforce`` (``dense_add``, ``all(c == 0 ...)``,
+...), and the operators with its dense formula references, on sparse and
+dense forms of every degree, and check that every form they return caches
+exactly the nonzeros of its coefficients.
 """
 
 import math
@@ -19,8 +19,8 @@ import pytest
 from equihodge import (EquivariantElement, FormalGenerator, InvariantForm,
                        extend, make_product_backend, make_sphere_backend,
                        make_torus_backend, with_formal_generators)
-from bruteforce import (DenseProduct, DenseSphere, DenseTorus, dense_add,
-                        dense_is_zero, dense_neg, dense_scale, dense_sub)
+from bruteforce import (dense_add, dense_is_zero, dense_neg, dense_scale,
+                        dense_sub, reference)
 from conftest import random_exact_form
 
 TORI = [(1, 2, (1,)), (2, 2, (1, 0)), (2, 2, (2, 0)), (3, 2, (1, 1, 0)),
@@ -35,17 +35,13 @@ def _formal(base):
     return with_formal_generators(base, [FormalGenerator(4, "u", contract)])
 
 
-PAIRS = {"sphere-%d" % N: (lambda N=N: (make_sphere_backend(N), DenseSphere(N)))
-         for N in (2, 8, 32)}
+PAIRS = {"sphere-%d" % N: (lambda N=N: make_sphere_backend(N)) for N in (2, 8, 32)}
 PAIRS.update({"torus-%d-%d-%s" % (n, K, "".join(map(str, v))):
-              (lambda n=n, K=K, v=v: (make_torus_backend(n, K, v),
-                                      DenseTorus(n, K, v)))
+              (lambda n=n, K=K, v=v: make_torus_backend(n, K, v))
               for n, K, v in TORI})
-PAIRS.update({"s2xs2-%d" % N: (lambda N=N: (
-    make_product_backend(make_sphere_backend(N, 1), make_sphere_backend(N, 1)),
-    DenseProduct(DenseSphere(N, 1), DenseSphere(N, 1)))) for N in (2, 3)})
-PAIRS["formal"] = lambda: (_formal(make_torus_backend(3, 2, (1, 1, 0))),
-                           _formal(DenseTorus(3, 2, (1, 1, 0))))
+PAIRS.update({"s2xs2-%d" % N: (lambda N=N: make_product_backend(
+    make_sphere_backend(N, 1), make_sphere_backend(N, 1))) for N in (2, 3)})
+PAIRS["formal"] = lambda: _formal(make_torus_backend(3, 2, (1, 1, 0)))
 
 
 def scan(w):
@@ -85,23 +81,28 @@ def forms(rng, b, q):
     return [b.zero(q)] + sparse + [dense, cancel]
 
 
-def on(ref, w):
-    """w's coefficients as a reference form, with no entries cached."""
-    return InvariantForm(ref, w.degree, w.coeffs)
-
-
 def operators(b):
-    ops = [("d", b.d), ("star", b.star), ("codifferential", b.codifferential),
-           ("green", b.green), ("harmonic_projection", b.harmonic_projection)]
-    return ops + [("contraction %d" % j, lambda w, j=j: b.contraction(j, w))
-                  for j in range(b.generator_spec.rank)]
+    """(name, operator, reference operator on (degree, coefficients)); the
+    formal generator's contraction is the reference star on 3-forms."""
+    ref = reference(getattr(b, "base", b))
+    names = ("d", "star", "codifferential", "green", "harmonic_projection")
+    ops = [(name, getattr(b, name), lambda q, c, name=name: ref.apply(name, q, c))
+           for name in names]
+    ops += [("contraction %d" % j, lambda w, j=j: b.contraction(j, w),
+             lambda q, c, j=j: ref.apply(("contraction", j), q, c))
+            for j in range(ref.rank)]
+    if b is not getattr(b, "base", b):
+        ops.append(("contraction %d" % ref.rank,
+                    lambda w: b.contraction(ref.rank, w),
+                    lambda q, c: ref.apply("star", q, c) if q == 3 else (q - 3, ())))
+    return ops
 
 
 @pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
 def test_arithmetic_matches_the_dense_reference(pair):
     """+, -, negation, scale (by 0 too), ==, the zero test and the
     equivariant model's zero pruning agree with the element-wise maps."""
-    b, _ = pair()
+    b = pair()
     rng = np.random.default_rng(14)
     for q in range(b.n + 1):
         ws = forms(rng, b, q)
@@ -132,36 +133,36 @@ def test_arithmetic_matches_the_dense_reference(pair):
 @pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
 def test_operators_match_the_dense_reference(pair):
     """Every operator, Green's operator, harmonic projection and the inner
-    product equal the full-scan engine's exactly."""
-    b, ref = pair()
+    product equal the dense formula reference's exactly."""
+    b = pair()
+    ref = reference(getattr(b, "base", b))
+    ops = operators(b)
     rng = np.random.default_rng(41)
     for q in range(b.n + 1):
         ws = forms(rng, b, q)
         for w in ws:
-            for (name, op), (_, op_ref) in zip(operators(b), operators(ref)):
-                res, want = op(w), op_ref(on(ref, w))
-                assert (res.degree, res.coeffs) == (want.degree, want.coeffs), \
-                    (name, q)
+            for name, op, op_ref in ops:
+                res = op(w)
+                assert (res.degree, res.coeffs) == op_ref(q, w.coeffs), (name, q)
                 assert_entries(res, seeded=True)
             for v in ws:
                 assert b.inner_product(w, v) == ref.inner_product(
-                    on(ref, w), on(ref, v)), q
-            assert b.inner_product(w, w) == ref.inner_product(
-                on(ref, w), on(ref, w))
+                    q, w.coeffs, v.coeffs), q
+            assert b.inner_product(w, w) == ref.inner_product(q, w.coeffs, w.coeffs)
 
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_tensor_matches_the_dense_reference(N):
     b = make_product_backend(make_sphere_backend(N, 1), make_sphere_backend(N, 1))
-    ref = DenseProduct(DenseSphere(N, 1), DenseSphere(N, 1))
+    ref = reference(b)
     rng = np.random.default_rng(7)
     for q1 in range(3):
         for q2 in range(3):
             for w1 in forms(rng, b.b1, q1):
                 for w2 in forms(rng, b.b2, q2):
                     res = b.tensor(w1, w2)
-                    want = ref.tensor(on(ref.b1, w1), on(ref.b2, w2))
-                    assert res.coeffs == want.coeffs
+                    assert (res.degree, res.coeffs) == ref.tensor(
+                        q1, w1.coeffs, q2, w2.coeffs)
                     assert_entries(res, seeded=True)
 
 
@@ -216,23 +217,34 @@ def test_sphere_at_n_64_matches_the_dense_reference_exactly():
     """At N = 64 the eigen-transform columns and the results carry
     denominators of well over a hundred bits; the extension, the degree-1
     Hodge split and Green's operator in every degree still equal the dense
-    Fraction engine's exactly."""
-    b, ref = make_sphere_backend(64), DenseSphere(64)
+    formula reference's exactly.  The reference extension is the recursion
+    a_(s+1) = G d* i_V a_s, with no harmonic part in any i_V a_s."""
+    b = make_sphere_backend(64)
+    ref = reference(b)
     c = [Fraction(1, j + 1) for j in range(32)]
-    got, want = extend(b.two_form(c)), extend(ref.two_form(c))
-    assert got.status == want.status == "extended"
-    assert [[(m, f.coeffs) for m, f in t.terms.items()] for t in got.terms] == [
-        [(m, f.coeffs) for m, f in t.terms.items()] for t in want.terms]
+    got = extend(b.two_form(c))
+    want, a = [], (2, b.two_form(c).coeffs)
+    while a[0] > 0:
+        boundary = ref.apply(("contraction", 0), *a)
+        assert not any(ref.apply("harmonic_projection", *boundary)[1])
+        a = ref.apply("green", *ref.apply("codifferential", *boundary))
+        want.append([((len(want) + 1,), a)])
+    assert got.status == "extended"
+    assert [[(m, (f.degree, f.coeffs)) for m, f in t.terms.items()]
+            for t in got.terms[1:]] == want
     rng = np.random.default_rng(64)
     w = random_form(rng, b, 1)
-    split, split_ref = b.hodge_decompose(w), ref.hodge_decompose(on(ref, w))
-    for part in ("harmonic", "exact", "coexact"):
-        assert getattr(split, part).coeffs == getattr(split_ref, part).coeffs
+    split = b.hodge_decompose(w)
+    exact = ref.apply("d", *ref.apply("green", *ref.apply("codifferential", 1, w.coeffs)))
+    coexact = ref.apply("codifferential", *ref.apply("green", *ref.apply("d", 1, w.coeffs)))
+    assert (1, split.harmonic.coeffs) == ref.apply("harmonic_projection", 1, w.coeffs)
+    assert (1, split.exact.coeffs) == exact
+    assert (1, split.coexact.coeffs) == coexact
     bits = 0
     for q in range(3):
         w = random_form(rng, b, q)
         g = b.green(w)
-        assert g.coeffs == ref.green(on(ref, w)).coeffs, q
+        assert (q, g.coeffs) == ref.apply("green", q, w.coeffs), q
         assert_entries(g, seeded=True)
         bits = max(bits, max(c.denominator for c in g.coeffs).bit_length())
     assert bits > 128
