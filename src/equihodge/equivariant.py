@@ -292,22 +292,33 @@ def extend(alpha: InvariantForm) -> ExtensionReport:
     when some contracted coefficient had a nonzero harmonic part (the
     report then carries the stage and residual).
 
+    The final residual |d_G(alpha_hat)| is (I (x) d)(alpha_hat) minus the
+    sum of the boundaries the stages computed, so no coefficient is
+    contracted twice.  The stages' boundaries have monomials of distinct
+    t-degree, so the sum adds no two forms, and the value equals
+    ``cartan_d(alpha_hat).norm()`` bit for bit, on floats too;
+    :func:`verify_extension` recomputes it independently.
+
     Raises :class:`NotClosed` when d(alpha) != 0.
     """
     backend = alpha.backend
     if not backend.is_zero(backend.d(alpha), alpha):
         raise NotClosed("extend requires a closed input form")
     terms = [EquivariantElement.from_form(alpha)]
+    boundaries = EquivariantElement(backend, alpha.degree + 1, {})
     # hard guard; for torus generators P^m = 0 once 2m > deg(alpha)
     for stage in range(alpha.degree + 3):
+        boundary = partial_d(terms[-1])
         try:
-            coeffs = _d_star_green(backend, partial_d(terms[-1]).terms, stage, alpha)
+            coeffs = _d_star_green(backend, boundary.terms, stage, alpha)
         except ObstructionDetected as ex:
             return ExtensionReport(terms, ex.residual)
+        boundaries = boundaries + boundary
         current = EquivariantElement(backend, terms[-1].total_degree, coeffs)
         if current.is_zero:
             report = ExtensionReport(terms)
-            report.final_residual_norm = cartan_d(report.alpha_hat()).norm()
+            report.final_residual_norm = (
+                coefficient_d(report.alpha_hat()) - boundaries).norm()
             return report
         terms.append(current)
     raise AssertionError("extension loop exceeded the termination bound")

@@ -69,10 +69,11 @@ class FormalGeneratorBackend(Backend):
         return self._retag(w, self)
 
     def _retag(self, w: InvariantForm, backend: Backend) -> InvariantForm:
-        """w's coefficients as a form of ``backend``; an exact form's
-        entries are found once and shared."""
-        return InvariantForm(backend, w.degree, w.coeffs,
-                             w.entries if self.is_exact else None)
+        """w as a form of ``backend``, sharing its stored data: an exact
+        form's entries, a mesh form's array."""
+        if self.is_exact:
+            return InvariantForm.from_entries(backend, w.degree, w.entries)
+        return InvariantForm(backend, w.degree, w.coeffs)
 
     @property
     def tag(self) -> str:

@@ -24,11 +24,12 @@ On top of that contract this module builds, once and for all:
 
 Exact backends use :class:`fractions.Fraction` coefficients throughout,
 so "zero" means identically zero, never merely small.  An exact form is
-immutable and caches its nonzero entries, and every exact step above (the
+immutable and stores its nonzero entries, and every exact step above (the
 sums, the zero test, each mat-vec and each eigen-coordinate step) reads
 them, so its work is proportional to the nonzeros, not to the dimension.
 A cached column is integers over one denominator, and a mat-vec normalises
-each output entry once.  The dense coefficient tuple stays a form's value.
+each output entry once.  The dense coefficient tuple is a view, built the
+first time someone reads it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .errors import BackendMismatch
@@ -76,35 +78,33 @@ class GeneratorSpec:
 class InvariantForm:
     """An invariant differential form in a backend coefficient basis.
 
-    Immutable; on exact backends it caches its nonzero entries.
-    Coefficients are a tuple of ``Fraction`` on exact backends and a numpy
-    array on the mesh backend.  Forms of degree outside ``[0, n]`` are
-    permitted as empty (zero) placeholders so operator compositions never
-    need special casing at the top and bottom degrees.
+    Immutable.  Forms of degree outside ``[0, n]`` are permitted as empty
+    (zero) placeholders so operator compositions never need special casing
+    at the top and bottom degrees.
 
-    :attr:`entries` are the nonzero ``(index, value)`` pairs of an exact
-    form in increasing index order: given by the producer when it has them
-    (:meth:`from_entries`, :meth:`from_values`), otherwise found by one
-    scan of ``coeffs`` on first use.  Sums, zero tests and the exact
-    operators read them, so their work is proportional to the nonzeros.
+    An exact form stores :attr:`entries`, its nonzero ``(index, value)``
+    pairs in increasing index order, ``Fraction`` values.  Sums, zero tests
+    and the exact operators read them, so their work is proportional to
+    the nonzeros.  :attr:`coeffs`, the dense tuple of every coefficient, is
+    built from them and cached the first time someone reads it.  A form
+    made from a dense tuple (:meth:`Backend.form`) stores that tuple
+    instead, and finds its entries by one scan on first use.  A mesh form
+    stores its numpy array as :attr:`coeffs`.
     """
-
-    __slots__ = ("backend", "degree", "coeffs", "_entries")
 
     def __init__(self, backend, degree: int, coeffs, entries=None):
         self.backend = backend
         self.degree = degree
-        self.coeffs = coeffs
-        self._entries = entries
+        if entries is not None:
+            self.entries = entries
+        if coeffs is not None:
+            self.coeffs = coeffs
 
     @classmethod
     def from_entries(cls, backend, degree: int, entries) -> "InvariantForm":
         """The exact form with the given nonzero ``(index, value)`` entries,
         a tuple in increasing index order."""
-        coeffs = [_ZERO] * backend.dimension(degree)
-        for i, c in entries:
-            coeffs[i] = c
-        return cls(backend, degree, tuple(coeffs), entries)
+        return cls(backend, degree, None, entries)
 
     @classmethod
     def from_values(cls, backend, degree: int, values) -> "InvariantForm":
@@ -113,12 +113,19 @@ class InvariantForm:
         return cls.from_entries(backend, degree, tuple(
             (i, c) for i, c in sorted(values.items()) if c))
 
-    @property
+    @cached_property
     def entries(self) -> Tuple[Tuple[int, Fraction], ...]:
         """The nonzero ``(index, value)`` pairs, in increasing index order."""
-        if self._entries is None:
-            self._entries = tuple((i, c) for i, c in enumerate(self.coeffs) if c)
-        return self._entries
+        return tuple((i, c) for i, c in enumerate(self.coeffs) if c)
+
+    @cached_property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The dense coefficient tuple of an exact form, built from its
+        entries on first read."""
+        dense = [_ZERO] * self.backend.dimension(self.degree)
+        for i, c in self.entries:
+            dense[i] = c
+        return tuple(dense)
 
     def _check_compatible(self, other: "InvariantForm"):
         if self.backend is not other.backend:
@@ -132,7 +139,7 @@ class InvariantForm:
         """self + sign * other; exact values are summed only where both
         forms have an entry."""
         self._check_compatible(other)
-        if not isinstance(self.coeffs, tuple):
+        if not self.backend.is_exact:
             return InvariantForm(self.backend, self.degree,
                                  self.coeffs + other.coeffs if sign > 0
                                  else self.coeffs - other.coeffs)
@@ -155,13 +162,13 @@ class InvariantForm:
         return self._combine(other, -1)
 
     def __neg__(self) -> "InvariantForm":
-        if not isinstance(self.coeffs, tuple):
+        if not self.backend.is_exact:
             return InvariantForm(self.backend, self.degree, -self.coeffs)
         return InvariantForm.from_entries(self.backend, self.degree, tuple(
             (i, -c) for i, c in self.entries))
 
     def scale(self, c) -> "InvariantForm":
-        if not isinstance(self.coeffs, tuple):
+        if not self.backend.is_exact:
             return InvariantForm(self.backend, self.degree, float(c) * self.coeffs)
         c = Fraction(c)
         return InvariantForm.from_entries(self.backend, self.degree, tuple(
@@ -177,7 +184,7 @@ class InvariantForm:
             return NotImplemented
         if self.backend is not other.backend or self.degree != other.degree:
             return False
-        if isinstance(self.coeffs, tuple):
+        if self.backend.is_exact:
             return self.entries == other.entries
         import numpy as np
 
@@ -277,12 +284,11 @@ class Backend(ABC):
         return not w.entries
 
     def zero(self, q: int) -> InvariantForm:
-        dim = self.dimension(q)
         if self.is_exact:
-            return InvariantForm(self, q, (_ZERO,) * dim, ())
+            return InvariantForm.from_entries(self, q, ())
         import numpy as np
 
-        return InvariantForm(self, q, np.zeros(dim))
+        return InvariantForm(self, q, np.zeros(self.dimension(q)))
 
     def form(self, q: int, coeffs) -> InvariantForm:
         """Build a form with validation of the coefficient count."""

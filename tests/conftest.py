@@ -1,8 +1,17 @@
-"""Shared helpers: truncation-aware random forms on the exact backends."""
+"""Shared helpers: truncation-aware random forms on the exact backends,
+and the ``hypothesis`` profile of every property test."""
 
 from fractions import Fraction
 
+from hypothesis import settings
+
 from equihodge import ProductBackend, SphereBackend, TorusBackend
+
+# Examples are drawn from a seed fixed by each test, and no example database
+# is read or written, so a run's verdict depends neither on the clock nor
+# on what an earlier run left in .hypothesis/.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def rand_fraction(rng):

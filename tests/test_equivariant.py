@@ -268,3 +268,51 @@ def test_form_subtraction_adds_the_negative(make):
                     for _ in range(2))
         assert a - b == a + b.scale(-1)
         assert -b == b.scale(-1)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_the_final_residual_is_the_cartan_differential_bit_for_bit(level):
+    """extend's residual, d of each coefficient minus the boundaries its
+    stages summed, is the recomputed |d_G(alpha_hat)| to the last bit on
+    the mesh backend; the noise cochain is fault (c)'s input."""
+    backend = DecBackend(build_symmetric_sphere(4, level, zigzag=0.1))
+    z = backend.vertex_heights()
+    noise = np.random.default_rng(20260).standard_normal(backend.dimension(2))
+    for alpha in (backend.volume_form_cochain(),
+                  backend.d(backend.form(0, z ** 2)),
+                  backend.form(2, noise)):
+        r = extend(alpha)
+        assert r.status == "extended"
+        assert r.final_residual_norm == cartan_d(r.alpha_hat()).norm()
+
+
+def test_every_exact_preset_that_extends_has_residual_zero():
+    from equihodge.cli import PRESETS
+    from equihodge.serialization import backend_from_tag
+
+    extended = 0
+    for tag, make in PRESETS.values():
+        backend = backend_from_tag(tag)
+        if backend.is_exact:
+            r = extend(make(backend))
+            if r.status == "extended":
+                extended += 1
+                assert r.final_residual_norm == 0.0
+    assert extended == 4
+
+
+def test_extend_contracts_each_coefficient_once(monkeypatch):
+    """The final residual reuses the stages' boundaries: one S^2 x S^2
+    extension makes (coefficients x rank) contractions per stage and no
+    more."""
+    b = make_product_backend(make_sphere_backend(4), make_sphere_backend(4))
+    alpha = (b.tensor(b.b1.two_form((1,)), b.b2.zero_form((1,)))
+             + b.tensor(b.b1.zero_form((1,)), b.b2.two_form((1,))))
+    calls = []
+    contraction = b.contraction
+    monkeypatch.setattr(b, "contraction",
+                        lambda j, w: calls.append(j) or contraction(j, w))
+    r = extend(alpha)
+    assert r.status == "extended" and len(r.terms) == 2
+    rank = b.generator_spec.rank
+    assert len(calls) == sum(len(t.terms) * rank for t in r.terms) == 6

@@ -121,7 +121,7 @@ def test_parsed_exact_form_is_built_from_its_lines(make):
     for extra in ([], ["1 0"]):
         lines = header + ["%d %s" % kv for kv in values.items()] + extra
         w = parse_form("\n".join(lines) + "\n", b)
-        assert w._entries == tuple(sorted(values.items()))
+        assert vars(w).get("entries") == tuple(sorted(values.items()))
         assert w.coeffs == b.form(1, [values.get(i, 0)
                                       for i in range(dim)]).coeffs
         assert w == b.form(1, [values.get(i, 0) for i in range(dim)])

@@ -54,7 +54,7 @@ def assert_entries(w, seeded=False):
     assert isinstance(w.coeffs, tuple)
     assert all(type(c) is Fraction for c in w.coeffs)
     if seeded:
-        assert w._entries is not None
+        assert "entries" in vars(w)
     assert w.entries == scan(w), w
 
 
@@ -291,3 +291,55 @@ def test_form_arithmetic_does_nothing_with_a_zero_operand():
         (-1, 0, 0, -1, 0, 0), (3, 0, 0, 3, 0, 0), (0,) * 6, (1, 0, 0, 1, 0, 0)]
     dense_add(u, v)
     assert ZERO_OPS
+
+
+LAZY = {
+    "sphere": lambda: make_sphere_backend(4),
+    "torus": lambda: make_torus_backend(2, 2, (1, 0)),
+    "s2xs2": lambda: make_product_backend(make_sphere_backend(2, 1),
+                                          make_sphere_backend(2, 1)),
+    "formal": lambda: _formal(make_torus_backend(3, 2, (1, 1, 0))),
+}
+
+
+def sparse_input(rng, b, q):
+    """A random degree-q form of b stored as its entries only."""
+    w = random_exact_form(rng, getattr(b, "base", b), q)
+    return InvariantForm.from_entries(b, q, w.entries)
+
+
+@pytest.mark.parametrize("name", sorted(LAZY))
+def test_exact_forms_build_their_dense_tuple_on_first_read(name):
+    """Every form an exact operator or a form operation returns stores its
+    entries only; its first coeffs read builds and caches the dense tuple
+    of those entries, from which the form reads back equal."""
+    b = LAZY[name]()
+    rng = np.random.default_rng(29)
+    outputs = []
+    for q in range(b.n + 1):
+        w, v = sparse_input(rng, b, q), sparse_input(rng, b, q)
+        outputs += [b.d(w), b.codifferential(w), b.green(w),
+                    b.harmonic_projection(w), w + v, w - v, w - w,
+                    w.scale(Fraction(-3, 2)), w.scale(0), -w, b.zero(q)]
+        outputs += [b.contraction(j, w) for j in range(b.generator_spec.rank)]
+    if name == "s2xs2":
+        outputs += [b.tensor(sparse_input(rng, b.b1, q1),
+                             sparse_input(rng, b.b2, q2))
+                    for q1 in range(3) for q2 in range(3)]
+    for w in outputs:
+        assert "coeffs" not in vars(w), w
+        dense = [Fraction(0)] * b.dimension(w.degree)
+        for i, c in w.entries:
+            dense[i] = c
+        assert w.coeffs == tuple(dense)
+        assert vars(w)["coeffs"] is w.coeffs
+        assert b.form(w.degree, w.coeffs) == w
+
+
+def test_a_mesh_form_keeps_the_array_it_is_given():
+    from equihodge import DecBackend, build_symmetric_sphere
+
+    b = DecBackend(build_symmetric_sphere(4, 0))
+    for q in range(3):
+        a = np.arange(b.dimension(q), dtype=float)
+        assert InvariantForm(b, q, a).coeffs is a
