@@ -13,14 +13,15 @@ extension step is the degree-zero operator
 and the canonical extension of a closed invariant form alpha is the
 finite Neumann series alpha_hat = alpha + P(alpha) + P^2(alpha) + ...
 
-The stage (I (x) d* G) lives in one private function that ``extend``,
-``p_operator``, ``extend_partial`` and ``moment_map`` all call.  Before
-Green's operator is invoked, it checks every contracted coefficient form
-for a harmonic component.  A nonzero harmonic part certifies that the
-form is not exact, i.e. that extendability fails for this input; the
-stage then raises with diagnostics instead of silently projecting the
-harmonic part away.  The stage computes d* G f as G(d* f): Green's
-operator commutes with d*, and the solve then runs one degree lower.
+``extend``, ``moment_map``, ``obstruction_residual`` and ``extend_partial``
+test their input in one private closedness check, ``_require_closed``.
+Every P-term comes from one private stage function, ``_d_star_green``.
+Before Green's operator is invoked, the stage checks every contracted
+coefficient form for a harmonic component.  A nonzero harmonic part
+certifies that the form is not exact, i.e. that extendability fails for
+this input; the stage then raises with diagnostics instead of silently
+projecting the harmonic part away.  It computes d* G f as G(d* f):
+Green's operator commutes with d*, and the solve runs one degree lower.
 """
 
 from __future__ import annotations
@@ -208,15 +209,23 @@ def cartan_d(x: EquivariantElement) -> EquivariantElement:
     return coefficient_d(x) - partial_d(x)
 
 
-def _d_star_green(backend: Backend, boundary: Mapping[Monomial, InvariantForm],
-                  stage: int, source) -> Dict[Monomial, InvariantForm]:
-    """(I (x) d* G) on boundary coefficients, after the harmonic test.
+def _require_closed(x: EquivariantElement, error: Exception) -> None:
+    """Raise ``error`` unless (I (x) d) x is zero, relative to x, the
+    run's input, on the float backend."""
+    backend = x.backend
+    if not all(backend.is_zero(backend.d(f), x) for f in x.terms.values()):
+        raise error
+
+
+def _d_star_green(boundary: EquivariantElement, stage: int,
+                  source) -> EquivariantElement:
+    """(I (x) d* G) of a boundary element, after the harmonic test.
 
     Raises :class:`ObstructionDetected` for ``stage`` with the largest
     harmonic-component norm when some coefficient is not exact; Green's
     operator never silently projects a harmonic part away.  The test is
     relative to ``source``, the run's input.  A 0-form has d* G = 0 and is
-    left out.
+    left out.  The result is one total degree below the boundary.
 
     Each coefficient f is mapped to G(d* f), which equals d* G(f): the
     Laplacian commutes with d*, and d* maps harmonic forms to zero and the
@@ -224,12 +233,14 @@ def _d_star_green(backend: Backend, boundary: Mapping[Monomial, InvariantForm],
     commutes with d* too.  Solving one degree lower is cheaper on the mesh
     backend (vertices instead of edges for a 1-form).
     """
-    harmonic = [backend.harmonic_projection(f) for f in boundary.values()]
+    backend = boundary.backend
+    harmonic = [backend.harmonic_projection(f) for f in boundary.terms.values()]
     residuals = [backend.norm(h) for h in harmonic if not backend.is_zero(h, source)]
     if residuals:
         raise ObstructionDetected(stage, max(residuals))
-    return {key: backend.green(backend.codifferential(form))
-            for key, form in boundary.items() if form.degree > 0}
+    return EquivariantElement(backend, boundary.total_degree - 1, {
+        key: backend.green(backend.codifferential(form))
+        for key, form in boundary.terms.items() if form.degree > 0})
 
 
 def p_operator(x: EquivariantElement) -> EquivariantElement:
@@ -238,8 +249,7 @@ def p_operator(x: EquivariantElement) -> EquivariantElement:
     Raises :class:`ObstructionDetected` when a boundary coefficient has a
     nonzero harmonic part.
     """
-    terms = _d_star_green(x.backend, partial_d(x).terms, 0, x)
-    return EquivariantElement(x.backend, x.total_degree, terms)
+    return _d_star_green(partial_d(x), 0, x)
 
 
 @dataclass
@@ -301,20 +311,17 @@ def extend(alpha: InvariantForm) -> ExtensionReport:
 
     Raises :class:`NotClosed` when d(alpha) != 0.
     """
-    backend = alpha.backend
-    if not backend.is_zero(backend.d(alpha), alpha):
-        raise NotClosed("extend requires a closed input form")
     terms = [EquivariantElement.from_form(alpha)]
-    boundaries = EquivariantElement(backend, alpha.degree + 1, {})
+    _require_closed(terms[0], NotClosed("extend requires a closed input form"))
+    boundaries = EquivariantElement(alpha.backend, alpha.degree + 1, {})
     # hard guard; for torus generators P^m = 0 once 2m > deg(alpha)
     for stage in range(alpha.degree + 3):
         boundary = partial_d(terms[-1])
         try:
-            coeffs = _d_star_green(backend, boundary.terms, stage, alpha)
+            current = _d_star_green(boundary, stage, alpha)
         except ObstructionDetected as ex:
             return ExtensionReport(terms, ex.residual)
         boundaries = boundaries + boundary
-        current = EquivariantElement(backend, terms[-1].total_degree, coeffs)
         if current.is_zero:
             report = ExtensionReport(terms)
             report.final_residual_norm = (
@@ -340,10 +347,9 @@ def obstruction_residual(beta: InvariantForm) -> float:
     Zero exactly when beta is exact (on exact backends this is an exact
     zero test).  Raises :class:`NotClosed` when d(beta) != 0.
     """
-    backend = beta.backend
-    if not backend.is_zero(backend.d(beta), beta):
-        raise NotClosed("obstruction residual requires a closed form")
-    return backend.norm(backend.harmonic_projection(beta))
+    _require_closed(EquivariantElement.from_form(beta),
+                    NotClosed("obstruction residual requires a closed form"))
+    return beta.backend.norm(beta.backend.harmonic_projection(beta))
 
 
 def moment_map(omega: InvariantForm) -> InvariantForm:
@@ -358,10 +364,12 @@ def moment_map(omega: InvariantForm) -> InvariantForm:
     if omega.degree != 2:
         raise BackendMismatch(
             "moment map requires a 2-form, got degree %d" % omega.degree)
-    if not backend.is_zero(backend.d(omega), omega):
-        raise NotClosed("moment map requires a closed form")
+    _require_closed(EquivariantElement.from_form(omega),
+                    NotClosed("moment map requires a closed form"))
     t1 = _bump((0,) * backend.generator_spec.rank, 0)
-    return _d_star_green(backend, {t1: backend.contraction(0, omega)}, 0, omega)[t1]
+    boundary = EquivariantElement(backend, omega.degree + 1,
+                                  {t1: backend.contraction(0, omega)})
+    return _d_star_green(boundary, 0, omega).coefficient(t1)
 
 
 def extend_partial(a_terms: Sequence[EquivariantElement], m: int) -> EquivariantElement:
@@ -374,12 +382,8 @@ def extend_partial(a_terms: Sequence[EquivariantElement], m: int) -> Equivariant
     """
     if m < 0 or m >= len(a_terms):
         raise ValueError("need terms a_0..a_m")
-    backend = a_terms[0].backend
-    if not all(backend.is_zero(f, a_terms[0])
-               for f in coefficient_d(a_terms[0]).terms.values()):
-        raise PreconditionViolated(0, "d(a_0) != 0")
+    _require_closed(a_terms[0], PreconditionViolated(0, "d(a_0) != 0"))
     for j in range(1, m + 1):
         if coefficient_d(a_terms[j]) != partial_d(a_terms[j - 1]):
             raise PreconditionViolated(j)
-    terms = _d_star_green(backend, partial_d(a_terms[m]).terms, m, a_terms[0])
-    return EquivariantElement(backend, a_terms[m].total_degree, terms)
+    return _d_star_green(partial_d(a_terms[m]), m, a_terms[0])

@@ -381,9 +381,9 @@ class ExactBackend(Backend):
         ``op`` is ``"d"``, ``"star"``, ``"codifferential"``,
         ``("contraction", j)``, or ``"coords"`` / ``"image"``: the
         eigen-coordinates of e_k / the form whose coordinates are e_k, held
-        as forms.  Each backend gives its columns in closed form (a product
-        from its factors' columns); this default gives only the
-        codifferential, as the signed star conjugate of d.
+        as forms.  A sphere or torus gives its columns in closed form (a
+        product overrides :meth:`_int_column`); this default gives only
+        the codifferential, as the signed star conjugate of d.
         """
         if op != "codifferential":
             raise NotImplementedError("%s gives no %r column"
@@ -497,5 +497,6 @@ class ExactBackend(Backend):
             (k, a) for k, a in c if not eig[k][0])))
 
     def harmonic_basis(self, q: int) -> List[InvariantForm]:
-        return [self._column("image", q, k) for k in range(self.dimension(q))
-                if not self._col("eigen", q, k)[0]]
+        return [self._from_eigen(
+                    InvariantForm.from_entries(self, q, ((k, Fraction(1)),)))
+                for k in range(self.dimension(q)) if not self._col("eigen", q, k)[0]]

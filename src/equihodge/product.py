@@ -31,7 +31,6 @@ pair, and work that repeats on one backend makes no factor calls.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import BackendMismatch
@@ -103,11 +102,6 @@ class ProductBackend(ExactBackend):
         return InvariantForm.from_entries(self, q, entries)
 
     # -- operator columns ----------------------------------------------------
-
-    def _column(self, op, q: int, k: int) -> InvariantForm:
-        p, den, nums = self._int_column(op, q, k)
-        return InvariantForm.from_values(
-            self, p, {i: Fraction(n, den) for i, n in nums})
 
     def _int_column(self, op, q: int, k: int):
         # e_k is e1_i (x) e2_j of its (q1, q2) block; each term is

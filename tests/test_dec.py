@@ -9,6 +9,8 @@ from equihodge import (
     DecBackend,
     EquivariantElement,
     MeshError,
+    NotClosed,
+    PreconditionViolated,
     SolverError,
     build_symmetric_sphere,
     cartan_d,
@@ -188,6 +190,22 @@ def extend_partial_from(alpha):
 def test_the_closedness_test_does_not_depend_on_the_scale(dec2, run, make, s):
     backend, _ = dec2
     run(make(backend).scale(s))
+
+
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+def test_a_form_that_is_not_closed_is_rejected_at_every_scale(dec2, s):
+    """The negative twin of the test above: |d beta| / |beta| is about 16,
+    so no scale makes the random invariant 1-cochain beta pass as closed."""
+    backend, _ = dec2
+    beta = backend.symmetrize(
+        random_cochain(np.random.default_rng(0), backend, 1)).scale(s)
+    with pytest.raises(NotClosed):
+        extend(beta)
+    with pytest.raises(NotClosed):
+        obstruction_residual(beta)
+    with pytest.raises(PreconditionViolated) as info:
+        extend_partial_from(beta)
+    assert info.value.index == 0
 
 
 def test_a_large_exact_one_form_extends(dec2):

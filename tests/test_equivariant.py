@@ -186,6 +186,26 @@ def test_moment_map_examples(sphere, torus):
         moment_map(torus.basis_form(2, (0, 0), COS, (0, 1)))
 
 
+def test_moment_map_requires_closed_input():
+    b = make_product_backend(make_sphere_backend(4), make_sphere_backend(4))
+    omega = b.tensor(b.b1.one_form((), (1,)), b.b2.one_form((1,), ()))
+    with pytest.raises(NotClosed):
+        moment_map(omega)
+
+
+def test_moment_map_contracts_with_generator_0_only():
+    """On S^2 x T^2 the 2-form 1 (x) dx^dy has i_0 omega = 0, so its moment
+    map is zero, while its T^2 contraction dy is harmonic and obstructs the
+    full extension at stage 0."""
+    b = make_product_backend(make_sphere_backend(4),
+                             make_torus_backend(2, 2, (1, 0)))
+    omega = b.tensor(b.b1.zero_form((1,)),
+                     b.b2.basis_form(2, (0, 0), COS, (0, 1)))
+    assert moment_map(omega) == b.zero(0)
+    report = extend(omega)
+    assert report.status == "obstructed" and report.obstruction_stage == 0
+
+
 def test_moment_map_requires_two_form(sphere):
     with pytest.raises(ValueError):
         moment_map(sphere.zero_form((1,)))
