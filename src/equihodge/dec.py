@@ -23,7 +23,9 @@ the mesh's triangle-vertex and triangle-edge arrays.  The stars then give
 each symmetry orbit its representative's value, and the interior-product
 matrices are built on representative entries and replicated along the
 orbits by one rule, which also covers the rows of the poles, so every
-operator matrix commutes with the mesh symmetry permutation exactly.
+operator matrix commutes with the mesh symmetry permutation exactly.  That
+rule, the permutation matrices and the symmetrization all read the orbits
+from :meth:`SymmetricMesh.walk`, the one place that applies the symmetry.
 
 Every operator matrix is built once, straight into CSR, and rounds as the
 general sparse constructors and products round it: a codifferential is the
@@ -205,18 +207,15 @@ class DecBackend(Backend):
         sigma^k picks up on the edge index.  Images of one entry are
         therefore equal bit for bit up to sign."""
         mesh = self.mesh
-        perms = (mesh.vperm, mesh.eperm, mesh.tperm)
         shape = (mesh.simplex_count(q_row), mesh.simplex_count(q_col))
         rep = mesh.orbit_rep
         length = np.maximum(np.bincount(rep[q_row])[rep[q_row][rows]],
                             np.bincount(rep[q_col])[rep[q_col][cols]])
-        out = []
-        for k in range(mesh.n_sym):
-            keep = k < length
-            out.append((rows[keep], cols[keep], vals[keep]))
-            vals = vals * mesh.esign[rows if q_row == 1 else cols]
-            rows, cols = perms[q_row][rows], perms[q_col][cols]
-        r, c, v = (np.concatenate(x) for x in zip(*out))
+        (r, r_sign), (c, c_sign) = mesh.walk(q_row, rows), mesh.walk(q_col, cols)
+        # the mask reads row by row, so the entries come k-major and any
+        # duplicates sum in order of k
+        keep = np.arange(mesh.n_sym)[:, None] < length
+        r, c, v = r[keep], c[keep], (vals * (r_sign * c_sign))[keep]
         return sp.csr_matrix((v, (r, c)), shape=shape)
 
     # -- contract operations --------------------------------------------------
@@ -316,22 +315,18 @@ class DecBackend(Backend):
 
     def permutation_matrix(self, q: int) -> sp.csr_matrix:
         """Signed permutation of degree-q cochains induced by the symmetry."""
-        mesh = self.mesh
-        m = mesh.simplex_count(q)
-        perm = (mesh.vperm, mesh.eperm, mesh.tperm)[q]
-        sign = mesh.esign if q == 1 else np.ones(m, dtype=int)
+        m = self.mesh.simplex_count(q)
+        images, signs = self.mesh.walk(q)
         return sp.csr_matrix(
-            (sign.astype(float), (perm, np.arange(m))), shape=(m, m)
+            (signs[1].astype(float), (images[1], np.arange(m))), shape=(m, m)
         )
 
     def symmetrize(self, w: InvariantForm) -> InvariantForm:
         """Average over the symmetry group (projection onto invariants)."""
-        P = self.permutation_matrix(w.degree)
-        acc = np.zeros_like(w.coeffs)
-        cur = np.asarray(w.coeffs, dtype=float)
-        for _ in range(self.mesh.n_sym):
-            acc += cur
-            cur = P @ cur
+        x = np.asarray(w.coeffs, dtype=float)
+        acc = np.zeros_like(x)
+        for images, signs in zip(*self.mesh.walk(w.degree)):
+            acc[images] += signs * x
         return InvariantForm(self, w.degree, acc / self.mesh.n_sym)
 
     # -- discretization helpers -----------------------------------------------
@@ -353,6 +348,5 @@ class DecBackend(Backend):
         return self.mesh.positions[:, 2].copy()
 
 
-def dec_backend(mesh: SymmetricMesh) -> DecBackend:
-    """Assemble the DEC backend operators for a symmetric sphere mesh."""
-    return DecBackend(mesh)
+#: alias of the class: the name the README examples and perfbench build it by
+dec_backend = DecBackend

@@ -145,11 +145,6 @@ class EquivariantElement:
             {mono: form.scale(c) for mono, form in self.terms.items()},
         )
 
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, EquivariantElement):
             return NotImplemented

@@ -23,15 +23,11 @@ class ObstructionDetected(EquihodgeError):
     fixed-point / extendability hypothesis does not hold on this backend.
     """
 
-    def __init__(self, stage, residual, message=None):
+    def __init__(self, stage, residual):
         self.stage = stage
         self.residual = residual
-        if message is None:
-            message = (
-                "nonzero harmonic obstruction at stage %d (residual %g)"
-                % (stage, residual)
-            )
-        super().__init__(message)
+        super().__init__("nonzero harmonic obstruction at stage %d (residual %g)"
+                         % (stage, residual))
 
 
 class PreconditionViolated(EquihodgeError):
@@ -55,15 +51,11 @@ class TruncationError(EquihodgeError):
 class SolverError(EquihodgeError):
     """An iterative solve failed to converge."""
 
-    def __init__(self, residual, iterations, message=None):
+    def __init__(self, residual, iterations):
         self.residual = residual
         self.iterations = iterations
-        if message is None:
-            message = (
-                "solver did not converge after %d iterations (residual %g)"
-                % (iterations, residual)
-            )
-        super().__init__(message)
+        super().__init__("solver did not converge after %d iterations "
+                         "(residual %g)" % (iterations, residual))
 
 
 class MeshError(EquihodgeError):

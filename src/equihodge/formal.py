@@ -138,7 +138,5 @@ class FormalGeneratorBackend(Backend):
         return self.base.is_zero(self._unwrap(w), relative_to)
 
 
-def with_formal_generators(base: Backend,
-                           extra: Sequence[FormalGenerator]) -> FormalGeneratorBackend:
-    """Extend a backend with formal higher-degree generators."""
-    return FormalGeneratorBackend(base, extra)
+#: alias of the class: the name the README examples and perfbench build it by
+with_formal_generators = FormalGeneratorBackend

@@ -174,11 +174,6 @@ class InvariantForm:
         return InvariantForm.from_entries(self.backend, self.degree, tuple(
             (i, c * a) for i, a in self.entries) if c else ())
 
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, InvariantForm):
             return NotImplemented

@@ -6,6 +6,8 @@ cyclic rotation by ``2*pi/n_sym`` about the z-axis acts simplicially; the
 permutation it induces on vertices, edges and triangles (and the orbit
 partition) is tracked explicitly so that geometric operators can be
 assembled orbit-by-orbit and commute with the symmetry exactly.
+:meth:`SymmetricMesh.walk` is the one place that applies the symmetry; the
+order check, the orbits and the DEC operators all read it.
 """
 
 from __future__ import annotations
@@ -109,13 +111,23 @@ class SymmetricMesh:
         """Orbits in increasing order of their smallest member, each listed
         from that member along the permutation."""
         out = {}
-        for q, perm in ((0, self.vperm), (1, self.eperm), (2, self.tperm)):
+        for q in range(3):
             reps, length = np.unique(self.orbit_rep[q], return_counts=True)
-            walk = [reps]
-            for _ in range(self.n_sym - 1):
-                walk.append(perm[walk[-1]])
-            out[q] = [o[:n] for o, n in zip(np.array(walk).T.tolist(), length)]
+            out[q] = [o[:n] for o, n in zip(self.walk(q, reps)[0].T.tolist(), length)]
         return out
+
+    def walk(self, q: int, idx=None) -> Tuple[np.ndarray, np.ndarray]:
+        """Row k < n_sym: the images under sigma^k of the q-simplices idx
+        (default all) and the signs they pick up, the running product of
+        esign (+1 off the edges).  The only code that applies the symmetry."""
+        perm = (self.vperm, self.eperm, self.tperm)[q]
+        images = np.tile(np.arange(len(perm)) if idx is None else idx, (self.n_sym, 1))
+        signs = np.ones_like(images)
+        for k in range(1, self.n_sym):
+            images[k] = perm[images[k - 1]]
+            if q == 1:
+                signs[k] = signs[k - 1] * self.esign[images[k - 1]]
+        return images, signs
 
     def simplex_count(self, q: int) -> int:
         return (self.num_vertices, self.num_edges, self.num_tris)[q]
@@ -144,13 +156,12 @@ class SymmetricMesh:
 
     def _build_orbits(self):
         self.orbit_rep = {}
-        for q, perm in ((0, self.vperm), (1, self.eperm), (2, self.tperm)):
-            images = [np.arange(len(perm))]
-            for _ in range(self.n_sym):
-                images.append(perm[images[-1]])
-            if not np.array_equal(images.pop(), images[0]):
+        for q in range(3):
+            images = self.walk(q)[0]
+            # sigma^(n_sym - 1) after sigma is the identity
+            if not np.array_equal(images[-1][images[1]], images[0]):
                 raise MeshError("symmetry does not have order dividing n_sym")
-            self.orbit_rep[q] = np.min(images, axis=0)
+            self.orbit_rep[q] = images.min(axis=0)
 
     # -- geometry -----------------------------------------------------------
     #

@@ -138,28 +138,24 @@ def serialize_form(w: InvariantForm) -> str:
 
 
 class _Reader:
-    """Line cursor that reports 1-based line numbers in errors."""
+    """Line cursor that reports 1-based line numbers in errors: ``lineno``
+    counts the lines consumed, so it is the number of the last one read."""
 
-    def __init__(self, text: str, offset: int = 0):
+    def __init__(self, text: str):
         self.lines = text.splitlines()
-        self.pos = 0
-        self.offset = offset
-
-    @property
-    def lineno(self) -> int:
-        return self.offset + self.pos
+        self.lineno = 0
 
     def next(self, what: str) -> str:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            self.pos += 1
+        while self.lineno < len(self.lines):
+            line = self.lines[self.lineno].strip()
+            self.lineno += 1
             if line:
                 return line
         raise FormatError("unexpected end of input, expected %s" % what,
                           self.lineno)
 
     def peek(self):
-        pos = self.pos
+        pos = self.lineno
         while pos < len(self.lines):
             line = self.lines[pos].strip()
             if line:

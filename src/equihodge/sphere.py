@@ -187,6 +187,5 @@ def _legendre_coords(j: int):
             for l in range(j, -1, -2)]
 
 
-def make_sphere_backend(truncation: int, stages: int = 3) -> SphereBackend:
-    """Build the exact round-sphere backend at the given z-degree truncation."""
-    return SphereBackend(truncation, stages=stages)
+#: alias of the class: the name the README examples and perfbench build it by
+make_sphere_backend = SphereBackend

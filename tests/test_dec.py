@@ -105,6 +105,21 @@ def test_all_operators_commute_with_the_symmetry_exactly(dec):
         assert np.max(np.abs(commutator)) < 1e-12
 
 
+def test_replication_stops_at_the_orbit_length_of_each_pair(dec):
+    """An entry is copied to (sigma^k r, sigma^k c) only for k below the
+    orbit length of the pair: the poles (vertices 0 and 1) are fixed, so a
+    pole-to-pole entry is kept once and a pole-to-ring entry once per
+    member of the ring vertex's orbit."""
+    mesh = dec.mesh
+    ring = next(o for o in mesh.orbits[0] if len(o) == mesh.n_sym)
+    M = dec._replicate(np.array([0, 0, 0]), np.array([0, 1, ring[0]]),
+                       np.array([1.0, 3.0, 2.0]), 0, 0).toarray()
+    expected = np.zeros_like(M)
+    expected[0, :2] = 1.0, 3.0
+    expected[0, ring] = 2.0
+    assert np.array_equal(M, expected)
+
+
 def test_volume_cochain_is_invariant_and_total_area(dec):
     vol = dec.volume_form_cochain()
     P = dec.permutation_matrix(2)

@@ -2,6 +2,7 @@
 the extension iteration, obstructions, and partial-extension continuation."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,10 +11,14 @@ from conftest import random_exact_form
 from equihodge import (
     COS,
     SIN,
+    BackendMismatch,
     DecBackend,
     EquivariantElement,
+    FormalGenerator,
+    GeneratorSpec,
     NotClosed,
     ObstructionDetected,
+    PiScalar,
     PreconditionViolated,
     build_symmetric_sphere,
     cartan_d,
@@ -28,6 +33,7 @@ from equihodge import (
     p_operator,
     partial_d,
     verify_extension,
+    with_formal_generators,
 )
 
 
@@ -65,11 +71,61 @@ def random_element(rng, backend, total_degree):
     return EquivariantElement(backend, total_degree, terms)
 
 
-def test_homogeneity_enforced(sphere):
-    from equihodge import BackendMismatch
+@pytest.fixture(scope="module")
+def bad_inputs(sphere):
+    """The objects the calls of the typed-error table are made on."""
+    S = make_sphere_backend(4)
+    formal = with_formal_generators(S, [FormalGenerator(4, "p4", lambda w: w)])
+    torus = make_torus_backend(2, 2, (1, 0))
+    return SimpleNamespace(
+        sphere=sphere, S=S, omega=S.two_form((1,)),
+        other=make_sphere_backend(4).two_form((1,)),
+        dec=DecBackend(build_symmetric_sphere(4, 0, zigzag=0.1)),
+        formal_omega=formal.form(2, S.two_form((1,)).coeffs),
+        obstructed=extend(torus.basis_form(2, (0, 0), 0, (0, 1))),
+    )
 
-    with pytest.raises(BackendMismatch):
-        EquivariantElement(sphere, 2, {(1,): sphere.two_form((1,))})
+
+#: (id, call on the objects of ``bad_inputs``, the error it must raise)
+TYPED_ERRORS = [
+    ("homogeneity", lambda o: EquivariantElement(
+        o.sphere, 2, {(1,): o.sphere.two_form((1,))}), BackendMismatch),
+    ("monomial-rank", lambda o: EquivariantElement(
+        o.S, 2, {(0, 0): o.omega}), BackendMismatch),
+    ("coefficient-backend", lambda o: EquivariantElement(
+        o.S, 2, {(0,): o.other}), BackendMismatch),
+    ("element-sum-backends", lambda o: embed(o.omega) + embed(o.other),
+     BackendMismatch),
+    ("element-sum-degrees",
+     lambda o: embed(o.omega) + embed(o.S.zero_form((1,))), BackendMismatch),
+    ("form-sum-backends", lambda o: o.omega + o.other, BackendMismatch),
+    ("form-sum-degrees", lambda o: o.omega + o.S.zero_form((1,)),
+     BackendMismatch),
+    ("coefficient-count", lambda o: o.S.form(2, [1, 2]), BackendMismatch),
+    ("sphere-generator", lambda o: o.S.contraction(1, o.omega), IndexError),
+    ("dec-generator", lambda o: o.dec.contraction(
+        1, o.dec.volume_form_cochain()), IndexError),
+    ("formal-generator", lambda o: o.formal_omega.backend.contraction(
+        2, o.formal_omega), IndexError),
+    ("verify-obstructed", lambda o: verify_extension(o.obstructed), ValueError),
+    ("partial-past-end", lambda o: extend_partial([embed(o.omega)], 1),
+     ValueError),
+    ("partial-negative", lambda o: extend_partial([embed(o.omega)], -1),
+     ValueError),
+    ("spec-odd-degree", lambda o: GeneratorSpec((3,), ("x",)), ValueError),
+    ("spec-empty", lambda o: GeneratorSpec((), ()), ValueError),
+    ("spec-labels", lambda o: GeneratorSpec((2,), ()), ValueError),
+    ("pi-powers", lambda o: PiScalar(1, 1) + PiScalar(1, 2), ValueError),
+    ("hash-form", lambda o: hash(o.omega), TypeError),
+]
+
+
+@pytest.mark.parametrize("call,error", [case[1:] for case in TYPED_ERRORS],
+                         ids=[case[0] for case in TYPED_ERRORS])
+def test_homogeneity_enforced(bad_inputs, call, error):
+    """Each input that breaks a documented rule raises its typed error."""
+    with pytest.raises(error):
+        call(bad_inputs)
 
 
 def test_partial_d_of_volume(sphere):

@@ -46,6 +46,24 @@ def test_symmetry_is_simplicial_at_every_level():
         assert np.array_equal(v, np.arange(mesh.num_vertices))
         assert np.array_equal(e, np.arange(mesh.num_edges))
         assert np.array_equal(t, np.arange(mesh.num_tris))
+        # row k of the walk is k applications of the permutation, with the
+        # running product of the edge signs (all +1 off the edges); a walk
+        # of some simplices is the full walk's columns
+        rng = np.random.default_rng(level)
+        for q, perm in enumerate((mesh.vperm, mesh.eperm, mesh.tperm)):
+            images, signs = mesh.walk(q)
+            assert images.shape == signs.shape == (mesh.n_sym, len(perm))
+            x, s = np.arange(len(perm)), np.ones(len(perm), dtype=int)
+            for k in range(mesh.n_sym):
+                assert np.array_equal(images[k], x)
+                assert np.array_equal(signs[k], s)
+                if q == 1:
+                    s = s * mesh.esign[x]
+                x = perm[x]
+            idx = rng.integers(0, len(perm), 7)
+            sub_images, sub_signs = mesh.walk(q, idx)
+            assert np.array_equal(sub_images, images[:, idx])
+            assert np.array_equal(sub_signs, signs[:, idx])
 
 
 def test_symmetry_is_an_isometry():
