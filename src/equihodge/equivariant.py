@@ -22,13 +22,18 @@ certifies that the form is not exact, i.e. that extendability fails for
 this input; the stage then raises with diagnostics instead of silently
 projecting the harmonic part away.  It computes d* G f as G(d* f):
 Green's operator commutes with d*, and the solve runs one degree lower.
+
+An element has two construction paths.  The public constructor validates
+each term, for user code and ``serialization.parse_report``; the library's
+loops build from their own elements through ``EquivariantElement._trusted``.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     BackendMismatch,
@@ -44,6 +49,12 @@ Monomial = Tuple[int, ...]
 def monomial_degree(mono: Monomial, spec: GeneratorSpec) -> int:
     """Total polynomial degree of a generator monomial."""
     return sum(e * d for e, d in zip(mono, spec.degrees))
+
+
+def _check_rank(mono: Monomial, spec: GeneratorSpec) -> None:
+    if len(mono) != spec.rank:
+        raise BackendMismatch("monomial rank %d does not match generator rank %d"
+                              % (len(mono), spec.rank))
 
 
 def format_monomial(mono: Monomial) -> str:
@@ -62,6 +73,9 @@ class EquivariantElement:
     ``terms`` maps generator monomials (exponent tuples, kept in canonical
     lexicographic order) to invariant coefficient forms.  Zero coefficients
     are pruned; all terms share one total degree and one backend.
+
+    The constructor raises :class:`BackendMismatch` on a term that breaks
+    these rules; :meth:`_trusted` skips that check, and both prune and sort.
     """
 
     __slots__ = ("backend", "total_degree", "terms")
@@ -69,14 +83,10 @@ class EquivariantElement:
     def __init__(self, backend: Backend, total_degree: int,
                  terms: Mapping[Monomial, InvariantForm]):
         spec = backend.generator_spec
-        clean: Dict[Monomial, InvariantForm] = {}
+        checked: Dict[Monomial, InvariantForm] = {}
         for mono, form in terms.items():
             mono = tuple(int(e) for e in mono)
-            if len(mono) != spec.rank:
-                raise BackendMismatch(
-                    "monomial rank %d does not match generator rank %d"
-                    % (len(mono), spec.rank)
-                )
+            _check_rank(mono, spec)
             if form.backend is not backend:
                 raise BackendMismatch("coefficient form from a different backend")
             if monomial_degree(mono, spec) + form.degree != total_degree:
@@ -84,18 +94,27 @@ class EquivariantElement:
                     "term %s of form degree %d breaks homogeneity (total %d)"
                     % (format_monomial(mono), form.degree, total_degree)
                 )
-            if form.is_zero:
-                continue
-            clean[mono] = form
-        self.backend = backend
-        self.total_degree = total_degree
-        self.terms = dict(sorted(clean.items()))
+            checked[mono] = form
+        self._fill(backend, total_degree, checked)
+
+    def _fill(self, backend, total_degree, terms):
+        self.backend, self.total_degree = backend, total_degree
+        self.terms = {m: terms[m] for m in sorted(terms) if not terms[m].is_zero}
+
+    @classmethod
+    def _trusted(cls, backend: Backend, total_degree: int,
+                 terms: Mapping[Monomial, InvariantForm]) -> "EquivariantElement":
+        """An element from terms that already keep the constructor's rules
+        (the library's loops build them from elements); none is checked."""
+        x = object.__new__(cls)
+        x._fill(backend, total_degree, terms)
+        return x
 
     @classmethod
     def from_form(cls, alpha: InvariantForm) -> "EquivariantElement":
         """Embed an invariant form as the degree-zero-in-t element."""
         spec = alpha.backend.generator_spec
-        return cls(alpha.backend, alpha.degree, {(0,) * spec.rank: alpha})
+        return cls._trusted(alpha.backend, alpha.degree, {(0,) * spec.rank: alpha})
 
     @property
     def is_zero(self) -> bool:
@@ -107,6 +126,7 @@ class EquivariantElement:
         if mono in self.terms:
             return self.terms[mono]
         spec = self.backend.generator_spec
+        _check_rank(mono, spec)
         q = self.total_degree - monomial_degree(mono, spec)
         return self.backend.zero(q)
 
@@ -130,7 +150,7 @@ class EquivariantElement:
         for mono, form in other.terms.items():
             terms[mono] = (op(terms[mono], form) if mono in terms
                            else only_other(form))
-        return EquivariantElement(self.backend, other.total_degree, terms)
+        return EquivariantElement._trusted(self.backend, other.total_degree, terms)
 
     def __add__(self, other: "EquivariantElement") -> "EquivariantElement":
         return self._combine(other, operator.add, lambda form: form)
@@ -139,11 +159,8 @@ class EquivariantElement:
         return self._combine(other, operator.sub, operator.neg)
 
     def scale(self, c) -> "EquivariantElement":
-        return EquivariantElement(
-            self.backend,
-            self.total_degree,
-            {mono: form.scale(c) for mono, form in self.terms.items()},
-        )
+        return EquivariantElement._trusted(self.backend, self.total_degree, {
+            mono: form.scale(c) for mono, form in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, EquivariantElement):
@@ -163,11 +180,8 @@ class EquivariantElement:
 
     def norm(self) -> float:
         """Euclidean combination of the coefficient norms."""
-        import math
-
-        return math.sqrt(
-            sum(self.backend.norm(f) ** 2 for f in self.terms.values())
-        )
+        return math.sqrt(sum(self.backend.norm(f) ** 2
+                             for f in self.terms.values()))
 
 
 def _bump(mono: Monomial, j: int) -> Monomial:
@@ -186,17 +200,14 @@ def partial_d(x: EquivariantElement) -> EquivariantElement:
                 continue
             key = _bump(mono, j)
             terms[key] = terms[key] + w if key in terms else w
-    return EquivariantElement(backend, x.total_degree + 1, terms)
+    return EquivariantElement._trusted(backend, x.total_degree + 1, terms)
 
 
 def coefficient_d(x: EquivariantElement) -> EquivariantElement:
     """(I (x) d): the exterior derivative on every coefficient form."""
     backend = x.backend
-    return EquivariantElement(
-        backend,
-        x.total_degree + 1,
-        {mono: backend.d(form) for mono, form in x.terms.items()},
-    )
+    return EquivariantElement._trusted(backend, x.total_degree + 1, {
+        mono: backend.d(form) for mono, form in x.terms.items()})
 
 
 def cartan_d(x: EquivariantElement) -> EquivariantElement:
@@ -233,7 +244,7 @@ def _d_star_green(boundary: EquivariantElement, stage: int,
     residuals = [backend.norm(h) for h in harmonic if not backend.is_zero(h, source)]
     if residuals:
         raise ObstructionDetected(stage, max(residuals))
-    return EquivariantElement(backend, boundary.total_degree - 1, {
+    return EquivariantElement._trusted(backend, boundary.total_degree - 1, {
         key: backend.green(backend.codifferential(form))
         for key, form in boundary.terms.items() if form.degree > 0})
 
@@ -259,7 +270,7 @@ class ExtensionReport:
     """
 
     terms: List[EquivariantElement]
-    obstruction: float = None
+    obstruction: Optional[float] = None
     final_residual_norm: float = 0.0
 
     @property
@@ -308,7 +319,7 @@ def extend(alpha: InvariantForm) -> ExtensionReport:
     """
     terms = [EquivariantElement.from_form(alpha)]
     _require_closed(terms[0], NotClosed("extend requires a closed input form"))
-    boundaries = EquivariantElement(alpha.backend, alpha.degree + 1, {})
+    boundaries = EquivariantElement._trusted(alpha.backend, alpha.degree + 1, {})
     # hard guard; for torus generators P^m = 0 once 2m > deg(alpha)
     for stage in range(alpha.degree + 3):
         boundary = partial_d(terms[-1])
@@ -362,8 +373,8 @@ def moment_map(omega: InvariantForm) -> InvariantForm:
     _require_closed(EquivariantElement.from_form(omega),
                     NotClosed("moment map requires a closed form"))
     t1 = _bump((0,) * backend.generator_spec.rank, 0)
-    boundary = EquivariantElement(backend, omega.degree + 1,
-                                  {t1: backend.contraction(0, omega)})
+    boundary = EquivariantElement._trusted(backend, omega.degree + 1,
+                                           {t1: backend.contraction(0, omega)})
     return _d_star_green(boundary, 0, omega).coefficient(t1)
 
 

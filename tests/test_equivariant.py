@@ -94,6 +94,8 @@ TYPED_ERRORS = [
         o.S, 2, {(0, 0): o.omega}), BackendMismatch),
     ("coefficient-backend", lambda o: EquivariantElement(
         o.S, 2, {(0,): o.other}), BackendMismatch),
+    ("coefficient-rank", lambda o: embed(o.omega).coefficient((1, 0)),
+     BackendMismatch),
     ("element-sum-backends", lambda o: embed(o.omega) + embed(o.other),
      BackendMismatch),
     ("element-sum-degrees",
@@ -392,3 +394,36 @@ def test_extend_contracts_each_coefficient_once(monkeypatch):
     assert r.status == "extended" and len(r.terms) == 2
     rank = b.generator_spec.rank
     assert len(calls) == sum(len(t.terms) * rank for t in r.terms) == 6
+
+
+def test_library_loops_never_run_the_public_constructor(monkeypatch):
+    """Every element the extension layer builds from its own elements goes
+    through ``EquivariantElement._trusted``: on the sphere, S^2 x S^2, a
+    formal wrapper and a DEC mesh, no entry point runs the validating
+    constructor."""
+    S = make_sphere_backend(4)
+    b = make_product_backend(make_sphere_backend(3), make_sphere_backend(3))
+    formal = with_formal_generators(S, [FormalGenerator(
+        4, "p4", lambda w: S.zero(w.degree - 3))])
+    dec = DecBackend(build_symmetric_sphere(4, 1, zigzag=0.1))
+    omegas = [S.two_form((1,)),
+              b.tensor(b.b1.two_form((1,)), b.b2.zero_form((1,)))
+              + b.tensor(b.b1.zero_form((1,)), b.b2.two_form((1,))),
+              formal.form(2, S.two_form((1,)).coeffs),
+              dec.volume_form_cochain()]
+    calls = []
+    public = EquivariantElement.__init__
+    monkeypatch.setattr(EquivariantElement, "__init__",
+                        lambda self, *args: calls.append(args) or public(self, *args))
+    for omega in omegas:
+        report = extend(omega)
+        assert report.status == "extended"
+        moment_map(omega)
+        obstruction_residual(omega)
+        p_operator(report.terms[0])
+        # the float relations of the mesh fail exact comparison past a_0
+        extend_partial(report.terms,
+                       len(report.terms) - 1 if omega.backend.is_exact else 0)
+        verify_extension(report)
+        cartan_d(report.alpha_hat())
+    assert calls == []

@@ -6,18 +6,25 @@ rests on, exactly: ``d d = 0``, ``<d a, b> = <a, d* b>``, and
 ``d_G(alpha_hat) = 0`` for every random closed form that extends.  The
 eigenvalue and squared norm the engine reads for one eigen-coordinate are
 those of its eigenvector.  The report and form text formats must read back
-what they wrote.
+what they wrote.  Every element the extension layer builds, on these
+backends and on a DEC mesh, is one the validating constructor accepts.
 """
 
 from fractions import Fraction
+from itertools import product as iproduct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equihodge import (InvariantForm, PiScalar, ProductBackend, SphereBackend,
-                       cartan_d, extend, make_product_backend,
-                       make_sphere_backend, make_torus_backend, parse_form,
-                       parse_report, serialize_form, serialize_report)
+from equihodge import (DecBackend, EquivariantElement, InvariantForm,
+                       ObstructionDetected, PiScalar, ProductBackend,
+                       SphereBackend, build_symmetric_sphere, cartan_d,
+                       coefficient_d, extend, make_product_backend,
+                       make_sphere_backend, make_torus_backend, p_operator,
+                       parse_form, parse_report, partial_d, serialize_form,
+                       serialize_report)
+from equihodge.equivariant import monomial_degree
 
 BACKENDS = {
     "sphere": make_sphere_backend(4),
@@ -28,6 +35,8 @@ BACKENDS = {
     "s2xs1": make_product_backend(make_sphere_backend(2, 2),
                                   make_torus_backend(1, 2, (1,))),
 }
+
+WITH_MESH = {**BACKENDS, "dec": DecBackend(build_symmetric_sphere(4, 1, zigzag=0.1))}
 
 VALUES = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
 
@@ -57,13 +66,38 @@ def sparse_form(data, b, q):
     return b.form(q, coeffs)
 
 
+def any_form(data, b, q):
+    """:func:`sparse_form` on an exact backend; on the mesh, the symmetrized
+    cochain with at most four small integer values."""
+    if b.is_exact:
+        return sparse_form(data, b, q)
+    values = np.zeros(b.dimension(q))
+    if values.size:
+        for k in data.draw(st.lists(st.integers(0, values.size - 1),
+                                    max_size=4, unique=True)):
+            values[k] = data.draw(st.integers(-4, 4))
+    return b.symmetrize(InvariantForm(b, q, values))
+
+
 def closed_form(data, b, q):
-    """d of a sparse (q-1)-form plus a random combination of the degree-q
+    """d of a drawn (q-1)-form plus a random combination of the degree-q
     harmonic basis."""
-    alpha = b.d(sparse_form(data, b, q - 1)) if q > 0 else b.zero(q)
+    alpha = b.d(any_form(data, b, q - 1)) if q > 0 else b.zero(q)
     for h in b.harmonic_basis(q):
         alpha = alpha + h.scale(data.draw(st.integers(-2, 2)))
     return alpha
+
+
+def any_element(data, b, total_degree):
+    """An element of the given total degree, one drawn form per admissible
+    monomial of exponents below 3, made by the validating constructor."""
+    spec = b.generator_spec
+    terms = {}
+    for mono in iproduct(range(3), repeat=spec.rank):
+        q = total_degree - monomial_degree(mono, spec)
+        if 0 <= q <= b.n:
+            terms[mono] = any_form(data, b, q)
+    return EquivariantElement(b, total_degree, terms)
 
 
 @pytest.mark.parametrize("name", BACKENDS)
@@ -139,3 +173,27 @@ def test_form_text_round_trip(name, data):
     assert again.backend.tag == b.tag
     assert (again.degree, again.coeffs) == (w.degree, w.coeffs)
     assert serialize_form(again) == text
+
+
+@pytest.mark.parametrize("name", WITH_MESH)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_library_elements_keep_the_public_invariant(name, data):
+    """Each element the library's operators and extension loop build has
+    sorted monomials and no zero coefficient, and the validating
+    constructor rebuilds it equal."""
+    b = WITH_MESH[name]
+    total = data.draw(st.integers(0, b.n + 2))
+    x, y = any_element(data, b, total), any_element(data, b, total)
+    c = data.draw(st.sampled_from([0, 1, Fraction(-3, 2)]))
+    built = [partial_d(x), coefficient_d(x), cartan_d(x), x + y, x - y, x - x,
+             x.scale(c)]
+    try:
+        built.append(p_operator(x))
+    except ObstructionDetected:
+        pass
+    report = extend(closed_form(data, b, data.draw(st.integers(0, b.n))))
+    for z in built + report.terms + [report.alpha_hat()]:
+        assert list(z.terms) == sorted(z.terms)
+        assert not any(f.is_zero for f in z.terms.values())
+        assert EquivariantElement(z.backend, z.total_degree, z.terms) == z
