@@ -233,7 +233,7 @@ def main(argv=None) -> int:
         if args.verb == "convergence":
             return _run_convergence(args)
         raise AssertionError("unhandled verb %r" % args.verb)
-    except EquihodgeError as ex:
+    except (EquihodgeError, OSError) as ex:
         sys.stderr.write("error (%s): %s\n" % (args.verb, ex))
         return 1
 

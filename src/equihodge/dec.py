@@ -30,7 +30,9 @@ from :meth:`SymmetricMesh.walk`, the one place that applies the symmetry.
 Every operator matrix is built once, straight into CSR, and rounds as the
 general sparse constructors and products round it: a codifferential is the
 transpose of a coboundary scaled by the stars on both sides, and the edge
-Laplacian is built on the first degree-1 solve or Laplacian.
+Laplacian is built on the first degree-1 solve or Laplacian.  One table
+holds them under the ``(op, degree)`` keys of the operator hook ``_matvec``
+and ``"laplacian"``; an operator is zero on a degree with no key.
 
 A cochain is zero only when all its values are; the closedness and harmonic
 tests instead compare its norm with ``ZERO_RTOL`` times the input's norm.
@@ -107,12 +109,12 @@ class DecBackend(Backend):
         # the coboundaries row by row: an edge runs from its low to its high
         # vertex, and a triangle's sides are sorted by edge index, the order
         # in which the products that read d1 sum
-        self.d0 = sp.csr_matrix((np.tile([-1.0, 1.0], E), mesh.edge_vertices.ravel(),
-                                 np.arange(0, 2 * E + 1, 2)), shape=(E, V))
-        self.d1 = sp.csr_matrix((mesh.tri_edge_signs.ravel().astype(float),
-                                 mesh.tri_edges.ravel(), np.arange(0, 3 * F + 1, 3)),
-                                shape=(F, E))
-        self.d1.sort_indices()
+        d0 = sp.csr_matrix((np.tile([-1.0, 1.0], E), mesh.edge_vertices.ravel(),
+                            np.arange(0, 2 * E + 1, 2)), shape=(E, V))
+        d1 = sp.csr_matrix((mesh.tri_edge_signs.ravel().astype(float),
+                            mesh.tri_edges.ravel(), np.arange(0, 3 * F + 1, 3)),
+                           shape=(F, E))
+        d1.sort_indices()
 
         # per-triangle geometry; entry i of a leading axis of length 3 is
         # side i, which runs from corner i to corner i + 1 and faces corner
@@ -144,10 +146,8 @@ class DecBackend(Backend):
         if star0.min() <= 0 or star1.min() <= 0:
             raise MeshError("nonpositive circumcentric dual ratio")
         self._stars = (star0, star1, star2)
-
-        self._delta = {1: _scaled_transpose(self.d0, 1.0 / star0, star1),
-                       2: _scaled_transpose(self.d1, 1.0 / star1, star2)}
-        self._lap = {0: self._delta[1] @ self.d0, 2: self.d1 @ self._delta[2]}
+        delta1 = _scaled_transpose(d0, 1.0 / star0, star1)
+        delta2 = _scaled_transpose(d1, 1.0 / star1, star2)
 
         # Whitney 1-form of each side at the circumcenter, from the
         # barycentric gradients, paired with the Killing field there
@@ -158,8 +158,14 @@ class DecBackend(Backend):
                    - np.roll(lam, -1, axis=0)[:, :, None] * grads)
         flux = mesh.tri_edge_signs * _dot(whitney, field).T        # (F, 3)
 
-        self._c10 = self._assemble_contraction_10(area, flux)
-        self._c21 = self._assemble_contraction_21(area, normal, field)
+        # every operator matrix, under its (op, degree) key; the edge
+        # Laplacian is added by _matrix on first use
+        self._ops = {("d", 0): d0, ("d", 1): d1,
+                     ("codifferential", 1): delta1, ("codifferential", 2): delta2,
+                     ("laplacian", 0): delta1 @ d0, ("laplacian", 2): d1 @ delta2,
+                     (("contraction", 0), 1): self._assemble_contraction_10(area, flux),
+                     (("contraction", 0), 2): self._assemble_contraction_21(
+                         area, normal, field)}
 
         # harmonic bases: constants in degree 0, the area cochain in degree 2
         self._harmonic = {0: [np.ones(V)], 1: [], 2: [area]}
@@ -220,43 +226,30 @@ class DecBackend(Backend):
 
     # -- contract operations --------------------------------------------------
 
-    def d(self, w: InvariantForm) -> InvariantForm:
-        if self.dimension(w.degree) == 0 or w.degree >= 2:
-            return self.zero(w.degree + 1)
-        mat = self.d0 if w.degree == 0 else self.d1
-        return InvariantForm(self, w.degree + 1, mat @ w.coeffs)
+    def _matrix(self, op, q: int):
+        """The matrix of ``op`` on degree q, or None where it is zero."""
+        mat = self._ops.get((op, q))
+        # the edge Laplacian is built on first use: extend and the Hodge
+        # split never solve on edges
+        if mat is None and (op, q) == ("laplacian", 1):
+            ops = self._ops
+            mat = ops[op, q] = (ops["d", 0] @ ops["codifferential", 1]
+                                + ops["codifferential", 2] @ ops["d", 1])
+        return mat
 
-    def codifferential(self, w: InvariantForm) -> InvariantForm:
-        if w.degree not in (1, 2):
-            return self.zero(w.degree - 1)
-        return InvariantForm(self, w.degree - 1, self._delta[w.degree] @ w.coeffs)
+    def _matvec(self, op, w: InvariantForm, out_q: int) -> InvariantForm:
+        mat = self._matrix(op, w.degree)
+        if mat is None:
+            return self.zero(out_q)
+        return InvariantForm(self, out_q, mat @ w.coeffs)
 
     def star(self, w: InvariantForm) -> InvariantForm:
         """Raises :class:`BackendMismatch`: stars are dual cochains, not forms."""
         raise BackendMismatch("the DEC star of a %d-cochain is a dual cochain, "
                               "not a form of this backend" % w.degree)
 
-    def _laplacian(self, q: int):
-        """The degree-q Laplacian, or None outside degrees 0-2.  The edge one
-        is built on first use: extend and the Hodge split never solve on edges."""
-        if q == 1 and q not in self._lap:
-            self._lap[1] = self.d0 @ self._delta[1] + self._delta[2] @ self.d1
-        return self._lap.get(q)
-
     def laplacian(self, w: InvariantForm) -> InvariantForm:
-        lap = self._laplacian(w.degree)
-        if lap is None:
-            return self.zero(w.degree)
-        return InvariantForm(self, w.degree, lap @ w.coeffs)
-
-    def contraction(self, j: int, w: InvariantForm) -> InvariantForm:
-        if j != 0:
-            raise IndexError("dec backend has a single generator")
-        if w.degree == 1:
-            return InvariantForm(self, 0, self._c10 @ w.coeffs)
-        if w.degree == 2:
-            return InvariantForm(self, 1, self._c21 @ w.coeffs)
-        return self.zero(w.degree - 1)
+        return self._matvec("laplacian", w, w.degree)
 
     def inner_product(self, a: InvariantForm, b: InvariantForm) -> float:
         a._check_compatible(b)
@@ -280,7 +273,7 @@ class DecBackend(Backend):
         there: the right-hand side is deflated once, and the result once
         more to clear rounding."""
         q = w.degree
-        lap = self._laplacian(q)
+        lap = self._matrix("laplacian", q)
         if lap is None:
             return self.zero(q)
         star = self._stars[q]

@@ -87,37 +87,27 @@ class FormalGeneratorBackend(Backend):
     def dimension(self, q: int) -> int:
         return self.base.dimension(q)
 
-    def d(self, w: InvariantForm) -> InvariantForm:
-        return self._wrap(self.base.d(self._unwrap(w)))
-
-    def star(self, w: InvariantForm) -> InvariantForm:
-        return self._wrap(self.base.star(self._unwrap(w)))
-
-    def codifferential(self, w: InvariantForm) -> InvariantForm:
-        return self._wrap(self.base.codifferential(self._unwrap(w)))
-
-    def contraction(self, j: int, w: InvariantForm) -> InvariantForm:
-        r0 = self.base.generator_spec.rank
-        if not 0 <= j < self._spec.rank:
-            raise IndexError("generator index out of range")
+    def _matvec(self, op, w: InvariantForm, out_q: int) -> InvariantForm:
         inner = self._unwrap(w)
+        if isinstance(op, str):
+            return self._wrap(getattr(self.base, op)(inner))
+        j, r0 = op[1], self.base.generator_spec.rank
         if j < r0:
             return self._wrap(self.base.contraction(j, inner))
         gen = self.extra[j - r0]
-        expected = w.degree - (gen.degree - 1)
         if self.base.dimension(inner.degree) == 0:
-            return self.zero(expected)
+            return self.zero(out_q)
         res = gen.operator(inner)
         if not isinstance(res, InvariantForm) or res.backend is not self.base:
             raise PreconditionViolated(
                 j, "formal contraction %r must return a form of the wrapped "
                    "backend" % gen.label,
             )
-        if res.degree != expected:
+        if res.degree != out_q:
             raise PreconditionViolated(
                 j, "formal contraction %r returned degree %d, expected %d "
                    "(= %d - (%d - 1))"
-                   % (gen.label, res.degree, expected, w.degree, gen.degree),
+                   % (gen.label, res.degree, out_q, w.degree, gen.degree),
             )
         return self._wrap(res)
 

@@ -7,13 +7,12 @@ operators for the action generators, and the harmonic structure.
 
 On top of that contract this module builds, once and for all:
 
-* on the rational backends, ``d``, the star, the codifferential, the
-  contractions and the transforms to and from the coordinates of an exact
-  Laplacian eigenbasis as sparse mat-vecs over lazily cached columns,
-  which each backend gives one unit vector at a time (a sphere or torus
-  in closed form, with the codifferential's column by default the signed
-  star conjugate of ``d``; a product from its factors' columns by the
-  Koszul rule),
+* ``d``, the star, the codifferential and the contractions, each with its
+  degree shift, over one operator hook ``_matvec``: a sparse mat-vec over
+  lazily cached columns on the rational backends, as are the transforms
+  to and from an exact Laplacian eigenbasis (each backend gives a column
+  per unit vector: a sphere or torus in closed form, a product from its
+  factors' by the Koszul rule), and a matrix from one table on the mesh,
 * the Laplacian ``d d* + d* d``,
 * Green's operator, harmonic projection, the inner product and the
   harmonic basis of the rational backends, all in those eigen-coordinates
@@ -214,10 +213,11 @@ class HodgeSplit:
 class Backend(ABC):
     """The operator contract every model manifold implements.
 
+    ``d``, the star, the codifferential and the contractions fix their
+    output degree here and call :meth:`_matvec`, the one operator hook.
     Every operation is a pure function of its inputs.  Exact backends fill
-    caches lazily: the eigenbasis and the operator columns of each degree.
-    Filling is idempotent, so backends stay safe to share between
-    concurrent tasks.
+    caches lazily (the eigenbasis and the operator columns of each degree),
+    and filling is idempotent, so backends stay safe to share.
     """
 
     #: manifold dimension
@@ -240,20 +240,9 @@ class Backend(ABC):
         """Dimension of the degree-q coefficient space (0 outside [0, n])."""
 
     @abstractmethod
-    def d(self, w: InvariantForm) -> InvariantForm:
-        """Exterior derivative."""
-
-    @abstractmethod
-    def star(self, w: InvariantForm) -> InvariantForm:
-        """Hodge star for the backend's metric and orientation."""
-
-    @abstractmethod
-    def codifferential(self, w: InvariantForm) -> InvariantForm:
-        """Adjoint of d for the backend inner product."""
-
-    @abstractmethod
-    def contraction(self, j: int, w: InvariantForm) -> InvariantForm:
-        """Interior product bound to generator j."""
+    def _matvec(self, op, w: InvariantForm, out_q: int) -> InvariantForm:
+        """``op`` (``"d"``, ``"star"``, ``"codifferential"`` or
+        ``("contraction", j)``) applied to w, a form of degree ``out_q``."""
 
     @abstractmethod
     def inner_product(self, a: InvariantForm, b: InvariantForm):
@@ -270,6 +259,27 @@ class Backend(ABC):
     @abstractmethod
     def harmonic_projection(self, w: InvariantForm) -> InvariantForm:
         """Orthogonal projection onto the harmonic forms."""
+
+    # -- the operators, with the degree each one shifts by -------------------
+
+    def d(self, w: InvariantForm) -> InvariantForm:
+        """Exterior derivative."""
+        return self._matvec("d", w, w.degree + 1)
+
+    def star(self, w: InvariantForm) -> InvariantForm:
+        """Hodge star for the backend's metric and orientation."""
+        return self._matvec("star", w, self.n - w.degree)
+
+    def codifferential(self, w: InvariantForm) -> InvariantForm:
+        """Adjoint of d for the backend inner product."""
+        return self._matvec("codifferential", w, w.degree - 1)
+
+    def contraction(self, j: int, w: InvariantForm) -> InvariantForm:
+        """Interior product bound to generator j, of degree 1 - deg t_j."""
+        spec = self.generator_spec
+        if not 0 <= j < spec.rank:
+            raise IndexError("generator index out of range")
+        return self._matvec(("contraction", j), w, w.degree - spec.degrees[j] + 1)
 
     # -- derived operators -------------------------------------------------
 
@@ -328,7 +338,9 @@ class Backend(ABC):
     def norm(self, w: InvariantForm) -> float:
         if self.dimension(w.degree) == 0:
             return 0.0
-        return math.sqrt(max(0.0, float(self.inner_product(w, w))))
+        # the square is a sum of nonnegative terms, so the root needs no
+        # clamp, and a NaN value in w gives a NaN norm
+        return math.sqrt(float(self.inner_product(w, w)))
 
 
 class ExactBackend(Backend):
@@ -428,22 +440,6 @@ class ExactBackend(Backend):
                 out[i] = out[i] + s * m if i in out else s * m
         return InvariantForm.from_entries(self, out_q, tuple([
             (i, Fraction(t, lcd)) for i, t in sorted(out.items()) if t]))
-
-    def d(self, w: InvariantForm) -> InvariantForm:
-        return self._matvec("d", w, w.degree + 1)
-
-    def star(self, w: InvariantForm) -> InvariantForm:
-        return self._matvec("star", w, self.n - w.degree)
-
-    def codifferential(self, w: InvariantForm) -> InvariantForm:
-        return self._matvec("codifferential", w, w.degree - 1)
-
-    def contraction(self, j: int, w: InvariantForm) -> InvariantForm:
-        spec = self.generator_spec
-        if not 0 <= j < spec.rank:
-            raise IndexError("generator index out of range")
-        return self._matvec(("contraction", j), w,
-                            w.degree - spec.degrees[j] + 1)
 
     # -- spectral hooks ----------------------------------------------------
 

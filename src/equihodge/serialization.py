@@ -14,9 +14,10 @@ Two line-oriented formats, each versioned with a header line:
     that they agree.  This is the machine interface; the matching
     human-readable table lives in :func:`format_report`.
 
-Backends are reconstructed from their tags, so a serialized form is
-self-contained.  Malformed input raises :class:`FormatError` with the
-offending line number.
+Backends are rebuilt from their tags, so a form is self-contained, except
+on a formal wrapper, whose tag omits its generators' operators: its forms
+parse only as ``parse_form(text, wrapper)``, and its reports not at all.
+Malformed input raises :class:`FormatError` with the offending line.
 """
 
 from __future__ import annotations
@@ -231,6 +232,10 @@ def _read_form(reader: _Reader, backend: Backend = None) -> InvariantForm:
             try:
                 entries[idx] = float(parts[1])
             except ValueError:
+                entries[idx] = np.nan
+            # an unreadable value counts as NaN; float() also reads "nan" and
+            # "inf", and no cochain takes such a value
+            if not np.isfinite(entries[idx]):
                 raise FormatError("bad float %r" % parts[1], reader.lineno)
     if backend.is_exact:
         return InvariantForm.from_values(backend, degree, entries)

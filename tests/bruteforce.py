@@ -590,7 +590,7 @@ def dec_green_reference(backend, w):
     coefficients of ``x``.
     """
     q = w.degree
-    lap = backend._laplacian(q)
+    lap = backend._matrix("laplacian", q)
     basis = backend.harmonic_basis(q)
     if not basis:
         return spsolve(lap.tocsc(), w.coeffs)

@@ -108,6 +108,19 @@ def test_missing_input_is_an_error(capsys):
     assert "provide --preset or --in" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("extend", "--in", "{tmp}/missing.txt"), "No such file or directory"),
+    (("moment-map", "--preset", "sphere/symplectic", "--out", "{tmp}"),
+     "Is a directory"),
+], ids=["missing-in", "directory-out"])
+def test_a_file_the_system_refuses_is_an_error(capsys, tmp_path, argv, message):
+    """An input file that is not there, or an output path that is a
+    directory, ends in an error line and exit 1, not a traceback."""
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert err.startswith("error (%s): " % argv[0]) and message in err
+
+
 def test_preset_and_in_together_are_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["extend", "--preset", "sphere/symplectic",

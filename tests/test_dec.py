@@ -31,7 +31,7 @@ def random_cochain(rng, backend, q):
 
 
 def test_d_squared_is_exactly_zero(dec):
-    assert np.all((dec.d1 @ dec.d0).toarray() == 0)
+    assert np.all((dec._matrix("d", 1) @ dec._matrix("d", 0)).toarray() == 0)
 
 
 def test_codifferential_is_the_star_adjoint(dec):
@@ -87,12 +87,12 @@ def test_all_operators_commute_with_the_symmetry_exactly(dec):
     """Orbit-replicated assembly makes sigma-equivariance bit-exact."""
     P = {q: dec.permutation_matrix(q) for q in range(3)}
     pairs = [
-        (dec.d0, P[1], P[0]),
-        (dec.d1, P[2], P[1]),
-        (dec._delta[1], P[0], P[1]),
-        (dec._delta[2], P[1], P[2]),
-        (dec._c10, P[0], P[1]),
-        (dec._c21, P[1], P[2]),
+        (dec._matrix("d", 0), P[1], P[0]),
+        (dec._matrix("d", 1), P[2], P[1]),
+        (dec._matrix("codifferential", 1), P[0], P[1]),
+        (dec._matrix("codifferential", 2), P[1], P[2]),
+        (dec._matrix(("contraction", 0), 1), P[0], P[1]),
+        (dec._matrix(("contraction", 0), 2), P[1], P[2]),
     ]
     for mat, p_out, p_in in pairs:
         commutator = (p_out @ mat - mat @ p_in).toarray()
@@ -100,7 +100,7 @@ def test_all_operators_commute_with_the_symmetry_exactly(dec):
     # the Laplacians are sparse products of the exact primitives; their
     # entries pick up summation-order rounding of at most a few ulps
     for q in range(3):
-        lap = dec._laplacian(q)
+        lap = dec._matrix("laplacian", q)
         commutator = (P[q] @ lap - lap @ P[q]).toarray()
         assert np.max(np.abs(commutator)) < 1e-12
 
@@ -255,8 +255,11 @@ def test_assembly_matches_the_per_simplex_reference(n_sym, zigzag, level):
         return
     dec = DecBackend(mesh)
     got = {
-        "d0": dec.d0, "d1": dec.d1, "delta1": dec._delta[1],
-        "delta2": dec._delta[2], "c10": dec._c10, "c21": dec._c21,
+        "d0": dec._matrix("d", 0), "d1": dec._matrix("d", 1),
+        "delta1": dec._matrix("codifferential", 1),
+        "delta2": dec._matrix("codifferential", 2),
+        "c10": dec._matrix(("contraction", 0), 1),
+        "c21": dec._matrix(("contraction", 0), 2),
         "star0": dec._stars[0], "star1": dec._stars[1], "star2": dec._stars[2],
     }
     for name, mat in got.items():
@@ -310,12 +313,16 @@ def test_assembly_rounds_like_the_sparse_product_chain(n_sym, zigzag, level):
     delta1 = (sp.diags(1.0 / star0) @ d0.T @ sp.diags(star1)).tocsr()
     delta2 = (sp.diags(1.0 / star1) @ d1.T @ sp.diags(star2)).tocsr()
     pairs = {
-        "d0": (dec.d0, d0), "d1": (dec.d1, d1),
-        "delta1": (dec._delta[1], delta1), "delta2": (dec._delta[2], delta2),
-        "lap0": (dec._laplacian(0), (delta1 @ d0).tocsr()),
-        "lap1": (dec._laplacian(1), (d0 @ delta1 + delta2 @ d1).tocsr()),
-        "lap2": (dec._laplacian(2), (d1 @ delta2).tocsr()),
-        "c10": (dec._c10, ref._c10), "c21": (dec._c21, ref._c21),
+        "d0": (dec._matrix("d", 0), d0), "d1": (dec._matrix("d", 1), d1),
+        "delta1": (dec._matrix("codifferential", 1), delta1),
+        "delta2": (dec._matrix("codifferential", 2), delta2),
+        "lap0": (dec._matrix("laplacian", 0), (delta1 @ d0).tocsr()),
+        "lap1": (dec._matrix("laplacian", 1), (d0 @ delta1 + delta2 @ d1).tocsr()),
+        "lap2": (dec._matrix("laplacian", 2), (d1 @ delta2).tocsr()),
+        "c10": (dec._matrix(("contraction", 0), 1),
+                ref._matrix(("contraction", 0), 1)),
+        "c21": (dec._matrix(("contraction", 0), 2),
+                ref._matrix(("contraction", 0), 2)),
     }
     for name, (got, want) in pairs.items():
         assert got.shape == want.shape and (got != want).nnz == 0, name
@@ -335,11 +342,11 @@ def test_the_edge_laplacian_is_built_on_its_first_use():
     z = dec.form(0, dec.vertex_heights())
     for w in (z, dec.d(z) + dec.contraction(0, vol), vol):
         dec.hodge_decompose(w)
-    assert 1 not in dec._lap
+    assert ("laplacian", 1) not in dec._ops
     dec.laplacian(dec.d(z))
-    lap = dec._lap[1]
+    lap = dec._ops["laplacian", 1]
     dec.laplacian(dec.d(z))
-    assert dec._laplacian(1) is lap
+    assert dec._matrix("laplacian", 1) is lap
 
 
 def _chordal_areas(mesh):

@@ -136,6 +136,57 @@ def test_mesh_backend_form_round_trip():
     assert np.array_equal(again.coeffs, w.coeffs)  # repr floats are exact
 
 
+def _dec_volume():
+    from equihodge import DecBackend
+
+    return DecBackend(build_symmetric_sphere(4, 0, zigzag=0.1)).volume_form_cochain()
+
+
+@pytest.mark.parametrize("parse,serialize", [
+    (parse_form, serialize_form),
+    (parse_report, lambda w: serialize_report(extend(w))),
+], ids=["form", "report"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_cochain_value_is_a_format_error_on_its_line(
+        parse, serialize, value):
+    """float() reads these, but they are no cochain values: the norms of
+    such a cochain and the Green solves on it mean nothing."""
+    lines = serialize(_dec_volume()).splitlines()
+    # the first entry of the first form
+    lineno = next(i for i, line in enumerate(lines) if line.startswith("dim:")) + 2
+    index, _ = lines[lineno - 1].split()
+    lines[lineno - 1] = "%s %s" % (index, value)
+    with pytest.raises(FormatError) as exc:
+        parse("\n".join(lines) + "\n")
+    assert exc.value.line == lineno
+    assert "bad float %r" % value in str(exc.value)
+
+
+def test_the_norm_of_a_cochain_with_a_nan_value_is_nan():
+    vol = _dec_volume()
+    values = vol.coeffs.copy()
+    values[3] = np.nan
+    assert np.isnan(vol.backend.norm(vol.backend.form(2, values)))
+    assert vol.backend.norm(vol) > 0
+
+
+def test_a_formal_wrapper_form_parses_only_against_its_wrapper():
+    """A formal wrapper's tag does not say what its generators' operators
+    are, so neither a form nor a report can rebuild the wrapper."""
+    from equihodge import FormalGenerator, with_formal_generators
+
+    base = make_sphere_backend(4)
+    wrapped = with_formal_generators(
+        base, [FormalGenerator(4, "p4", lambda w: base.zero(w.degree - 3))])
+    w = wrapped.form(2, base.two_form((0, 1)).coeffs)
+    text = serialize_form(w)
+    assert parse_form(text, wrapped) == w
+    with pytest.raises(FormatError, match="unknown backend tag 'formal:"):
+        parse_form(text)
+    with pytest.raises(FormatError, match="unknown backend tag 'formal:"):
+        parse_report(serialize_report(extend(w)))
+
+
 def test_zero_form_round_trip():
     b = make_torus_backend(2, 2, (1, 0))
     again = parse_form(serialize_form(b.zero(1)))
