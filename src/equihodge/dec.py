@@ -1,38 +1,25 @@
 """Discrete-exterior-calculus backend on symmetric triangulated spheres.
 
 Cochains play the role of invariant forms: degree q values live on the
-oriented q-simplices.  The coboundary is the exact integer incidence
-matrix, the Hodge star is the diagonal of circumcentric-dual ratios
-(cotan weights in degree 1, Voronoi areas in degree 0), and Green's
-operator is a conjugate-gradient solve of the cochain Laplacian whose
-right-hand side and result are each deflated once by the known harmonic
-space (dimensions 1, 0, 1).  The extension stage solves on d* f and the
-Hodge split on d* w and d w, so neither ever solves on edges: the split of
-a 1-cochain costs one solve on vertices and one on triangles, that of a 0-
-or 2-cochain none.
+oriented q-simplices.  The coboundary is the integer incidence matrix, the
+Hodge star the diagonal of circumcentric-dual ratios, the interior product
+with the rotational Killing field samples Whitney forms at circumcenters,
+and Green's operator is a conjugate-gradient solve of the Laplacian whose
+right-hand side and result are each deflated once by the harmonic space
+(dimensions 1, 0, 1).  The extension stage and the Hodge split solve one
+degree away from their input, so they never solve on edges.
 
-The discrete interior product with the rotational Killing field samples
-Whitney-interpolated values at circumcenters and integrates back to
-simplices.
-
-Assembly takes time linear in the mesh size.  Every geometric quantity
-(areas, normals, circumcenters, corner cotangents, barycentric gradients,
-Whitney samples and their pairing with the Killing field) is computed once
-per triangle in vectorized numpy and scattered to vertices and edges over
-the mesh's triangle-vertex and triangle-edge arrays.  The stars then give
-each symmetry orbit its representative's value, and the interior-product
-matrices are built on representative entries and replicated along the
-orbits by one rule, which also covers the rows of the poles, so every
-operator matrix commutes with the mesh symmetry permutation exactly.  That
-rule, the permutation matrices and the symmetrization all read the orbits
-from :meth:`SymmetricMesh.walk`, the one place that applies the symmetry.
-
-Every operator matrix is built once, straight into CSR, and rounds as the
-general sparse constructors and products round it: a codifferential is the
-transpose of a coboundary scaled by the stars on both sides, and the edge
-Laplacian is built on the first degree-1 solve or Laplacian.  One table
-holds them under the ``(op, degree)`` keys of the operator hook ``_matvec``
-and ``"laplacian"``; an operator is zero on a degree with no key.
+Construction computes only the stars, and refuses a mesh with a
+nonpositive dual ratio.  Each operator matrix is built on its first use,
+straight into CSR, by the builder of its ``(op, degree)`` key, and kept in
+one table that records None for an operator that is zero.  So ``extend``
+of a 2-cochain builds four matrices, a Hodge split of a 1-cochain three
+more, and only a degree-1 solve or Laplacian builds the edge Laplacian.
+Building is linear in the mesh size, and rounds as the general sparse
+constructors and products round it.  The interior products are built on
+symmetry-orbit representatives and replicated by one rule, which reads the
+orbits from :meth:`SymmetricMesh.walk`, so every matrix commutes with the
+mesh symmetry exactly.
 
 A cochain is zero only when all its values are; the closedness and harmonic
 tests instead compare its norm with ``ZERO_RTOL`` times the input's norm.
@@ -64,15 +51,6 @@ def _killing_field(p: np.ndarray) -> np.ndarray:
     return np.stack([-p[..., 1], p[..., 0], np.zeros_like(p[..., 0])], axis=-1)
 
 
-def _scaled_transpose(D: sp.csr_matrix, left, right) -> sp.csr_matrix:
-    """diag(left) @ D.T @ diag(right) as CSR, for D of entries +-1: entry
-    (i, j) is D[j, i] * left[i] * right[j], which the product rounds alike."""
-    T = D.tocsc()
-    rows = np.repeat(np.arange(len(left)), np.diff(T.indptr))
-    return sp.csr_matrix((T.data * left[rows] * right[T.indices], T.indices, T.indptr),
-                         shape=(len(left), len(right)))
-
-
 class DecBackend(Backend):
     """Approximate Hodge/extension backend on a symmetric sphere mesh."""
 
@@ -82,7 +60,34 @@ class DecBackend(Backend):
     def __init__(self, mesh: SymmetricMesh):
         self.mesh = mesh
         self._spec = GeneratorSpec(degrees=(2,), labels=("rotation",))
-        self._assemble()
+        V, E = mesh.simplex_count(0), mesh.simplex_count(1)
+        rep = mesh.orbit_rep
+        _, sides, _, twice_area = self._triangles()
+        area = 0.5 * twice_area
+        # cotangent of the corner facing each side, from the two edges that
+        # leave that corner
+        out, back = np.roll(sides, -2, axis=0), -np.roll(sides, -1, axis=0)
+        corner_cross = np.cross(out, back)
+        cot = _dot(out, back) / np.sqrt(_dot(corner_cross, corner_cross))
+
+        # diagonal stars: the Voronoi area gains |side|^2 cot / 8 at both
+        # ends of a side, the cotan weight of an edge is half the sum of the
+        # cotangents facing it, and every orbit takes its representative's
+        # value
+        tails = mesh.tri_vertices.T     # side i runs from tails[i] to heads[i]
+        heads = np.roll(tails, -1, axis=0)
+        voronoi = (_dot(sides, sides) * cot / 8.0).ravel()
+        star0 = (np.bincount(tails.ravel(), voronoi, V)
+                 + np.bincount(heads.ravel(), voronoi, V))[rep[0]]
+        star1 = 0.5 * np.bincount(mesh.tri_edges.T.ravel(), cot.ravel(), E)[rep[1]]
+        star2 = 1.0 / area[rep[2]]
+        if star0.min() <= 0 or star1.min() <= 0:
+            raise MeshError("nonpositive circumcentric dual ratio")
+        self._stars = (star0, star1, star2)
+        # harmonic bases: constants in degree 0, the area cochain in degree 2
+        self._harmonic = {0: [np.ones(V)], 1: [], 2: [area]}
+        # the operator matrices, built by _matrix on first use
+        self._ops = {}
 
     @property
     def tag(self) -> str:
@@ -101,79 +106,62 @@ class DecBackend(Backend):
 
     # -- assembly ------------------------------------------------------------
 
-    def _assemble(self):
-        mesh = self.mesh
-        V, E, F = (mesh.simplex_count(q) for q in range(3))
-        rep = mesh.orbit_rep
-
-        # the coboundaries row by row: an edge runs from its low to its high
-        # vertex, and a triangle's sides are sorted by edge index, the order
-        # in which the products that read d1 sum
-        d0 = sp.csr_matrix((np.tile([-1.0, 1.0], E), mesh.edge_vertices.ravel(),
-                            np.arange(0, 2 * E + 1, 2)), shape=(E, V))
-        d1 = sp.csr_matrix((mesh.tri_edge_signs.ravel().astype(float),
-                            mesh.tri_edges.ravel(), np.arange(0, 3 * F + 1, 3)),
-                           shape=(F, E))
-        d1.sort_indices()
-
-        # per-triangle geometry; entry i of a leading axis of length 3 is
-        # side i, which runs from corner i to corner i + 1 and faces corner
-        # i + 2 (``tails`` and ``heads`` are its vertices)
-        corners = mesh.tri_vectors(np.arange(F))                   # (3, F, 3)
+    def _triangles(self):
+        """Per-triangle corners (3, F, 3), sides (side i runs from corner i to
+        i + 1 and faces i + 2), the cross product of two sides and its length."""
+        corners = self.mesh.tri_vectors(np.arange(self.mesh.num_tris))
         sides = np.roll(corners, -1, axis=0) - corners
-        tails = mesh.tri_vertices.T
-        heads = np.roll(tails, -1, axis=0)
         cross = np.cross(sides[0], -sides[2])      # (pb - pa) x (pc - pa)
-        twice_area = np.sqrt(_dot(cross, cross))
-        area = 0.5 * twice_area
+        return corners, sides, cross, np.sqrt(_dot(cross, cross))
+
+    def _coboundary(self, q: int) -> sp.csr_matrix:
+        """The coboundary of degree q: an edge runs from its low to its high
+        vertex; a triangle's sides are sorted by edge index, the summing order."""
+        mesh = self.mesh
+        n, k = mesh.simplex_count(q + 1), q + 2
+        faces, signs = ((mesh.edge_vertices, np.tile([-1.0, 1.0], n)) if q == 0 else
+                        (mesh.tri_edges, mesh.tri_edge_signs.ravel().astype(float)))
+        return sp.csr_matrix((signs, faces.ravel(), np.arange(0, k * n + 1, k)),
+                             shape=(n, mesh.simplex_count(q))).sorted_indices()
+
+    def _codifferential(self, q: int) -> sp.csr_matrix:
+        """d* on degree q, diag(1 / star_{q-1}) @ d.T @ diag(star_q) for the d
+        into degree q (entries +-1), as CSR rounded as that product rounds it."""
+        left, right = 1.0 / self._stars[q - 1], self._stars[q]
+        T = self._matrix("d", q - 1).tocsc()
+        rows = np.repeat(np.arange(len(left)), np.diff(T.indptr))
+        return sp.csr_matrix((T.data * left[rows] * right[T.indices], T.indices, T.indptr),
+                             shape=(len(left), len(right)))
+
+    def _contraction(self, q: int) -> sp.csr_matrix:
+        """Interior product of q-cochains with the Killing field at circumcenters."""
+        mesh = self.mesh
+        corners, sides, cross, twice_area = self._triangles()
         normal = cross / twice_area[:, None]
-        circum = mesh.tri_circumcenter(np.arange(F))
-        # cotangent of the corner facing each side, from the two edges that
-        # leave that corner
-        out, back = np.roll(sides, -2, axis=0), -np.roll(sides, -1, axis=0)
-        corner_cross = np.cross(out, back)
-        cot = _dot(out, back) / np.sqrt(_dot(corner_cross, corner_cross))
-
-        # diagonal stars: the Voronoi area gains |side|^2 cot / 8 at both
-        # ends of a side, the cotan weight of an edge is half the sum of the
-        # cotangents facing it, and every orbit takes its representative's
-        # value
-        voronoi = (_dot(sides, sides) * cot / 8.0).ravel()
-        star0 = (np.bincount(tails.ravel(), voronoi, V)
-                 + np.bincount(heads.ravel(), voronoi, V))[rep[0]]
-        star1 = 0.5 * np.bincount(mesh.tri_edges.T.ravel(), cot.ravel(), E)[rep[1]]
-        star2 = 1.0 / area[rep[2]]
-        if star0.min() <= 0 or star1.min() <= 0:
-            raise MeshError("nonpositive circumcentric dual ratio")
-        self._stars = (star0, star1, star2)
-        delta1 = _scaled_transpose(d0, 1.0 / star0, star1)
-        delta2 = _scaled_transpose(d1, 1.0 / star1, star2)
-
+        circum = mesh.tri_circumcenter(np.arange(mesh.num_tris))
+        field = _killing_field(circum)
+        if q == 2:
+            # an edge takes the mean over its two triangles of
+            # (field x edge) . normal / area
+            e, t = mesh.tri_edges.ravel(), np.repeat(np.arange(mesh.num_tris), 3)
+            keep = mesh.orbit_rep[1][e] == e
+            e, t = e[keep], t[keep]
+            ends = mesh.positions[mesh.edge_vertices[e]]
+            evec = ends[:, 1] - ends[:, 0]
+            vals = _dot(normal[t], np.cross(field[t], evec)) / twice_area[t]
+            return self._replicate(e, t, vals, 1, 2)
         # Whitney 1-form of each side at the circumcenter, from the
         # barycentric gradients, paired with the Killing field there
-        field = _killing_field(circum)
         grads = np.cross(normal, np.roll(sides, -1, axis=0)) / twice_area[:, None]
         lam = 1.0 + _dot(grads, circum - corners)
         whitney = (lam[:, :, None] * np.roll(grads, -1, axis=0)
                    - np.roll(lam, -1, axis=0)[:, :, None] * grads)
-        flux = mesh.tri_edge_signs * _dot(whitney, field).T        # (F, 3)
-
-        # every operator matrix, under its (op, degree) key; the edge
-        # Laplacian is added by _matrix on first use
-        self._ops = {("d", 0): d0, ("d", 1): d1,
-                     ("codifferential", 1): delta1, ("codifferential", 2): delta2,
-                     ("laplacian", 0): delta1 @ d0, ("laplacian", 2): d1 @ delta2,
-                     (("contraction", 0), 1): self._assemble_contraction_10(area, flux),
-                     (("contraction", 0), 2): self._assemble_contraction_21(
-                         area, normal, field)}
-
-        # harmonic bases: constants in degree 0, the area cochain in degree 2
-        self._harmonic = {0: [np.ones(V)], 1: [], 2: [area]}
+        flux = mesh.tri_edge_signs * _dot(whitney, field).T       # (F, 3)
+        return self._assemble_contraction_10(0.5 * twice_area, flux)
 
     def _assemble_contraction_10(self, area, flux) -> sp.csr_matrix:
-        """Interior product: 1-cochains to 0-cochains.  The row of a vertex
-        is the area-weighted mean of the Whitney fluxes of the triangles
-        around it."""
+        """Interior product: 1-cochains to 0-cochains.  A vertex's row is the
+        area-weighted mean of the Whitney fluxes of the triangles around it."""
         mesh = self.mesh
         V, E = mesh.simplex_count(0), mesh.simplex_count(1)
         weighted = area[:, None] * flux                           # (F, 3)
@@ -192,18 +180,6 @@ class DecBackend(Backend):
         keep = (mesh.orbit_rep[0][r] == r) & (
             (mesh.vperm[r] != r) | (mesh.orbit_rep[1][c] == c))
         return self._replicate(r[keep], c[keep], vals[keep], 0, 1)
-
-    def _assemble_contraction_21(self, area, normal, field) -> sp.csr_matrix:
-        """Interior product: 2-cochains to 1-cochains.  An edge takes the
-        mean over its two triangles of (field x edge) . normal / area."""
-        mesh = self.mesh
-        e, t = mesh.tri_edges.ravel(), np.repeat(np.arange(mesh.num_tris), 3)
-        keep = mesh.orbit_rep[1][e] == e
-        e, t = e[keep], t[keep]
-        ends = mesh.positions[mesh.edge_vertices[e]]
-        evec = ends[:, 1] - ends[:, 0]
-        vals = _dot(normal[t], np.cross(field[t], evec)) / (2.0 * area[t])
-        return self._replicate(e, t, vals, 1, 2)
 
     def _replicate(self, rows, cols, vals, q_row: int, q_col: int):
         """The matrix whose representative entries are the given ones and
@@ -224,18 +200,28 @@ class DecBackend(Backend):
         r, c, v = r[keep], c[keep], (vals * (r_sign * c_sign))[keep]
         return sp.csr_matrix((v, (r, c)), shape=shape)
 
+    #: the builder of each operator matrix, called with the degree, under its
+    #: (op, degree) key; an operator is zero on a degree with no key
+    _BUILDERS = {
+        ("d", 0): _coboundary, ("d", 1): _coboundary,
+        ("codifferential", 1): _codifferential,
+        ("codifferential", 2): _codifferential,
+        ("laplacian", 0): lambda b, q: b._matrix("codifferential", 1) @ b._matrix("d", 0),
+        ("laplacian", 1): lambda b, q: (
+            b._matrix("d", 0) @ b._matrix("codifferential", 1)
+            + b._matrix("codifferential", 2) @ b._matrix("d", 1)),
+        ("laplacian", 2): lambda b, q: b._matrix("d", 1) @ b._matrix("codifferential", 2),
+        (("contraction", 0), 1): _contraction, (("contraction", 0), 2): _contraction,
+    }
+
     # -- contract operations --------------------------------------------------
 
     def _matrix(self, op, q: int):
-        """The matrix of ``op`` on degree q, or None where it is zero."""
-        mat = self._ops.get((op, q))
-        # the edge Laplacian is built on first use: extend and the Hodge
-        # split never solve on edges
-        if mat is None and (op, q) == ("laplacian", 1):
-            ops = self._ops
-            mat = ops[op, q] = (ops["d", 0] @ ops["codifferential", 1]
-                                + ops["codifferential", 2] @ ops["d", 1])
-        return mat
+        """The matrix of ``op`` on degree q, built on first use, or None."""
+        if (op, q) not in self._ops:
+            build = self._BUILDERS.get((op, q))
+            self._ops[op, q] = None if build is None else build(self, q)
+        return self._ops[op, q]
 
     def _matvec(self, op, w: InvariantForm, out_q: int) -> InvariantForm:
         mat = self._matrix(op, w.degree)

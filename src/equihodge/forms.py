@@ -296,20 +296,23 @@ class Backend(ABC):
         return InvariantForm(self, q, np.zeros(self.dimension(q)))
 
     def form(self, q: int, coeffs) -> InvariantForm:
-        """Build a form with validation of the coefficient count."""
+        """Build a form with validation of the coefficient count and values."""
         dim = self.dimension(q)
         if self.is_exact:
-            coeffs = tuple(Fraction(c) for c in coeffs)
+            coeffs = tuple(coeffs)
+            bad = [i for i, c in enumerate(coeffs) if c != c or c in (math.inf, -math.inf)]
         else:
             import numpy as np
 
             coeffs = np.asarray(coeffs, dtype=float)
+            bad = np.flatnonzero(~np.isfinite(coeffs))
         if len(coeffs) != dim:
-            raise BackendMismatch(
-                "degree-%d form needs %d coefficients, got %d"
-                % (q, dim, len(coeffs))
-            )
-        return InvariantForm(self, q, coeffs)
+            raise BackendMismatch("degree-%d form needs %d coefficients, got %d"
+                                  % (q, dim, len(coeffs)))
+        if len(bad):
+            raise BackendMismatch("degree-%d coefficient %d is not finite" % (q, bad[0]))
+        return InvariantForm(self, q, tuple(map(Fraction, coeffs)) if self.is_exact
+                             else coeffs)
 
     def laplacian(self, w: InvariantForm) -> InvariantForm:
         return self.d(self.codifferential(w)) + self.codifferential(self.d(w))

@@ -1,5 +1,10 @@
 """Tests for the discrete-exterior-calculus backend on symmetric meshes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -347,6 +352,66 @@ def test_the_edge_laplacian_is_built_on_its_first_use():
     lap = dec._ops["laplacian", 1]
     dec.laplacian(dec.d(z))
     assert dec._matrix("laplacian", 1) is lap
+
+
+def _built(dec):
+    """The keys of the operator matrices the backend has built."""
+    return {key for key, mat in dec._ops.items() if mat is not None}
+
+
+def test_each_entry_point_builds_only_the_matrices_it_reads():
+    dec = DecBackend(build_symmetric_sphere(4, 1, zigzag=0.1))
+    assert dec._ops == {}
+    extend(dec.volume_form_cochain())
+    assert _built(dec) == {("d", 0), ("codifferential", 1), ("laplacian", 0),
+                           (("contraction", 0), 2)}
+    rng = np.random.default_rng(37)
+    dec.hodge_decompose(random_cochain(rng, dec, 1))
+    assert _built(dec) == {("d", 0), ("codifferential", 1), ("laplacian", 0),
+                           (("contraction", 0), 2), ("d", 1),
+                           ("codifferential", 2), ("laplacian", 2)}
+
+
+def test_a_negative_dual_ratio_is_refused_at_construction():
+    with pytest.raises(MeshError, match="nonpositive circumcentric dual ratio"):
+        DecBackend(build_symmetric_sphere(6, 0, zigzag=0.1))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("n_sym,zigzag", [(4, 0.0), (4, 0.1), (5, 0.0), (5, 0.1)])
+def test_the_build_order_does_not_change_a_matrix(n_sym, zigzag, level):
+    """Every matrix is the same array whichever matrices were built before
+    it: once in the table's order, once in reverse."""
+    mesh = build_symmetric_sphere(n_sym, level, zigzag=zigzag)
+    try:
+        forward, backward = DecBackend(mesh), DecBackend(mesh)
+    except MeshError:
+        return
+    keys = list(DecBackend._BUILDERS)
+    for key in keys:
+        forward._matrix(*key)
+    for key in reversed(keys):
+        backward._matrix(*key)
+    for key in keys:
+        got, want = forward._ops[key], backward._ops[key]
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), key
+
+
+def test_a_dec_extend_imports_no_dense_or_sparse_solver():
+    """scipy.sparse.linalg costs about 9 MB of resident memory on import;
+    the CG solve needs neither it nor scipy.linalg."""
+    script = (
+        "import sys, equihodge as eh\n"
+        "b = eh.DecBackend(eh.build_symmetric_sphere(4, 1, zigzag=0.1))\n"
+        "assert eh.extend(b.volume_form_cochain()).status == 'extended'\n"
+        "print(sorted({'scipy.sparse.linalg', 'scipy.linalg'} & set(sys.modules)))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def _chordal_areas(mesh):

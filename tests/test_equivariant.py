@@ -130,6 +130,28 @@ def test_homogeneity_enforced(bad_inputs, call, error):
         call(bad_inputs)
 
 
+NON_FINITE_BACKENDS = {
+    "sphere": lambda: make_sphere_backend(4),
+    "s2xs2": lambda: make_product_backend(make_sphere_backend(2),
+                                          make_sphere_backend(2)),
+    "dec": lambda: DecBackend(build_symmetric_sphere(4, 1, zigzag=0.1)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_BACKENDS))
+def test_a_non_finite_coefficient_is_refused_by_its_index(name, value):
+    """Backend.form raises BackendMismatch on NaN and +-inf on every
+    backend, naming the first index that holds one."""
+    backend = NON_FINITE_BACKENDS[name]()
+    coeffs = [1] * backend.dimension(2)
+    coeffs[2] = coeffs[5] = value
+    with pytest.raises(BackendMismatch, match="coefficient 2 is not finite"):
+        backend.form(2, coeffs)
+    coeffs[2] = coeffs[5] = 1
+    assert backend.form(2, coeffs).degree == 2
+
+
 def test_partial_d_of_volume(sphere):
     # boundary(dz^dphi) = t * i_V(dz^dphi) = t * (-dz)
     x = embed(sphere.two_form((1,)))

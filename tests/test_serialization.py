@@ -7,6 +7,7 @@ import pytest
 
 from equihodge import (
     FormatError,
+    InvariantForm,
     backend_from_tag,
     build_symmetric_sphere,
     extend,
@@ -166,7 +167,9 @@ def test_the_norm_of_a_cochain_with_a_nan_value_is_nan():
     vol = _dec_volume()
     values = vol.coeffs.copy()
     values[3] = np.nan
-    assert np.isnan(vol.backend.norm(vol.backend.form(2, values)))
+    # Backend.form refuses such values; a cochain can still come to hold one
+    # by arithmetic, as inf - inf
+    assert np.isnan(vol.backend.norm(InvariantForm(vol.backend, 2, values)))
     assert vol.backend.norm(vol) > 0
 
 
