@@ -18,8 +18,10 @@ from .errors import (
     FormatError,
     MeshError,
     NotClosed,
+    NotInvariant,
     ObstructionDetected,
     PreconditionViolated,
+    ResidualNotZero,
     SolverError,
     TruncationError,
 )
@@ -74,10 +76,12 @@ __all__ = [
     "MeshError",
     "Monomial",
     "NotClosed",
+    "NotInvariant",
     "ObstructionDetected",
     "PiScalar",
     "PreconditionViolated",
     "ProductBackend",
+    "ResidualNotZero",
     "SIN",
     "SolverError",
     "SphereBackend",

@@ -2,27 +2,25 @@
 
 Cochains play the role of invariant forms: degree q values live on the
 oriented q-simplices.  The coboundary is the integer incidence matrix, the
-Hodge star the diagonal of circumcentric-dual ratios, the interior product
-with the rotational Killing field samples Whitney forms at circumcenters,
-and Green's operator is a conjugate-gradient solve of the Laplacian whose
-right-hand side and result are each deflated once by the harmonic space
-(dimensions 1, 0, 1).  The extension stage and the Hodge split solve one
-degree away from their input, so they never solve on edges.
+Hodge star the diagonal of circumcentric-dual ratios, and the interior
+product with the rotational Killing field samples Whitney forms at
+circumcenters.  Construction gathers the triangle geometry once, computes
+the stars, and refuses a mesh with a nonpositive dual ratio.  Each operator
+matrix is built on first use, straight into CSR, by the builder of its
+``(op, degree)`` key, in one table that records None for a zero operator;
+the interior products are replicated from orbit representatives, so every
+matrix commutes with the symmetry exactly.
 
-Construction computes only the stars, and refuses a mesh with a
-nonpositive dual ratio.  Each operator matrix is built on its first use,
-straight into CSR, by the builder of its ``(op, degree)`` key, and kept in
-one table that records None for an operator that is zero.  So ``extend``
-of a 2-cochain builds four matrices, a Hodge split of a 1-cochain three
-more, and only a degree-1 solve or Laplacian builds the edge Laplacian.
-Building is linear in the mesh size, and rounds as the general sparse
-constructors and products round it.  The interior products are built on
-symmetry-orbit representatives and replicated by one rule, which reads the
-orbits from :meth:`SymmetricMesh.walk`, so every matrix commutes with the
-mesh symmetry exactly.
+Green's operator acts on invariant cochains, the discrete Omega(M)^G: it
+restricts the right-hand side to the orbit representatives, runs conjugate
+gradients on the reduced Laplacian (kept in the table under ``("green",
+q)``) and prolongs the result, deflating right-hand side and result once by
+the harmonic space (dimensions 1, 0, 1).  The restriction raises
+:class:`NotInvariant` on a cochain that is not invariant.  The extension
+stage and the Hodge split solve one degree away from their input.
 
-A cochain is zero only when all its values are; the closedness and harmonic
-tests instead compare its norm with ``ZERO_RTOL`` times the input's norm.
+A cochain is zero only when all its values are; the closedness, symmetry and
+harmonic tests instead compare norms with ``ZERO_RTOL`` times the input's.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ from typing import List
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BackendMismatch, MeshError, SolverError
+from .errors import BackendMismatch, MeshError, NotInvariant, SolverError
 from .forms import Backend, GeneratorSpec, InvariantForm
-from .mesh import SymmetricMesh, _dot
+from .mesh import SymmetricMesh, _circumcenter, _dot, _solid_angle
 
 
 #: relative residual, in the star norm, at which Green's solve stops
@@ -44,11 +42,6 @@ CG_TOL = 1e-10
 #: a hypothesis test counts a cochain as zero when its norm is at most this
 #: factor times the norm of the run's input
 ZERO_RTOL = 1e-9
-
-
-def _killing_field(p: np.ndarray) -> np.ndarray:
-    """The rotation field about the z-axis at the point(s) p."""
-    return np.stack([-p[..., 1], p[..., 0], np.zeros_like(p[..., 0])], axis=-1)
 
 
 class DecBackend(Backend):
@@ -62,7 +55,15 @@ class DecBackend(Backend):
         self._spec = GeneratorSpec(degrees=(2,), labels=("rotation",))
         V, E = mesh.simplex_count(0), mesh.simplex_count(1)
         rep = mesh.orbit_rep
-        _, sides, _, twice_area = self._triangles()
+        # per-triangle corners (3, F, 3), sides (side i runs from corner i to
+        # i + 1 and faces i + 2), the cross product of two sides, its length
+        # and the circumcenters, gathered once for the stars, the interior
+        # products and the volume cochain
+        corners = mesh.tri_vectors(np.arange(mesh.num_tris))
+        sides = np.roll(corners, -1, axis=0) - corners
+        cross = np.cross(sides[0], -sides[2])      # (pb - pa) x (pc - pa)
+        twice_area = np.sqrt(_dot(cross, cross))
+        self._triangles = corners, sides, cross, twice_area, _circumcenter(*corners)
         area = 0.5 * twice_area
         # cotangent of the corner facing each side, from the two edges that
         # leave that corner
@@ -106,14 +107,6 @@ class DecBackend(Backend):
 
     # -- assembly ------------------------------------------------------------
 
-    def _triangles(self):
-        """Per-triangle corners (3, F, 3), sides (side i runs from corner i to
-        i + 1 and faces i + 2), the cross product of two sides and its length."""
-        corners = self.mesh.tri_vectors(np.arange(self.mesh.num_tris))
-        sides = np.roll(corners, -1, axis=0) - corners
-        cross = np.cross(sides[0], -sides[2])      # (pb - pa) x (pc - pa)
-        return corners, sides, cross, np.sqrt(_dot(cross, cross))
-
     def _coboundary(self, q: int) -> sp.csr_matrix:
         """The coboundary of degree q: an edge runs from its low to its high
         vertex; a triangle's sides are sorted by edge index, the summing order."""
@@ -136,10 +129,10 @@ class DecBackend(Backend):
     def _contraction(self, q: int) -> sp.csr_matrix:
         """Interior product of q-cochains with the Killing field at circumcenters."""
         mesh = self.mesh
-        corners, sides, cross, twice_area = self._triangles()
+        corners, sides, cross, twice_area, circum = self._triangles
         normal = cross / twice_area[:, None]
-        circum = mesh.tri_circumcenter(np.arange(mesh.num_tris))
-        field = _killing_field(circum)
+        # the Killing field of the rotation about the z-axis
+        field = np.stack([-circum[:, 1], circum[:, 0], np.zeros(len(circum))], axis=-1)
         if q == 2:
             # an edge takes the mean over its two triangles of
             # (field x edge) . normal / area
@@ -183,22 +176,14 @@ class DecBackend(Backend):
 
     def _replicate(self, rows, cols, vals, q_row: int, q_col: int):
         """The matrix whose representative entries are the given ones and
-        whose other entries are their images: entry (r, c) yields
-        (sigma^k r, sigma^k c) for k below the orbit length of the pair
-        (the larger of the orbit lengths of r and c), times the sign
-        sigma^k picks up on the edge index.  Images of one entry are
-        therefore equal bit for bit up to sign."""
+        whose other entries are their images (sigma^k r, sigma^k c), k < n_sym,
+        times the sign sigma^k picks up on the edge index, so each pair must
+        have a full orbit: r or c an edge or a triangle.  The images come
+        k-major, so duplicates sum in order of k."""
         mesh = self.mesh
-        shape = (mesh.simplex_count(q_row), mesh.simplex_count(q_col))
-        rep = mesh.orbit_rep
-        length = np.maximum(np.bincount(rep[q_row])[rep[q_row][rows]],
-                            np.bincount(rep[q_col])[rep[q_col][cols]])
         (r, r_sign), (c, c_sign) = mesh.walk(q_row, rows), mesh.walk(q_col, cols)
-        # the mask reads row by row, so the entries come k-major and any
-        # duplicates sum in order of k
-        keep = np.arange(mesh.n_sym)[:, None] < length
-        r, c, v = r[keep], c[keep], (vals * (r_sign * c_sign))[keep]
-        return sp.csr_matrix((v, (r, c)), shape=shape)
+        return sp.csr_matrix(((vals * (r_sign * c_sign)).ravel(), (r.ravel(), c.ravel())),
+                             shape=(mesh.simplex_count(q_row), mesh.simplex_count(q_col)))
 
     #: the builder of each operator matrix, called with the degree, under its
     #: (op, degree) key; an operator is zero on a degree with no key
@@ -251,39 +236,63 @@ class DecBackend(Backend):
             out += (float(w.coeffs @ star_h) / float(h @ star_h)) * h
         return InvariantForm(self, w.degree, out)
 
-    def green(self, w: InvariantForm) -> InvariantForm:
-        """Conjugate-gradient solve of Laplacian x = w - H(w).
+    def require_invariant(self, w: InvariantForm) -> None:
+        """Raises :class:`NotInvariant` when the defect |w - Q R w| / |w| in the
+        star norm (R restricts to orbit representatives, Q prolongs) > ZERO_RTOL."""
+        q, x = w.degree, w.coeffs
+        if self.dimension(q):
+            defect = x - self.mesh.orbit_sign[q] * x[self.mesh.orbit_rep[q]]
+            d2, x2 = (float(v @ (self._stars[q] * v)) for v in (defect, x))
+            if d2 > ZERO_RTOL ** 2 * x2:
+                raise NotInvariant("degree-%d cochain is not invariant under the mesh "
+                                   "symmetry (defect %.3g)" % (q, math.sqrt(d2 / x2)))
 
-        The Laplacian is self-adjoint in the star inner product and maps
-        into the complement of the harmonic space, so the iterates stay
-        there: the right-hand side is deflated once, and the result once
-        more to clear rounding."""
+    def _reduced(self, q: int):
+        """Green's system on the degree-q orbit representatives, kept under
+        ("green", q): the representatives, their indices per simplex, roots sw
+        of the weights orbit length x star, the symmetric sw R L Q / sw (R L Q
+        is self-adjoint for the weights), and the scaled unit harmonic rows."""
+        reps = np.flatnonzero(self.mesh.orbit_rep[q] == np.arange(self.dimension(q)))
+        col = np.searchsorted(reps, self.mesh.orbit_rep[q])
+        sw = np.sqrt(np.bincount(col) * self._stars[q][reps])
+        # the Laplacian's rows of the representatives, each column folded
+        # onto its own representative (a row may hold a column twice)
+        lap = self._matrix("laplacian", q)[reps]
+        rows, cols = np.repeat(np.arange(len(reps)), np.diff(lap.indptr)), lap.indices
+        vals = lap.data * (self.mesh.orbit_sign[q][cols] * sw[rows] / sw[col[cols]])
+        H = np.array([sw * h[reps] for h in self._harmonic[q]]).reshape(-1, len(reps))
+        return self._ops.setdefault(("green", q), (reps, col, sw, sp.csr_matrix(
+            (vals, col[cols], lap.indptr), shape=(len(reps),) * 2),
+            H / np.linalg.norm(H, axis=1, keepdims=True)))
+
+    def green(self, w: InvariantForm) -> InvariantForm:
+        """Conjugate-gradient solve of Laplacian x = w - H(w) in the coordinates
+        of :meth:`_reduced` (Euclidean norm = star norm); restricting w raises
+        :class:`NotInvariant`.  The harmonic part is removed before and after."""
         q = w.degree
-        lap = self._matrix("laplacian", q)
-        if lap is None:
+        if not self.dimension(q):
             return self.zero(q)
-        star = self._stars[q]
-        b = (w - self.harmonic_projection(w)).coeffs
-        bnorm = math.sqrt(float(b @ (star * b)))
+        self.require_invariant(w)
+        reps, col, sw, system, H = self._ops.get(("green", q)) or self._reduced(q)
+        b = sw * w.coeffs[reps]
+        b -= H.T @ (H @ b)
+        rr = float(b @ b)
+        bnorm = math.sqrt(rr)
         if bnorm == 0.0:
             return self.zero(q)
-        x = np.zeros_like(b)
-        r = b.copy()
-        p = r.copy()
-        rr = float(r @ (star * r))
-        limit = 20 * len(b)
-        for it in range(limit):
-            ap = lap @ p
-            alpha = rr / float(p @ (star * ap))
+        x, r, p = np.zeros_like(b), b.copy(), b.copy()
+        for _ in range(20 * len(w.coeffs)):
+            ap = system @ p
+            alpha = rr / float(p @ ap)
             x += alpha * p
             r -= alpha * ap
-            rr_new = float(r @ (star * r))
+            rr_new = float(r @ r)
             if math.sqrt(rr_new) <= CG_TOL * bnorm:
-                g = InvariantForm(self, q, x)
-                return g - self.harmonic_projection(g)
+                x -= H.T @ (H @ x)
+                return InvariantForm(self, q, self.mesh.orbit_sign[q] * (x / sw)[col])
             p = r + (rr_new / rr) * p
             rr = rr_new
-        raise SolverError(math.sqrt(rr) / bnorm, limit)
+        raise SolverError(math.sqrt(rr) / bnorm, 20 * len(w.coeffs))
 
     def is_zero(self, w: InvariantForm, relative_to=None) -> bool:
         if relative_to is None:
@@ -318,9 +327,8 @@ class DecBackend(Backend):
         representatives and replicated, so the cochain is exactly
         symmetry-invariant.
         """
-        mesh = self.mesh
-        vals = -mesh.solid_angle(np.arange(mesh.num_tris))
-        return InvariantForm(self, 2, vals[mesh.orbit_rep[2]])
+        vals = -_solid_angle(*self._triangles[0])
+        return InvariantForm(self, 2, vals[self.mesh.orbit_rep[2]])
 
     def vertex_heights(self) -> np.ndarray:
         """The z-coordinate sampled at the mesh vertices."""

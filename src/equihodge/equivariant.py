@@ -14,7 +14,7 @@ and the canonical extension of a closed invariant form alpha is the
 finite Neumann series alpha_hat = alpha + P(alpha) + P^2(alpha) + ...
 
 ``extend``, ``moment_map``, ``obstruction_residual`` and ``extend_partial``
-test their input in one private closedness check, ``_require_closed``.
+test their input in one private check, ``_require_closed`` (invariant, closed).
 Every P-term comes from one private stage function, ``_d_star_green``.
 Before Green's operator is invoked, the stage checks every contracted
 coefficient form for a harmonic component.  A nonzero harmonic part
@@ -40,6 +40,7 @@ from .errors import (
     NotClosed,
     ObstructionDetected,
     PreconditionViolated,
+    ResidualNotZero,
 )
 from .forms import Backend, GeneratorSpec, InvariantForm
 
@@ -215,9 +216,16 @@ def cartan_d(x: EquivariantElement) -> EquivariantElement:
     return coefficient_d(x) - partial_d(x)
 
 
+def _require_invariant(x: EquivariantElement) -> None:
+    """Raise :class:`NotInvariant` unless every coefficient of x is invariant."""
+    for f in x.terms.values():
+        x.backend.require_invariant(f)
+
+
 def _require_closed(x: EquivariantElement, error: Exception) -> None:
-    """Raise ``error`` unless (I (x) d) x is zero, relative to x, the
-    run's input, on the float backend."""
+    """Raise :class:`NotInvariant` unless x is invariant, then ``error`` unless
+    (I (x) d) x is zero, relative to x, the run's input, on the float backend."""
+    _require_invariant(x)
     backend = x.backend
     if not all(backend.is_zero(backend.d(f), x) for f in x.terms.values()):
         raise error
@@ -315,7 +323,7 @@ def extend(alpha: InvariantForm) -> ExtensionReport:
     ``cartan_d(alpha_hat).norm()`` bit for bit, on floats too;
     :func:`verify_extension` recomputes it independently.
 
-    Raises :class:`NotClosed` when d(alpha) != 0.
+    Raises :class:`NotInvariant`, :class:`NotClosed` or :class:`ResidualNotZero`.
     """
     terms = [EquivariantElement.from_form(alpha)]
     _require_closed(terms[0], NotClosed("extend requires a closed input form"))
@@ -332,6 +340,8 @@ def extend(alpha: InvariantForm) -> ExtensionReport:
             report = ExtensionReport(terms)
             report.final_residual_norm = (
                 coefficient_d(report.alpha_hat()) - boundaries).norm()
+            if alpha.backend.is_exact and report.final_residual_norm:
+                raise ResidualNotZero("final residual %g" % report.final_residual_norm)
             return report
         terms.append(current)
     raise AssertionError("extension loop exceeded the termination bound")

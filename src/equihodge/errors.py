@@ -16,6 +16,14 @@ class NotClosed(EquihodgeError):
     """An operation required a closed form (d w = 0) and got one that is not."""
 
 
+class NotInvariant(EquihodgeError, ValueError):
+    """An operation required a symmetry-invariant form and got one that is not."""
+
+
+class ResidualNotZero(EquihodgeError):
+    """An exact extension left d_G(alpha_hat) != 0: d_G does not square to zero."""
+
+
 class ObstructionDetected(EquihodgeError):
     """A contracted form has a nonzero harmonic part, so it is not exact.
 

@@ -124,6 +124,9 @@ class FormalGeneratorBackend(Backend):
     def harmonic_projection(self, w: InvariantForm) -> InvariantForm:
         return self._wrap(self.base.harmonic_projection(self._unwrap(w)))
 
+    def require_invariant(self, w: InvariantForm) -> None:
+        self.base.require_invariant(self._unwrap(w))
+
     def is_zero(self, w: InvariantForm, relative_to=None) -> bool:
         return self.base.is_zero(self._unwrap(w), relative_to)
 

@@ -288,6 +288,9 @@ class Backend(ABC):
         ``relative_to``, the float backend compares norms instead."""
         return not w.entries
 
+    def require_invariant(self, w: InvariantForm) -> None:
+        """Raise :class:`NotInvariant` unless w is invariant; exact forms always are."""
+
     def zero(self, q: int) -> InvariantForm:
         if self.is_exact:
             return InvariantForm.from_entries(self, q, ())

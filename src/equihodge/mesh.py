@@ -58,6 +58,8 @@ class SymmetricMesh:
     esign: np.ndarray = field(init=False)
     tperm: np.ndarray = field(init=False)
     orbit_rep: Dict[int, np.ndarray] = field(init=False)  # orbit[0] per simplex
+    # an invariant cochain x has x[i] = orbit_sign[q][i] * x[orbit_rep[q][i]]
+    orbit_sign: Dict[int, np.ndarray] = field(init=False)
 
     def __post_init__(self, tris):
         tv = _canon_tris(np.asarray(tris, dtype=np.int64).reshape(-1, 3))
@@ -155,13 +157,17 @@ class SymmetricMesh:
         self.eperm, self.esign, self.tperm = eperm, esign, order[found]
 
     def _build_orbits(self):
-        self.orbit_rep = {}
+        self.orbit_rep, self.orbit_sign = {}, {}
         for q in range(3):
-            images = self.walk(q)[0]
+            images, signs = self.walk(q)
             # sigma^(n_sym - 1) after sigma is the identity
             if not np.array_equal(images[-1][images[1]], images[0]):
                 raise MeshError("symmetry does not have order dividing n_sym")
             self.orbit_rep[q] = images.min(axis=0)
+            # the sign at the power of sigma that reaches the representative;
+            # off the edges every sign is +1
+            self.orbit_sign[q] = signs[0] if q != 1 else signs[
+                images.argmin(axis=0), np.arange(len(signs[0]))]
 
     # -- geometry -----------------------------------------------------------
     #
@@ -173,20 +179,26 @@ class SymmetricMesh:
         return np.moveaxis(self.positions[self.tri_vertices[t]], -2, 0)
 
     def tri_circumcenter(self, t) -> np.ndarray:
-        pa, pb, pc = self.tri_vectors(t)
-        ab, ac = pb - pa, pc - pa
-        g11, g12, g22 = _dot(ab, ab), _dot(ab, ac), _dot(ac, ac)
-        det = g11 * g22 - g12 * g12
-        alpha = (g22 * g11 / 2.0 - g12 * g22 / 2.0) / det
-        beta = (g11 * g22 / 2.0 - g12 * g11 / 2.0) / det
-        return pa + alpha[..., None] * ab + beta[..., None] * ac
+        return _circumcenter(*self.tri_vectors(t))
 
     def solid_angle(self, t):
         """Signed spherical area (positive for outward orientation)."""
-        a, b, c = self.tri_vectors(t)
-        num = _dot(a, np.cross(b, c))
-        den = 1.0 + _dot(a, b) + _dot(b, c) + _dot(c, a)
-        return 2.0 * np.arctan2(num, den)
+        return _solid_angle(*self.tri_vectors(t))
+
+
+def _circumcenter(pa, pb, pc) -> np.ndarray:
+    ab, ac = pb - pa, pc - pa
+    g11, g12, g22 = _dot(ab, ab), _dot(ab, ac), _dot(ac, ac)
+    det = g11 * g22 - g12 * g12
+    alpha = (g22 * g11 / 2.0 - g12 * g22 / 2.0) / det
+    beta = (g11 * g22 / 2.0 - g12 * g11 / 2.0) / det
+    return pa + alpha[..., None] * ab + beta[..., None] * ac
+
+
+def _solid_angle(a, b, c):
+    num = _dot(a, np.cross(b, c))
+    den = 1.0 + _dot(a, b) + _dot(b, c) + _dot(c, a)
+    return 2.0 * np.arctan2(num, den)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -13,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 from equihodge import (
     DecBackend,
     EquivariantElement,
+    FormalGenerator,
     MeshError,
     NotClosed,
+    NotInvariant,
     PreconditionViolated,
     SolverError,
     build_symmetric_sphere,
@@ -23,6 +25,7 @@ from equihodge import (
     extend_partial,
     moment_map,
     obstruction_residual,
+    with_formal_generators,
 )
 
 
@@ -33,6 +36,12 @@ def dec():
 
 def random_cochain(rng, backend, q):
     return backend.form(q, rng.standard_normal(backend.dimension(q)))
+
+
+def invariant_cochain(rng, backend, q):
+    """A random cochain averaged over the symmetry: Green's operator acts on
+    invariant cochains only."""
+    return backend.symmetrize(random_cochain(rng, backend, q))
 
 
 def test_d_squared_is_exactly_zero(dec):
@@ -71,7 +80,7 @@ def test_harmonic_dimensions(dec):
 def test_green_contract_identity(dec):
     rng = np.random.default_rng(33)
     for q in range(3):
-        w = random_cochain(rng, dec, q)
+        w = invariant_cochain(rng, dec, q)
         g = dec.green(w)
         h = dec.harmonic_projection(w)
         resid = dec.laplacian(g) - (w - h)
@@ -85,7 +94,7 @@ def test_solver_error_on_iteration_starvation(dec, monkeypatch):
     monkeypatch.setattr(dec_module, "CG_TOL", 0.0)  # never converges
     rng = np.random.default_rng(34)
     with pytest.raises(SolverError):
-        dec.green(random_cochain(rng, dec, 0))
+        dec.green(invariant_cochain(rng, dec, 0))
 
 
 def test_all_operators_commute_with_the_symmetry_exactly(dec):
@@ -110,18 +119,17 @@ def test_all_operators_commute_with_the_symmetry_exactly(dec):
         assert np.max(np.abs(commutator)) < 1e-12
 
 
-def test_replication_stops_at_the_orbit_length_of_each_pair(dec):
-    """An entry is copied to (sigma^k r, sigma^k c) only for k below the
-    orbit length of the pair: the poles (vertices 0 and 1) are fixed, so a
-    pole-to-pole entry is kept once and a pole-to-ring entry once per
-    member of the ring vertex's orbit."""
+def test_replication_copies_an_entry_to_each_power_of_the_symmetry(dec):
+    """An entry (r, c) whose pair has a full orbit is copied to
+    (sigma^k r, sigma^k c) for every k < n_sym, with the sign sigma^k picks
+    up on an edge: a pole-to-edge entry lands once on each edge of the
+    edge's orbit, with that edge's orbit sign."""
     mesh = dec.mesh
-    ring = next(o for o in mesh.orbits[0] if len(o) == mesh.n_sym)
-    M = dec._replicate(np.array([0, 0, 0]), np.array([0, 1, ring[0]]),
-                       np.array([1.0, 3.0, 2.0]), 0, 0).toarray()
+    orbit = next(o for o in mesh.orbits[1] if len(o) == mesh.n_sym)
+    M = dec._replicate(np.array([0]), np.array([orbit[0]]), np.array([2.0]),
+                       0, 1).toarray()
     expected = np.zeros_like(M)
-    expected[0, :2] = 1.0, 3.0
-    expected[0, ring] = 2.0
+    expected[0, orbit] = 2.0 * mesh.orbit_sign[1][orbit]
     assert np.array_equal(M, expected)
 
 
@@ -364,12 +372,12 @@ def test_each_entry_point_builds_only_the_matrices_it_reads():
     assert dec._ops == {}
     extend(dec.volume_form_cochain())
     assert _built(dec) == {("d", 0), ("codifferential", 1), ("laplacian", 0),
-                           (("contraction", 0), 2)}
+                           (("contraction", 0), 2), ("green", 0)}
     rng = np.random.default_rng(37)
-    dec.hodge_decompose(random_cochain(rng, dec, 1))
+    dec.hodge_decompose(invariant_cochain(rng, dec, 1))
     assert _built(dec) == {("d", 0), ("codifferential", 1), ("laplacian", 0),
-                           (("contraction", 0), 2), ("d", 1),
-                           ("codifferential", 2), ("laplacian", 2)}
+                           (("contraction", 0), 2), ("green", 0), ("d", 1),
+                           ("codifferential", 2), ("laplacian", 2), ("green", 2)}
 
 
 def test_a_negative_dual_ratio_is_refused_at_construction():
@@ -434,13 +442,56 @@ def test_stars_satisfy_the_triangle_identities(n_sym, level, zigzag):
     assert np.allclose(star2, 1.0 / areas, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("n_sym,level,zigzag", [(4, 2, 0.1), (5, 1, 0.0)])
+@pytest.mark.parametrize("n_sym,level,zigzag", [
+    (n_sym, level, zigzag) for n_sym in (3, 4, 5, 6) for level in range(4)
+    for zigzag in (0.0, 0.1)])
 def test_green_matches_a_direct_bordered_solve(n_sym, level, zigzag):
+    """The solve on orbit representatives against one direct sparse solve
+    of the full cochain, on every mesh that builds; its result is invariant
+    bit for bit."""
     from bruteforce import dec_green_reference
 
-    backend = DecBackend(build_symmetric_sphere(n_sym, level, zigzag=zigzag))
+    try:
+        backend = DecBackend(build_symmetric_sphere(n_sym, level, zigzag=zigzag))
+    except MeshError:
+        return
+    mesh = backend.mesh
     rng = np.random.default_rng(36)
     for q in range(3):
-        w = random_cochain(rng, backend, q)
+        w = invariant_cochain(rng, backend, q)
         ref = backend.form(q, dec_green_reference(backend, w))
-        assert backend.norm(backend.green(w) - ref) <= 1e-9 * backend.norm(ref)
+        g = backend.green(w).coeffs
+        assert backend.norm(backend.form(q, g) - ref) <= 1e-9 * backend.norm(ref)
+        assert np.array_equal(g, mesh.orbit_sign[q] * g[mesh.orbit_rep[q]])
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_a_non_invariant_input_is_refused_by_every_entry_point(level):
+    """Fault (c)'s input, a random 2-cochain, is not invariant under the
+    mesh symmetry: each entry point raises NotInvariant before it builds
+    any matrix, where it once came back "extended" with a large residual.
+    A formal wrapper of the mesh backend asks the mesh."""
+    dec = DecBackend(build_symmetric_sphere(4, level, zigzag=0.1))
+    formal = with_formal_generators(dec, [FormalGenerator(
+        4, "p4", lambda w: dec.zero(w.degree - 3))])
+    noise = np.random.default_rng(20260).standard_normal(dec.dimension(2))
+    for backend in (dec, formal):
+        for entry in (extend, moment_map, obstruction_residual,
+                      lambda w: extend_partial([EquivariantElement.from_form(w)], 0)):
+            with pytest.raises(NotInvariant, match="not invariant"):
+                entry(backend.form(2, noise))
+    assert dec._ops == {}
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_green_and_the_hodge_split_refuse_a_non_invariant_cochain(dec, q):
+    """The restriction to orbit representatives is the invariance check: a
+    raw random cochain is refused, its symmetrization passes, and the Hodge
+    split refuses it where it solves (degree 1)."""
+    w = random_cochain(np.random.default_rng(38), dec, q)
+    with pytest.raises(NotInvariant):
+        dec.green(w)
+    if q == 1:
+        with pytest.raises(NotInvariant):
+            dec.hodge_decompose(w)
+    dec.require_invariant(dec.symmetrize(w))

@@ -17,6 +17,7 @@ from equihodge import (
     FormalGenerator,
     GeneratorSpec,
     NotClosed,
+    NotInvariant,
     ObstructionDetected,
     PiScalar,
     PreconditionViolated,
@@ -374,16 +375,18 @@ def test_form_subtraction_adds_the_negative(make):
 def test_the_final_residual_is_the_cartan_differential_bit_for_bit(level):
     """extend's residual, d of each coefficient minus the boundaries its
     stages summed, is the recomputed |d_G(alpha_hat)| to the last bit on
-    the mesh backend; the noise cochain is fault (c)'s input."""
+    the mesh backend; the noise cochain, fault (c)'s input, is not
+    invariant and is refused."""
     backend = DecBackend(build_symmetric_sphere(4, level, zigzag=0.1))
     z = backend.vertex_heights()
     noise = np.random.default_rng(20260).standard_normal(backend.dimension(2))
     for alpha in (backend.volume_form_cochain(),
-                  backend.d(backend.form(0, z ** 2)),
-                  backend.form(2, noise)):
+                  backend.d(backend.form(0, z ** 2))):
         r = extend(alpha)
         assert r.status == "extended"
         assert r.final_residual_norm == cartan_d(r.alpha_hat()).norm()
+    with pytest.raises(NotInvariant):
+        extend(backend.form(2, noise))
 
 
 def test_every_exact_preset_that_extends_has_residual_zero():

@@ -87,8 +87,8 @@ def test_dec_green_commutes_with_the_codifferential(n_sym, level, zigzag):
     vol = B.volume_form_cochain()
     centroids = mesh.positions[mesh.tri_vertices].mean(axis=1)
     for _ in range(2):
-        f0 = B.form(0, smooth_polynomial(rng, mesh.positions))
-        f2 = B.form(2, smooth_polynomial(rng, centroids) * vol.coeffs)
+        f0 = B.symmetrize(B.form(0, smooth_polynomial(rng, mesh.positions)))
+        f2 = B.symmetrize(B.form(2, smooth_polynomial(rng, centroids) * vol.coeffs))
         f1 = B.d(f0) + B.codifferential(f2) + B.contraction(0, vol)
         for f in (f1, f2):
             lower = B.green(B.codifferential(f))
@@ -121,7 +121,7 @@ def test_dec_extension_and_moment_map_solve_on_vertices(recorded_dec):
 @pytest.mark.parametrize("q,expected", [(0, []), (1, [0, 2]), (2, [])])
 def test_dec_hodge_split_solve_degrees(recorded_dec, q, expected):
     B, degrees = recorded_dec
-    w = B.form(q, np.random.default_rng(13).standard_normal(B.dimension(q)))
+    w = B.symmetrize(B.form(q, np.random.default_rng(13).standard_normal(B.dimension(q))))
     B.hodge_decompose(w)
     assert sorted(degrees) == expected
 

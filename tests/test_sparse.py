@@ -343,3 +343,16 @@ def test_a_mesh_form_keeps_the_array_it_is_given():
     for q in range(3):
         a = np.arange(b.dimension(q), dtype=float)
         assert InvariantForm(b, q, a).coeffs is a
+
+
+def test_an_exact_extension_with_a_nonzero_residual_is_refused():
+    """The degree-4 contraction of ``_formal`` breaks the Cartan relation
+    d i_u + i_u d = 0, so d_G does not square to zero: extend(d beta), beta
+    the degree-2 basis form 1, once came back "extended" with final residual
+    11.14 on this exact backend."""
+    from equihodge import ResidualNotZero
+
+    b = PAIRS["formal"]()
+    beta = b.form(2, [int(i == 1) for i in range(b.dimension(2))])
+    with pytest.raises(ResidualNotZero, match="final residual 11.1"):
+        extend(b.d(beta))
