@@ -12,12 +12,18 @@ the interior products are replicated from orbit representatives, so every
 matrix commutes with the symmetry exactly.
 
 Green's operator acts on invariant cochains, the discrete Omega(M)^G: it
-restricts the right-hand side to the orbit representatives, runs conjugate
-gradients on the reduced Laplacian (kept in the table under ``("green",
-q)``) and prolongs the result, deflating right-hand side and result once by
-the harmonic space (dimensions 1, 0, 1).  The restriction raises
-:class:`NotInvariant` on a cochain that is not invariant.  The extension
-stage and the Hodge split solve one degree away from their input.
+restricts the right-hand side to the orbit representatives, solves the
+reduced Laplacian there (kept in the table under ``("green", q)``) and
+prolongs the result, deflating right-hand side and result once by the
+harmonic space (dimensions 1, 0, 1).  A reduced system of at most
+``DIRECT_MAX`` unknowns (on the nsym-4 mesh: levels 0-2, except degree 1 at
+level 2) is kept dense with the harmonic rows added, and each solve is one
+``numpy.linalg.solve``; a wider one runs conjugate gradients on its CSR
+matrix.  Either way a residual above ``CG_TOL`` raises :class:`SolverError`.
+The restriction raises :class:`NotInvariant` on a cochain that is not
+invariant and :class:`BackendMismatch` on one with a value that is not
+finite.  The extension stage and the Hodge split solve one degree away from
+their input.
 
 A cochain is zero only when all its values are; the closedness, symmetry and
 harmonic tests instead compare norms with ``ZERO_RTOL`` times the input's.
@@ -36,8 +42,14 @@ from .forms import Backend, GeneratorSpec, InvariantForm
 from .mesh import SymmetricMesh, _circumcenter, _dot, _solid_angle
 
 
-#: relative residual, in the star norm, at which Green's solve stops
+#: relative residual, in the star norm, at which Green's solve stops; a
+#: larger residual after the solve raises SolverError
 CG_TOL = 1e-10
+
+#: the widest reduced system Green's operator solves densely, with one
+#: numpy.linalg.solve per call; wider ones run conjugate gradients.  The
+#: measured crossover lies between n = 256 and 514 (ROADMAP item 5)
+DIRECT_MAX = 256
 
 #: a hypothesis test counts a cochain as zero when its norm is at most this
 #: factor times the norm of the run's input
@@ -86,7 +98,7 @@ class DecBackend(Backend):
             raise MeshError("nonpositive circumcentric dual ratio")
         self._stars = (star0, star1, star2)
         # harmonic bases: constants in degree 0, the area cochain in degree 2
-        self._harmonic = {0: [np.ones(V)], 1: [], 2: [area]}
+        self._harmonic = {0: [np.ones(V)], 1: [], 2: [area[rep[2]]]}
         # the operator matrices, built by _matrix on first use
         self._ops = {}
 
@@ -237,9 +249,14 @@ class DecBackend(Backend):
         return InvariantForm(self, w.degree, out)
 
     def require_invariant(self, w: InvariantForm) -> None:
-        """Raises :class:`NotInvariant` when the defect |w - Q R w| / |w| in the
-        star norm (R restricts to orbit representatives, Q prolongs) > ZERO_RTOL."""
+        """Raises :class:`BackendMismatch` when a value of w is not finite, and
+        :class:`NotInvariant` when the defect |w - Q R w| / |w| in the star
+        norm (R restricts to orbit representatives, Q prolongs) > ZERO_RTOL."""
         q, x = w.degree, w.coeffs
+        finite = np.isfinite(x)
+        if not finite.all():
+            raise BackendMismatch("degree-%d coefficient %d is not finite"
+                                  % (q, np.argmin(finite)))
         if self.dimension(q):
             defect = x - self.mesh.orbit_sign[q] * x[self.mesh.orbit_rep[q]]
             d2, x2 = (float(v @ (self._stars[q] * v)) for v in (defect, x))
@@ -250,8 +267,11 @@ class DecBackend(Backend):
     def _reduced(self, q: int):
         """Green's system on the degree-q orbit representatives, kept under
         ("green", q): the representatives, their indices per simplex, roots sw
-        of the weights orbit length x star, the symmetric sw R L Q / sw (R L Q
-        is self-adjoint for the weights), and the scaled unit harmonic rows."""
+        of the weights orbit length x star, the system and the unit harmonic
+        rows H.  The system is the symmetric K = sw R L Q / sw (R L Q is
+        self-adjoint for the weights) as CSR, or, when at most DIRECT_MAX
+        wide, the dense K + H^T H, whose inverse is K's pseudo-inverse on the
+        right-hand sides orthogonal to H (K's kernel is spanned by H^T)."""
         reps = np.flatnonzero(self.mesh.orbit_rep[q] == np.arange(self.dimension(q)))
         col = np.searchsorted(reps, self.mesh.orbit_rep[q])
         sw = np.sqrt(np.bincount(col) * self._stars[q][reps])
@@ -260,15 +280,20 @@ class DecBackend(Backend):
         lap = self._matrix("laplacian", q)[reps]
         rows, cols = np.repeat(np.arange(len(reps)), np.diff(lap.indptr)), lap.indices
         vals = lap.data * (self.mesh.orbit_sign[q][cols] * sw[rows] / sw[col[cols]])
+        system = sp.csr_matrix((vals, col[cols], lap.indptr), shape=(len(reps),) * 2)
         H = np.array([sw * h[reps] for h in self._harmonic[q]]).reshape(-1, len(reps))
-        return self._ops.setdefault(("green", q), (reps, col, sw, sp.csr_matrix(
-            (vals, col[cols], lap.indptr), shape=(len(reps),) * 2),
-            H / np.linalg.norm(H, axis=1, keepdims=True)))
+        H /= np.linalg.norm(H, axis=1, keepdims=True)
+        if len(reps) <= DIRECT_MAX:
+            system = system.toarray()
+            system += H.T @ H
+        return self._ops.setdefault(("green", q), (reps, col, sw, system, H))
 
     def green(self, w: InvariantForm) -> InvariantForm:
-        """Conjugate-gradient solve of Laplacian x = w - H(w) in the coordinates
-        of :meth:`_reduced` (Euclidean norm = star norm); restricting w raises
-        :class:`NotInvariant`.  The harmonic part is removed before and after."""
+        """Solve of Laplacian x = w - H(w) in the coordinates of :meth:`_reduced`
+        (Euclidean norm = star norm), dense or by conjugate gradients as the
+        system is stored; restricting w raises :class:`NotInvariant`.  The
+        harmonic part is removed before and after, and a residual above
+        CG_TOL times the right-hand side's raises :class:`SolverError`."""
         q = w.degree
         if not self.dimension(q):
             return self.zero(q)
@@ -276,23 +301,19 @@ class DecBackend(Backend):
         reps, col, sw, system, H = self._ops.get(("green", q)) or self._reduced(q)
         b = sw * w.coeffs[reps]
         b -= H.T @ (H @ b)
-        rr = float(b @ b)
-        bnorm = math.sqrt(rr)
+        bnorm = math.sqrt(float(b @ b))
         if bnorm == 0.0:
             return self.zero(q)
-        x, r, p = np.zeros_like(b), b.copy(), b.copy()
-        for _ in range(20 * len(w.coeffs)):
-            ap = system @ p
-            alpha = rr / float(p @ ap)
-            x += alpha * p
-            r -= alpha * ap
-            rr_new = float(r @ r)
-            if math.sqrt(rr_new) <= CG_TOL * bnorm:
-                x -= H.T @ (H @ x)
-                return InvariantForm(self, q, self.mesh.orbit_sign[q] * (x / sw)[col])
-            p = r + (rr_new / rr) * p
-            rr = rr_new
-        raise SolverError(math.sqrt(rr) / bnorm, 20 * len(w.coeffs))
+        if isinstance(system, np.ndarray):
+            x, steps = np.linalg.solve(system, b), 1
+        else:
+            x, steps = _cg(system, b, CG_TOL * bnorm, 20 * len(w.coeffs))
+        r = b - system @ x
+        residual = math.sqrt(float(r @ r)) / bnorm
+        if not residual <= CG_TOL:
+            raise SolverError(residual, steps)
+        x -= H.T @ (H @ x)
+        return InvariantForm(self, q, self.mesh.orbit_sign[q] * (x / sw)[col])
 
     def is_zero(self, w: InvariantForm, relative_to=None) -> bool:
         if relative_to is None:
@@ -333,6 +354,29 @@ class DecBackend(Backend):
     def vertex_heights(self) -> np.ndarray:
         """The z-coordinate sampled at the mesh vertices."""
         return self.mesh.positions[:, 2].copy()
+
+
+def _cg(system, b, tol: float, limit: int):
+    """Conjugate gradients on the symmetric ``system`` from x = 0, stopping
+    when the norm of b - system x is at most ``tol`` or after ``limit``
+    steps; returns x and the number of steps."""
+    x, r, p = np.zeros_like(b), b.copy(), b.copy()
+    rr = float(r @ r)
+    for step in range(1, limit + 1):
+        ap = system @ p
+        alpha = rr / float(p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        rr_new = float(r @ r)
+        if math.sqrt(rr_new) <= tol:
+            # the recurrence drifts from b - system x: stop on the true residual
+            r = b - system @ x
+            rr_new = float(r @ r)
+            if math.sqrt(rr_new) <= tol:
+                break
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return x, step
 
 
 #: alias of the class: the name the README examples and perfbench build it by

@@ -328,8 +328,10 @@ class Backend(ABC):
         and d*: the solves run one degree below and one above w.  When d w
         is identically zero the coexact part is zero and the exact part is
         w - H(w), and symmetrically when d* w is, so a form of degree 0 or
-        n needs no solve.  The harmonic part is what remains.
+        n needs no solve.  The harmonic part is what remains.  A form that
+        :meth:`require_invariant` refuses is refused in every degree.
         """
+        self.require_invariant(w)
         down, up = self.codifferential(w), self.d(w)
         if self.is_zero(up):
             exact, coexact = w - self.harmonic_projection(w), self.zero(w.degree)

@@ -97,16 +97,18 @@ def test_in_file_with_mismatched_backend_flag(capsys, tmp_path):
 
 def test_hodge_of_a_non_invariant_dec_form_is_an_error(capsys, tmp_path):
     """Green's operator on the mesh acts on invariant cochains only; the
-    Hodge split of a random 1-cochain solves, so it is refused."""
+    Hodge split of a random 1-cochain, which solves, and of a random
+    2-cochain, which does not, are refused."""
     from equihodge import DecBackend, build_symmetric_sphere
 
     b = DecBackend(build_symmetric_sphere(4, 1, zigzag=0.1))
     path = tmp_path / "form.txt"
-    path.write_text(serialize_form(b.form(1, np.random.default_rng(40).standard_normal(
-        b.dimension(1)))))
-    code, out, err = run(capsys, "hodge", "--in", str(path))
-    assert code == 1
-    assert err.startswith("error (hodge): ") and "not invariant" in err
+    for q in (1, 2):
+        path.write_text(serialize_form(b.form(q, np.random.default_rng(40).standard_normal(
+            b.dimension(q)))))
+        code, out, err = run(capsys, "hodge", "--in", str(path))
+        assert code == 1
+        assert err.startswith("error (hodge): ") and "not invariant" in err
 
 
 def test_truncation_override(capsys):

@@ -11,9 +11,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from equihodge import (
+    BackendMismatch,
     DecBackend,
     EquivariantElement,
     FormalGenerator,
+    InvariantForm,
     MeshError,
     NotClosed,
     NotInvariant,
@@ -95,6 +97,20 @@ def test_solver_error_on_iteration_starvation(dec, monkeypatch):
     rng = np.random.default_rng(34)
     with pytest.raises(SolverError):
         dec.green(invariant_cochain(rng, dec, 0))
+
+
+def test_solver_error_on_cg_iteration_starvation_at_level_3(monkeypatch):
+    """The level-1 systems above are solved densely; at level 3 conjugate
+    gradients runs to its step limit and the residual check raises."""
+    from equihodge import dec as dec_module
+
+    dec = DecBackend(build_symmetric_sphere(4, 3, zigzag=0.1))
+    monkeypatch.setattr(dec_module, "CG_TOL", 0.0)  # never converges
+    rng = np.random.default_rng(34)
+    with pytest.raises(SolverError) as raised:
+        dec.green(invariant_cochain(rng, dec, 0))
+    assert raised.value.iterations == 20 * dec.dimension(0)
+    assert not isinstance(dec._ops["green", 0][3], np.ndarray)
 
 
 def test_all_operators_commute_with_the_symmetry_exactly(dec):
@@ -487,11 +503,75 @@ def test_a_non_invariant_input_is_refused_by_every_entry_point(level):
 def test_green_and_the_hodge_split_refuse_a_non_invariant_cochain(dec, q):
     """The restriction to orbit representatives is the invariance check: a
     raw random cochain is refused, its symmetrization passes, and the Hodge
-    split refuses it where it solves (degree 1)."""
+    split refuses it in every degree, also where it needs no solve."""
     w = random_cochain(np.random.default_rng(38), dec, q)
     with pytest.raises(NotInvariant):
         dec.green(w)
-    if q == 1:
-        with pytest.raises(NotInvariant):
-            dec.hodge_decompose(w)
+    with pytest.raises(NotInvariant):
+        dec.hodge_decompose(w)
     dec.require_invariant(dec.symmetrize(w))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_cochain_that_is_not_finite_is_refused_before_any_solve(bad):
+    """A value that is not finite, in a cochain built without the validation
+    of Backend.form, is refused as Backend.form refuses it, before it reaches
+    the solve."""
+    dec = DecBackend(build_symmetric_sphere(4, 2, zigzag=0.1))
+    for q, x in ((0, np.ones(dec.dimension(0))), (2, dec.volume_form_cochain().coeffs)):
+        x = x.copy()
+        x[5] = bad
+        w = InvariantForm(dec, q, x)
+        for entry in (dec.green, extend, dec.hodge_decompose):
+            with pytest.raises(BackendMismatch, match="coefficient 5 is not finite"):
+                entry(w)
+    assert dec._ops == {}
+
+
+def test_the_degree_2_harmonic_form_is_invariant_bit_for_bit():
+    """The area cochain takes each triangle's value from its orbit
+    representative, as the star and the volume cochain do, so it and the
+    harmonic part of the volume cochain commute with the symmetry exactly."""
+    for level in range(4):
+        dec = DecBackend(build_symmetric_sphere(4, level, zigzag=0.1))
+        rep, sign = dec.mesh.orbit_rep[2], dec.mesh.orbit_sign[2]
+        for w in (dec.harmonic_basis(2)[0],
+                  dec.harmonic_projection(dec.volume_form_cochain())):
+            assert np.array_equal(w.coeffs, sign * w.coeffs[rep])
+
+
+def test_the_reduced_system_is_dense_up_to_direct_max():
+    """Green's reduced system is stored dense, as K + H^T H, when it has at
+    most DIRECT_MAX unknowns, and as CSR otherwise: on the nsym-4 mesh the
+    degree-0 and degree-2 systems are dense at level 2 and sparse at level 3."""
+    from equihodge import dec as dec_module
+
+    rng = np.random.default_rng(39)
+    for level, dense in ((2, (0, 2)), (3, ())):
+        dec = DecBackend(build_symmetric_sphere(4, level, zigzag=0.1))
+        for q in range(3):
+            w = invariant_cochain(rng, dec, q)
+            g = dec.green(w)
+            reps, col, sw, system, H = dec._ops["green", q]
+            assert isinstance(system, np.ndarray) == (q in dense)
+            assert (len(reps) <= dec_module.DIRECT_MAX) == (q in dense)
+            if q in dense:  # K H^T = 0, so the harmonic direction is fixed
+                assert np.allclose(system @ H.T, H.T, rtol=0, atol=1e-12)
+            resid = dec.laplacian(g) - (w - dec.harmonic_projection(w))
+            assert dec.norm(resid) <= 1e-8 * dec.norm(w)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_green_removes_the_harmonic_part_of_its_result_to_rounding(level):
+    """The result is star-orthogonal to the harmonic forms to rounding, on
+    the dense and on the CG path: the solve leaves a harmonic component of
+    up to 1e-12 relative, and the deflation of the result removes it."""
+    dec = DecBackend(build_symmetric_sphere(4, level, zigzag=0.1))
+    rng = np.random.default_rng(41)
+    for q in (0, 2):
+        h = dec.harmonic_basis(q)[0]
+        smooth = (dec.form(0, dec.vertex_heights() ** 2) if q == 0
+                  else dec.volume_form_cochain())
+        for w in (smooth, invariant_cochain(rng, dec, q)):
+            g = dec.green(w)
+            assert abs(dec.inner_product(g, h)) <= 2e-15 * dec.norm(g) * dec.norm(h)
