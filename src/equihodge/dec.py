@@ -17,9 +17,11 @@ reduced Laplacian there (kept in the table under ``("green", q)``) and
 prolongs the result, deflating right-hand side and result once by the
 harmonic space (dimensions 1, 0, 1).  A reduced system of at most
 ``DIRECT_MAX`` unknowns (on the nsym-4 mesh: levels 0-2, except degree 1 at
-level 2) is kept dense with the harmonic rows added, and each solve is one
-``numpy.linalg.solve``; a wider one runs conjugate gradients on its CSR
-matrix.  Either way a residual above ``CG_TOL`` raises :class:`SolverError`.
+level 2) is solved densely with the harmonic rows added: the first solve on
+a degree is one ``numpy.linalg.solve``, the first reuse stores the inverse in
+the table entry, and every later solve is one matrix-vector product.  A
+wider system runs conjugate gradients on its CSR matrix.  Every path ends in
+one check: a residual above ``CG_TOL`` raises :class:`SolverError`.
 The restriction raises :class:`NotInvariant` on a cochain that is not
 invariant and :class:`BackendMismatch` on one with a value that is not
 finite.  The extension stage and the Hodge split solve one degree away from
@@ -46,9 +48,10 @@ from .mesh import SymmetricMesh, _circumcenter, _dot, _solid_angle
 #: larger residual after the solve raises SolverError
 CG_TOL = 1e-10
 
-#: the widest reduced system Green's operator solves densely, with one
-#: numpy.linalg.solve per call; wider ones run conjugate gradients.  The
-#: measured crossover lies between n = 256 and 514 (ROADMAP item 5)
+#: the widest reduced system Green's operator solves densely, by one
+#: numpy.linalg.solve on first use and by its stored inverse from the first
+#: reuse on; wider ones run conjugate gradients.  The measured crossover
+#: lies between n = 256 and 514 (ROADMAP item 5)
 DIRECT_MAX = 256
 
 #: a hypothesis test counts a cochain as zero when its norm is at most this
@@ -89,7 +92,9 @@ class DecBackend(Backend):
         # value
         tails = mesh.tri_vertices.T     # side i runs from tails[i] to heads[i]
         heads = np.roll(tails, -1, axis=0)
-        voronoi = (_dot(sides, sides) * cot / 8.0).ravel()
+        side2 = _dot(sides, sides)
+        self._longest_edge = math.sqrt(side2.max())
+        voronoi = (side2 * cot / 8.0).ravel()
         star0 = (np.bincount(tails.ravel(), voronoi, V)
                  + np.bincount(heads.ravel(), voronoi, V))[rep[0]]
         star1 = 0.5 * np.bincount(mesh.tri_edges.T.ravel(), cot.ravel(), E)[rep[1]]
@@ -248,6 +253,11 @@ class DecBackend(Backend):
             out += (float(w.coeffs @ star_h) / float(h @ star_h)) * h
         return InvariantForm(self, w.degree, out)
 
+    def residual_bound(self, alpha: InvariantForm) -> float:
+        """h |alpha|, h the longest edge: a smooth input leaves a residual of
+        O(h^2) |alpha|, and one above h |alpha| is too rough for the mesh."""
+        return self._longest_edge * self.norm(alpha)
+
     def require_invariant(self, w: InvariantForm) -> None:
         """Raises :class:`BackendMismatch` when a value of w is not finite, and
         :class:`NotInvariant` when the defect |w - Q R w| / |w| in the star
@@ -267,11 +277,10 @@ class DecBackend(Backend):
     def _reduced(self, q: int):
         """Green's system on the degree-q orbit representatives, kept under
         ("green", q): the representatives, their indices per simplex, roots sw
-        of the weights orbit length x star, the system and the unit harmonic
-        rows H.  The system is the symmetric K = sw R L Q / sw (R L Q is
-        self-adjoint for the weights) as CSR, or, when at most DIRECT_MAX
-        wide, the dense K + H^T H, whose inverse is K's pseudo-inverse on the
-        right-hand sides orthogonal to H (K's kernel is spanned by H^T)."""
+        of the weights orbit length x star, the symmetric K = sw R L Q / sw
+        (R L Q is self-adjoint for the weights) as CSR, the unit harmonic rows
+        H, and None in the place of the inverse that :meth:`green` stores
+        there on the entry's first reuse."""
         reps = np.flatnonzero(self.mesh.orbit_rep[q] == np.arange(self.dimension(q)))
         col = np.searchsorted(reps, self.mesh.orbit_rep[q])
         sw = np.sqrt(np.bincount(col) * self._stars[q][reps])
@@ -280,35 +289,49 @@ class DecBackend(Backend):
         lap = self._matrix("laplacian", q)[reps]
         rows, cols = np.repeat(np.arange(len(reps)), np.diff(lap.indptr)), lap.indices
         vals = lap.data * (self.mesh.orbit_sign[q][cols] * sw[rows] / sw[col[cols]])
-        system = sp.csr_matrix((vals, col[cols], lap.indptr), shape=(len(reps),) * 2)
+        K = sp.csr_matrix((vals, col[cols], lap.indptr), shape=(len(reps),) * 2)
         H = np.array([sw * h[reps] for h in self._harmonic[q]]).reshape(-1, len(reps))
         H /= np.linalg.norm(H, axis=1, keepdims=True)
-        if len(reps) <= DIRECT_MAX:
-            system = system.toarray()
-            system += H.T @ H
-        return self._ops.setdefault(("green", q), (reps, col, sw, system, H))
+        return self._ops.setdefault(("green", q), (reps, col, sw, K, H, None))
 
     def green(self, w: InvariantForm) -> InvariantForm:
         """Solve of Laplacian x = w - H(w) in the coordinates of :meth:`_reduced`
-        (Euclidean norm = star norm), dense or by conjugate gradients as the
-        system is stored; restricting w raises :class:`NotInvariant`.  The
-        harmonic part is removed before and after, and a residual above
-        CG_TOL times the right-hand side's raises :class:`SolverError`."""
+        (Euclidean norm = star norm); restricting w raises :class:`NotInvariant`.
+        A system of at most DIRECT_MAX unknowns is solved with the dense
+        A = K + H^T H, whose inverse is K's pseudo-inverse on right-hand
+        sides orthogonal to H (K's kernel is spanned by H^T): the call that
+        builds the entry solves once, the first call that finds it built
+        stores A's inverse there, and every later call multiplies by it.  A
+        wider system runs conjugate gradients on K.  The harmonic part is
+        removed before and after, and a residual |b - K x| above CG_TOL
+        times |b| raises :class:`SolverError` on every path (H x = 0 for
+        b orthogonal to H, so K x = A x)."""
         q = w.degree
         if not self.dimension(q):
             return self.zero(q)
         self.require_invariant(w)
-        reps, col, sw, system, H = self._ops.get(("green", q)) or self._reduced(q)
+        entry = self._ops.get(("green", q))
+        reps, col, sw, K, H, inverse = entry or self._reduced(q)
         b = sw * w.coeffs[reps]
         b -= H.T @ (H @ b)
         bnorm = math.sqrt(float(b @ b))
         if bnorm == 0.0:
             return self.zero(q)
-        if isinstance(system, np.ndarray):
-            x, steps = np.linalg.solve(system, b), 1
+        steps = 1
+        if inverse is not None:
+            x = inverse @ b
+        elif len(reps) > DIRECT_MAX:
+            x, steps = _cg(K, b, CG_TOL * bnorm, 20 * len(w.coeffs))
         else:
-            x, steps = _cg(system, b, CG_TOL * bnorm, 20 * len(w.coeffs))
-        r = b - system @ x
+            A = K.toarray()
+            A += H.T @ H
+            if entry is None:
+                x = np.linalg.solve(A, b)
+            else:
+                inverse = np.linalg.inv(A)
+                self._ops["green", q] = (reps, col, sw, K, H, inverse)
+                x = inverse @ b
+        r = b - K @ x
         residual = math.sqrt(float(r @ r)) / bnorm
         if not residual <= CG_TOL:
             raise SolverError(residual, steps)
@@ -317,7 +340,7 @@ class DecBackend(Backend):
 
     def is_zero(self, w: InvariantForm, relative_to=None) -> bool:
         if relative_to is None:
-            return not np.any(w.coeffs)
+            return not w.coeffs.any()
         return self.norm(w) <= ZERO_RTOL * relative_to.norm()
 
     # -- symmetry helpers -----------------------------------------------------

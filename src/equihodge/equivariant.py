@@ -321,7 +321,9 @@ def extend(alpha: InvariantForm) -> ExtensionReport:
     contracted twice.  The stages' boundaries have monomials of distinct
     t-degree, so the sum adds no two forms, and the value equals
     ``cartan_d(alpha_hat).norm()`` bit for bit, on floats too;
-    :func:`verify_extension` recomputes it independently.
+    :func:`verify_extension` recomputes it independently.  A final residual
+    above the backend's ``residual_bound(alpha)`` (0 on the exact backends,
+    h |alpha| on a mesh with longest edge h) raises :class:`ResidualNotZero`.
 
     Raises :class:`NotInvariant`, :class:`NotClosed` or :class:`ResidualNotZero`.
     """
@@ -340,8 +342,10 @@ def extend(alpha: InvariantForm) -> ExtensionReport:
             report = ExtensionReport(terms)
             report.final_residual_norm = (
                 coefficient_d(report.alpha_hat()) - boundaries).norm()
-            if alpha.backend.is_exact and report.final_residual_norm:
-                raise ResidualNotZero("final residual %g" % report.final_residual_norm)
+            bound = alpha.backend.residual_bound(alpha)
+            if not report.final_residual_norm <= bound:
+                raise ResidualNotZero("final residual %g above the bound %g"
+                                      % (report.final_residual_norm, bound))
             return report
         terms.append(current)
     raise AssertionError("extension loop exceeded the termination bound")

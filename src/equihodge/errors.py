@@ -21,7 +21,9 @@ class NotInvariant(EquihodgeError, ValueError):
 
 
 class ResidualNotZero(EquihodgeError):
-    """An exact extension left d_G(alpha_hat) != 0: d_G does not square to zero."""
+    """An extension left |d_G(alpha_hat)| above its backend's bound: on an
+    exact backend any nonzero value (d_G does not square to zero), on a mesh
+    more than h |alpha| (the input is too rough for the mesh)."""
 
 
 class ObstructionDetected(EquihodgeError):

@@ -127,6 +127,9 @@ class FormalGeneratorBackend(Backend):
     def require_invariant(self, w: InvariantForm) -> None:
         self.base.require_invariant(self._unwrap(w))
 
+    def residual_bound(self, alpha: InvariantForm):
+        return self.base.residual_bound(self._unwrap(alpha))
+
     def is_zero(self, w: InvariantForm, relative_to=None) -> bool:
         return self.base.is_zero(self._unwrap(w), relative_to)
 

@@ -291,6 +291,11 @@ class Backend(ABC):
     def require_invariant(self, w: InvariantForm) -> None:
         """Raise :class:`NotInvariant` unless w is invariant; exact forms always are."""
 
+    def residual_bound(self, alpha: InvariantForm):
+        """The largest final residual |d_G alpha_hat| an extension of alpha
+        may leave; 0 on the exact backends, where d_G squares to zero."""
+        return 0
+
     def zero(self, q: int) -> InvariantForm:
         if self.is_exact:
             return InvariantForm.from_entries(self, q, ())

@@ -20,6 +20,7 @@ from equihodge import (
     NotClosed,
     NotInvariant,
     PreconditionViolated,
+    ResidualNotZero,
     SolverError,
     build_symmetric_sphere,
     cartan_d,
@@ -110,7 +111,7 @@ def test_solver_error_on_cg_iteration_starvation_at_level_3(monkeypatch):
     with pytest.raises(SolverError) as raised:
         dec.green(invariant_cochain(rng, dec, 0))
     assert raised.value.iterations == 20 * dec.dimension(0)
-    assert not isinstance(dec._ops["green", 0][3], np.ndarray)
+    assert len(dec._ops["green", 0][0]) > dec_module.DIRECT_MAX
 
 
 def test_all_operators_commute_with_the_symmetry_exactly(dec):
@@ -541,9 +542,10 @@ def test_the_degree_2_harmonic_form_is_invariant_bit_for_bit():
 
 
 def test_the_reduced_system_is_dense_up_to_direct_max():
-    """Green's reduced system is stored dense, as K + H^T H, when it has at
-    most DIRECT_MAX unknowns, and as CSR otherwise: on the nsym-4 mesh the
-    degree-0 and degree-2 systems are dense at level 2 and sparse at level 3."""
+    """Green's reduced system is solved densely, and inverted on its first
+    reuse as K + H^T H, when it has at most DIRECT_MAX unknowns, and by CG
+    otherwise: on the nsym-4 mesh the degree-0 and degree-2 systems are
+    dense at level 2 and sparse at level 3."""
     from equihodge import dec as dec_module
 
     rng = np.random.default_rng(39)
@@ -552,11 +554,12 @@ def test_the_reduced_system_is_dense_up_to_direct_max():
         for q in range(3):
             w = invariant_cochain(rng, dec, q)
             g = dec.green(w)
-            reps, col, sw, system, H = dec._ops["green", q]
-            assert isinstance(system, np.ndarray) == (q in dense)
+            dec.green(w)
+            reps, col, sw, K, H, inverse = dec._ops["green", q]
+            assert isinstance(inverse, np.ndarray) == (q in dense)
             assert (len(reps) <= dec_module.DIRECT_MAX) == (q in dense)
             if q in dense:  # K H^T = 0, so the harmonic direction is fixed
-                assert np.allclose(system @ H.T, H.T, rtol=0, atol=1e-12)
+                assert np.allclose(inverse @ H.T, H.T, rtol=0, atol=1e-12)
             resid = dec.laplacian(g) - (w - dec.harmonic_projection(w))
             assert dec.norm(resid) <= 1e-8 * dec.norm(w)
 
@@ -575,3 +578,113 @@ def test_green_removes_the_harmonic_part_of_its_result_to_rounding(level):
         for w in (smooth, invariant_cochain(rng, dec, q)):
             g = dec.green(w)
             assert abs(dec.inner_product(g, h)) <= 2e-15 * dec.norm(g) * dec.norm(h)
+
+
+def _dense_reference(dec, w):
+    """Green's operator on w by one np.linalg.solve of K + H^T H, from the
+    parts of the backend's ("green", q) entry."""
+    reps, col, sw, K, H, inverse = dec._ops["green", w.degree]
+    b = sw * w.coeffs[reps]
+    b -= H.T @ (H @ b)
+    x = np.linalg.solve(K.toarray() + H.T @ H, b)
+    x -= H.T @ (H @ x)
+    return dec.mesh.orbit_sign[w.degree] * (x / sw)[col]
+
+
+def test_the_dense_system_is_inverted_on_its_first_reuse():
+    """The call that builds a degree's entry solves without inverting; the
+    next call stores the inverse of K + H^T H there."""
+    dec = DecBackend(build_symmetric_sphere(4, 2, zigzag=0.1))
+    rng = np.random.default_rng(42)
+    for q in (0, 2):
+        w = invariant_cochain(rng, dec, q)
+        dec.green(w)
+        assert dec._ops["green", q][5] is None
+        dec.green(w)
+        reps, col, sw, K, H, inverse = dec._ops["green", q]
+        assert np.allclose(inverse @ (K.toarray() + H.T @ H), np.eye(len(reps)),
+                           rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("level,degrees", [(1, (0, 1, 2)), (2, (0, 2))])
+def test_later_solves_agree_with_a_dense_solve(level, degrees):
+    """The first reuse and the solves after it, by the stored inverse, agree
+    with np.linalg.solve(K + H^T H, b) to 1e-12 relative."""
+    dec = DecBackend(build_symmetric_sphere(4, level, zigzag=0.1))
+    rng = np.random.default_rng(43)
+    for q in degrees:
+        dec.green(invariant_cochain(rng, dec, q))
+        for _ in range(3):
+            w = invariant_cochain(rng, dec, q)
+            g = dec.green(w)
+            ref = dec.form(q, _dense_reference(dec, w))
+            assert dec.norm(g - ref) <= 1e-12 * dec.norm(ref)
+        assert isinstance(dec._ops["green", q][5], np.ndarray)
+
+
+def test_solver_error_on_the_first_and_on_a_later_dense_solve(monkeypatch):
+    """With CG_TOL = 0 the residual check raises on the first solve, on the
+    first reuse, which inverts, and on a solve by the stored inverse."""
+    from equihodge import dec as dec_module
+
+    dec = DecBackend(build_symmetric_sphere(4, 1, zigzag=0.1))
+    monkeypatch.setattr(dec_module, "CG_TOL", 0.0)
+    w = invariant_cochain(np.random.default_rng(44), dec, 0)
+    for inverted in (False, True, True):
+        with pytest.raises(SolverError) as raised:
+            dec.green(w)
+        assert raised.value.iterations == 1
+        assert isinstance(dec._ops["green", 0][5], np.ndarray) == inverted
+
+
+def _moment_map_inputs(dec):
+    """g(z) times the volume cochain for g = 1, z, z^2 and z^3, z sampled at
+    each orbit representative's centroid: the inputs of the moment maps."""
+    z = dec.mesh.positions[dec.mesh.tri_vertices].mean(axis=1)[:, 2]
+    z = z[dec.mesh.orbit_rep[2]]
+    vol = dec.volume_form_cochain()
+    return [dec.form(2, z ** k * vol.coeffs) for k in range(4)]
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_smooth_inputs_pass_the_residual_gate(level):
+    """The final residual of a smooth input stays below a tenth of h |alpha|,
+    h the longest edge, at every scale: at levels 0-5 it is 1.5e-3 to 1.1e-4
+    of h |alpha| for the volume form, 0.024 to 0.008 for d(z^2) and at most
+    0.042 for the moment-map inputs."""
+    dec = DecBackend(build_symmetric_sphere(4, level, zigzag=0.1))
+    vol, dz2 = dec.volume_form_cochain(), square_height(dec)
+    for alpha in [vol, vol.scale(1e-12), dz2, dz2.scale(1e6)] + _moment_map_inputs(dec):
+        report = extend(alpha)
+        assert report.status == "extended"
+        assert report.final_residual_norm <= 0.1 * dec.residual_bound(alpha)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_a_rough_invariant_input_fails_the_residual_gate(level):
+    """d(symmetrize(beta)), beta a random 1-cochain, is closed and exactly
+    invariant, but too rough for the mesh: its final residual is 1.45 and
+    2.95 times h |alpha| at levels 2 and 3, where it once came back
+    "extended".  The formal wrapper asks the mesh for the bound."""
+    dec = DecBackend(build_symmetric_sphere(4, level, zigzag=0.1))
+    formal = with_formal_generators(dec, [FormalGenerator(
+        4, "p4", lambda w: dec.zero(w.degree - 3))])
+    beta = random_cochain(np.random.default_rng(0), dec, 1)
+    rough = dec.d(dec.symmetrize(beta))
+    for backend in (dec, formal):
+        alpha = backend.form(2, rough.coeffs)
+        assert backend.residual_bound(alpha) == dec.residual_bound(rough)
+        with pytest.raises(ResidualNotZero, match="above the bound"):
+            extend(alpha)
+
+
+def test_a_cochain_is_zero_only_when_every_value_is(dec):
+    """Without a reference the test is exact: -0.0 is zero; a tiny value, a
+    NaN and an infinity are not."""
+    x = np.zeros(dec.dimension(0))
+    assert dec.is_zero(InvariantForm(dec, 0, x))
+    assert dec.is_zero(InvariantForm(dec, 0, -x))
+    for value in (5e-324, np.nan, -np.inf):
+        y = x.copy()
+        y[3] = value
+        assert not dec.is_zero(InvariantForm(dec, 0, y))
