@@ -64,10 +64,11 @@ class DecBackend(Backend):
 
     n = 2
     is_exact = False
+    generator_spec = GeneratorSpec(degrees=(2,), labels=("rotation",))
 
     def __init__(self, mesh: SymmetricMesh):
         self.mesh = mesh
-        self._spec = GeneratorSpec(degrees=(2,), labels=("rotation",))
+        self.tag = "dec:nsym=%d,level=%d,zigzag=%r" % (mesh.n_sym, mesh.level, mesh.zigzag)
         V, E = mesh.simplex_count(0), mesh.simplex_count(1)
         rep = mesh.orbit_rep
         # per-triangle corners (3, F, 3), sides (side i runs from corner i to
@@ -107,20 +108,8 @@ class DecBackend(Backend):
         # the operator matrices, built by _matrix on first use
         self._ops = {}
 
-    @property
-    def tag(self) -> str:
-        return "dec:nsym=%d,level=%d,zigzag=%r" % (
-            self.mesh.n_sym, self.mesh.level, self.mesh.zigzag,
-        )
-
-    @property
-    def generator_spec(self) -> GeneratorSpec:
-        return self._spec
-
     def dimension(self, q: int) -> int:
-        if 0 <= q <= 2:
-            return self.mesh.simplex_count(q)
-        return 0
+        return self.mesh.simplex_count(q) if 0 <= q <= 2 else 0
 
     # -- assembly ------------------------------------------------------------
 

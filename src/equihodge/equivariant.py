@@ -395,15 +395,21 @@ def moment_map(omega: InvariantForm) -> InvariantForm:
 def extend_partial(a_terms: Sequence[EquivariantElement], m: int) -> EquivariantElement:
     """Continue a partial equivariant extension by one stage.
 
-    ``a_terms[0..m]`` must satisfy d(a_0) = 0 and d(a_j) = boundary(a_{j-1});
-    the next term is P(a_m).  Raises :class:`PreconditionViolated` with the
-    index of the first failing relation, or :class:`ObstructionDetected`
-    when boundary(a_m) has a nonzero harmonic component.
+    ``a_terms[0..m]`` must satisfy d(a_0) = 0 and d(a_j) = boundary(a_{j-1})
+    up to :func:`extend`'s bound ``residual_bound(a_0)`` (exactly on the exact
+    backends); the next term is P(a_m).  Raises :class:`PreconditionViolated`
+    with the index of the first failing relation, or
+    :class:`ObstructionDetected` when boundary(a_m) has a harmonic component.
     """
     if m < 0 or m >= len(a_terms):
         raise ValueError("need terms a_0..a_m")
     _require_closed(a_terms[0], PreconditionViolated(0, "d(a_0) != 0"))
+    bound = a_terms[0].backend.residual_bound(a_terms[0].base_form())
     for j in range(1, m + 1):
-        if coefficient_d(a_terms[j]) != partial_d(a_terms[j - 1]):
+        try:
+            defect = coefficient_d(a_terms[j]) - partial_d(a_terms[j - 1])
+        except BackendMismatch:  # a term of another backend or total degree
+            raise PreconditionViolated(j) from None
+        if not (defect.is_zero or defect.norm() <= bound):
             raise PreconditionViolated(j)
     return _d_star_green(partial_d(a_terms[m]), m, a_terms[0])

@@ -52,8 +52,10 @@ class FormalGeneratorBackend(Backend):
         self.extra = extra
         self.n = base.n
         self.is_exact = base.is_exact
+        self.tag = "formal:[%s|%s]" % (base.tag, ",".join(
+            "%s^%d" % (g.label, g.degree) for g in extra))
         s = base.generator_spec
-        self._spec = GeneratorSpec(
+        self.generator_spec = GeneratorSpec(
             degrees=s.degrees + tuple(g.degree for g in extra),
             labels=s.labels + tuple(g.label for g in extra),
         )
@@ -74,15 +76,6 @@ class FormalGeneratorBackend(Backend):
         if self.is_exact:
             return InvariantForm.from_entries(backend, w.degree, w.entries)
         return InvariantForm(backend, w.degree, w.coeffs)
-
-    @property
-    def tag(self) -> str:
-        names = ",".join("%s^%d" % (g.label, g.degree) for g in self.extra)
-        return "formal:[%s|%s]" % (self.base.tag, names)
-
-    @property
-    def generator_spec(self) -> GeneratorSpec:
-        return self._spec
 
     def dimension(self, q: int) -> int:
         return self.base.dimension(q)

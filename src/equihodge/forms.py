@@ -3,7 +3,9 @@
 A backend packages a finite-dimensional model of the invariant-forms
 complex of a closed manifold with a group action: graded coefficient
 bases, the exterior derivative, Hodge star, inner product, contraction
-operators for the action generators, and the harmonic structure.
+operators for the action generators, and the harmonic structure.  Its
+constants ``n``, ``is_exact``, ``tag``, ``generator_spec`` and, when exact,
+``_pi_power`` are plain attributes, each set once at construction.
 
 On top of that contract this module builds, once and for all:
 
@@ -213,27 +215,23 @@ class HodgeSplit:
 class Backend(ABC):
     """The operator contract every model manifold implements.
 
-    ``d``, the star, the codifferential and the contractions fix their
-    output degree here and call :meth:`_matvec`, the one operator hook.
-    Every operation is a pure function of its inputs.  Exact backends fill
-    caches lazily (the eigenbasis and the operator columns of each degree),
-    and filling is idempotent, so backends stay safe to share.
+    ``n``, ``is_exact``, ``tag`` and ``generator_spec`` are attributes set
+    once, by the class or its constructor.  ``d``, the star, the
+    codifferential and the contractions fix their output degree here and
+    call :meth:`_matvec`, the one operator hook.  Every operation is a pure
+    function of its inputs.  Exact backends fill caches lazily (the
+    eigenbasis and the operator columns of each degree), and filling is
+    idempotent, so backends stay safe to share.
     """
 
     #: manifold dimension
     n: int
     #: True when coefficients are exact rationals
     is_exact: bool
-
-    @property
-    @abstractmethod
-    def tag(self) -> str:
-        """Stable textual identifier, also used in serialized files."""
-
-    @property
-    @abstractmethod
-    def generator_spec(self) -> GeneratorSpec:
-        """Generators of the acting group bound to contraction operators."""
+    #: stable textual identifier, also used in serialized files
+    tag: str
+    #: generators of the acting group bound to contraction operators
+    generator_spec: GeneratorSpec
 
     @abstractmethod
     def dimension(self, q: int) -> int:
@@ -380,15 +378,13 @@ class ExactBackend(Backend):
     """
 
     is_exact = True
+    #: power of pi carried by every inner product of this backend
+    _pi_power: int
 
     def __init__(self):
         self._columns: Dict[tuple, Dict[int, tuple]] = {}
 
     # -- subclass obligations ---------------------------------------------
-
-    @abstractmethod
-    def _pi_power(self) -> int:
-        """Power of pi carried by every inner product of this backend."""
 
     @abstractmethod
     def _eigen(self, q: int, k: int):
@@ -486,7 +482,7 @@ class ExactBackend(Backend):
         else:
             y = dict(self._to_eigen(b).entries)
             val = sum((eig[k][1] * s * y[k] for k, s in x if k in y), _ZERO)
-        return PiScalar(val, self._pi_power())
+        return PiScalar(val, self._pi_power)
 
     def green(self, w: InvariantForm) -> InvariantForm:
         c = self._to_eigen(w).entries

@@ -47,8 +47,10 @@ class ProductBackend(ExactBackend):
         self.b1 = b1
         self.b2 = b2
         self.n = b1.n + b2.n
+        self.tag = "product:[%s|%s]" % (b1.tag, b2.tag)
+        self._pi_power = b1._pi_power + b2._pi_power
         s1, s2 = b1.generator_spec, b2.generator_spec
-        self._spec = GeneratorSpec(
+        self.generator_spec = GeneratorSpec(
             degrees=s1.degrees + s2.degrees,
             labels=tuple("left." + l for l in s1.labels)
             + tuple("right." + l for l in s2.labels),
@@ -71,14 +73,6 @@ class ProductBackend(ExactBackend):
                 self._offsets[q1, q2] = offset
                 offset += d1 * d2
             self._blocks[q], self._dims[q] = blocks, offset
-
-    @property
-    def tag(self) -> str:
-        return "product:[%s|%s]" % (self.b1.tag, self.b2.tag)
-
-    @property
-    def generator_spec(self) -> GeneratorSpec:
-        return self._spec
 
     def dimension(self, q: int) -> int:
         return self._dims.get(q, 0)
@@ -141,9 +135,6 @@ class ProductBackend(ExactBackend):
                 return (q1, q2) + divmod(k - offset, d2)
 
     # -- spectral data -----------------------------------------------------
-
-    def _pi_power(self) -> int:
-        return self.b1._pi_power() + self.b2._pi_power()
 
     def _eigen(self, q: int, k: int):
         # coordinate k is e1_i (x) e2_j, with eigenvalue lam1 + lam2 and

@@ -57,6 +57,8 @@ class SphereBackend(ExactBackend):
     """
 
     n = 2
+    generator_spec = GeneratorSpec(degrees=(2,), labels=("rotation",))
+    _pi_power = 1
 
     def __init__(self, truncation: int, stages: int = 3):
         if truncation < 2:
@@ -66,18 +68,7 @@ class SphereBackend(ExactBackend):
         super().__init__()
         self.truncation = truncation
         self.capacity = truncation + 4 * stages
-        self._spec = GeneratorSpec(degrees=(2,), labels=("rotation",))
-
-    @property
-    def tag(self) -> str:
-        return "sphere:N=%d,stages=%d" % (
-            self.truncation,
-            (self.capacity - self.truncation) // 4,
-        )
-
-    @property
-    def generator_spec(self) -> GeneratorSpec:
-        return self._spec
+        self.tag = "sphere:N=%d,stages=%d" % (truncation, stages)
 
     def dimension(self, q: int) -> int:
         m = self.capacity + 1
@@ -155,9 +146,6 @@ class SphereBackend(ExactBackend):
             self, p, {offset + e: Fraction(c) for e, c in poly.items()})
 
     # -- spectral data -----------------------------------------------------
-
-    def _pi_power(self) -> int:
-        return 1
 
     def _eigen(self, q: int, k: int):
         # <P_l, P_l> has rational part 2 * 2/(2l+1); d P_l = P_l' dz and

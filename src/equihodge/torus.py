@@ -43,6 +43,8 @@ def _canonical(k: Tuple[int, ...]):
 class TorusBackend(ExactBackend):
     """Flat T^n with circle subaction generated by the constant field v."""
 
+    generator_spec = GeneratorSpec(degrees=(2,), labels=("translation",))
+
     def __init__(self, n: int, K: int, v: Sequence[int]):
         if n not in (1, 2, 3):
             raise ValueError("torus dimension must be 1, 2 or 3")
@@ -55,7 +57,8 @@ class TorusBackend(ExactBackend):
         self.n = n
         self.K = K
         self.v = v
-        self._spec = GeneratorSpec(degrees=(2,), labels=("translation",))
+        self.tag = "torus:n=%d,K=%d,v=%s" % (n, K, ":".join(str(x) for x in v))
+        self._pi_power = n
 
         # invariant canonical modes: k.v = 0, |k_i| <= K
         modes = []
@@ -90,22 +93,8 @@ class TorusBackend(ExactBackend):
             self._basis[q] = basis
             self._index[q] = {key: i for i, key in enumerate(basis)}
 
-    @property
-    def tag(self) -> str:
-        return "torus:n=%d,K=%d,v=%s" % (
-            self.n,
-            self.K,
-            ":".join(str(x) for x in self.v),
-        )
-
-    @property
-    def generator_spec(self) -> GeneratorSpec:
-        return self._spec
-
     def dimension(self, q: int) -> int:
-        if 0 <= q <= self.n:
-            return len(self._basis[q])
-        return 0
+        return len(self._basis[q]) if 0 <= q <= self.n else 0
 
     # -- operator columns ----------------------------------------------------
 
@@ -139,9 +128,6 @@ class TorusBackend(ExactBackend):
             self, p, {self._index[p][key]: Fraction(c) for key, c in terms})
 
     # -- spectral data -----------------------------------------------------
-
-    def _pi_power(self) -> int:
-        return self.n
 
     def _eigen(self, q: int, k: int):
         # eigenvalue |mode|^2; squared norm the rational part of (2 pi)^n

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from equihodge import parse_form, parse_report, serialize_form
+from equihodge import backend_from_tag, parse_form, parse_report, serialize_form
 from equihodge.cli import OUTPUT_DIR_VAR, _build_parser, main
 
 
@@ -33,6 +33,20 @@ def test_verify_rechecks_the_extension(capsys):
     code, out, err = run(capsys, "verify", "--preset", "sphere/symplectic")
     assert code == 0
     assert "independent recheck residual  0" in out
+
+
+@pytest.mark.parametrize("factor,code", [(0.5, 0), (2.0, 1)])
+def test_verify_holds_the_recheck_to_the_residual_bound(capsys, monkeypatch,
+                                                        factor, code):
+    """On the mesh the recheck residual may be nonzero: verify exits 1 when
+    it is above the backend's residual bound h |alpha|, and 0 below it."""
+    import equihodge.cli as cli
+
+    tag, make = cli.PRESETS["dec/volume"]
+    backend = backend_from_tag(tag)
+    bound = backend.residual_bound(make(backend))
+    monkeypatch.setattr(cli, "verify_extension", lambda report: factor * bound)
+    assert run(capsys, "verify", "--preset", "dec/volume")[0] == code
 
 
 def test_hodge_decomposition_output(capsys):

@@ -318,6 +318,18 @@ def test_extend_partial_rejects_bad_chains(sphere):
     assert exc.value.index == 0
 
 
+def test_extend_partial_rejects_a_term_it_cannot_compare(sphere):
+    """A term of the wrong total degree, or of another backend, breaks its
+    relation: PreconditionViolated with its index, not BackendMismatch."""
+    a0 = embed(sphere.symplectic_scenario()[0])
+    other = make_sphere_backend(4)
+    for bogus in (EquivariantElement(sphere, 3, {(1,): sphere.one_form((0,), (1,))}),
+                  EquivariantElement(other, 2, {(1,): other.zero_form((0, 1))})):
+        with pytest.raises(PreconditionViolated) as exc:
+            extend_partial([a0, bogus], 1)
+        assert exc.value.index == 1
+
+
 def test_extend_partial_raises_on_obstruction(torus):
     vol = torus.basis_form(2, (0, 0), COS, (0, 1))
     with pytest.raises(ObstructionDetected) as exc:
@@ -446,9 +458,7 @@ def test_library_loops_never_run_the_public_constructor(monkeypatch):
         moment_map(omega)
         obstruction_residual(omega)
         p_operator(report.terms[0])
-        # the float relations of the mesh fail exact comparison past a_0
-        extend_partial(report.terms,
-                       len(report.terms) - 1 if omega.backend.is_exact else 0)
+        extend_partial(report.terms, len(report.terms) - 1)
         verify_extension(report)
         cartan_d(report.alpha_hat())
     assert calls == []

@@ -2,7 +2,8 @@
 
 ``hypothesis`` draws forms with a few nonzero rational coefficients inside
 each backend's user truncation and checks the identities the Hodge engine
-rests on, exactly: ``d d = 0``, ``<d a, b> = <a, d* b>``, and
+rests on, exactly: ``d d = 0``, ``<d a, b> = <a, d* b>``, the Cartan
+relations ``d i + i d = 0`` and ``i_j i_k + i_k i_j = 0``, and
 ``d_G(alpha_hat) = 0`` for every random closed form that extends.  The
 eigenvalue and squared norm the engine reads for one eigen-coordinate are
 those of its eigenvector.  The report and form text formats must read back
@@ -134,10 +135,28 @@ def test_eigen_pair_is_that_of_the_eigenvector(name, data):
     lam, norm = b._eigen(q, k)
     h = b._from_eigen(InvariantForm.from_entries(b, q, ((k, Fraction(1)),)))
     assert b.laplacian(h) == h.scale(lam)
-    assert b.inner_product(h, h) == PiScalar(norm, b._pi_power())
+    assert b.inner_product(h, h) == PiScalar(norm, b._pi_power)
     up, down = b.d(h), b.codifferential(h)
     assert b.inner_product(up, up) + b.inner_product(down, down) == PiScalar(
-        lam * norm, b._pi_power())
+        lam * norm, b._pi_power)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cartan_relations(name, data):
+    """On forms of every degree, d i_j + i_j d = 0 (the Lie derivative of an
+    invariant form vanishes) and i_j i_k + i_k i_j = 0, identically, for
+    every pair of generators: the relations that make d_G square to zero."""
+    b = BACKENDS[name]
+    rank = b.generator_spec.rank
+    for q in range(b.n + 1):
+        w = sparse_form(data, b, q)
+        for j in range(rank):
+            assert (b.d(b.contraction(j, w)) + b.contraction(j, b.d(w))).is_zero
+            for k in range(j, rank):
+                assert (b.contraction(j, b.contraction(k, w))
+                        + b.contraction(k, b.contraction(j, w))).is_zero
 
 
 @pytest.mark.parametrize("name", BACKENDS)
