@@ -29,6 +29,7 @@ their input.
 
 A cochain is zero only when all its values are; the closedness, symmetry and
 harmonic tests instead compare norms with ``ZERO_RTOL`` times the input's.
+No norm underflows or overflows: each is taken at the scale of its input.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import scipy.sparse as sp
 
 from .errors import BackendMismatch, MeshError, NotInvariant, SolverError
 from .forms import Backend, GeneratorSpec, InvariantForm
-from .mesh import SymmetricMesh, _circumcenter, _dot, _solid_angle
+from .mesh import SymmetricMesh, _circumcenter_from, _cross, _dot, _solid_angle
 
 
 #: relative residual, in the star norm, at which Green's solve stops; a
@@ -58,6 +59,9 @@ DIRECT_MAX = 256
 #: factor times the norm of the run's input
 ZERO_RTOL = 1e-9
 
+#: the smallest normal float: a square below it has lost digits to underflow
+_TINY = float(np.finfo(float).tiny)
+
 
 class DecBackend(Backend):
     """Approximate Hodge/extension backend on a symmetric sphere mesh."""
@@ -69,31 +73,33 @@ class DecBackend(Backend):
     def __init__(self, mesh: SymmetricMesh):
         self.mesh = mesh
         self.tag = "dec:nsym=%d,level=%d,zigzag=%r" % (mesh.n_sym, mesh.level, mesh.zigzag)
-        V, E = mesh.simplex_count(0), mesh.simplex_count(1)
+        self._counts = V, E, _ = mesh.num_vertices, mesh.num_edges, mesh.num_tris
         rep = mesh.orbit_rep
         # per-triangle corners (3, F, 3), sides (side i runs from corner i to
         # i + 1 and faces i + 2), the cross product of two sides, its length
         # and the circumcenters, gathered once for the stars, the interior
         # products and the volume cochain
-        corners = mesh.tri_vectors(np.arange(mesh.num_tris))
-        sides = np.roll(corners, -1, axis=0) - corners
-        cross = np.cross(sides[0], -sides[2])      # (pb - pa) x (pc - pa)
-        twice_area = np.sqrt(_dot(cross, cross))
-        self._triangles = corners, sides, cross, twice_area, _circumcenter(*corners)
-        area = 0.5 * twice_area
-        # cotangent of the corner facing each side, from the two edges that
-        # leave that corner
-        out, back = np.roll(sides, -2, axis=0), -np.roll(sides, -1, axis=0)
-        corner_cross = np.cross(out, back)
-        cot = _dot(out, back) / np.sqrt(_dot(corner_cross, corner_cross))
+        corners = mesh.tri_vectors(slice(None))
+        sides = corners[[1, 2, 0]] - corners
+        # the two sides that leave the corner facing side i, their cross and
+        # dot products and the cotangent there; at i = 1 they are pb - pa and
+        # pc - pa, so row 1 holds the triangle's cross product, its length
+        # (twice the area) and the dot products its circumcenter needs
+        out, back = sides[[2, 0, 1]], -sides[[1, 2, 0]]
+        corner_cross, corner_dot = _cross(out, back), _dot(out, back)
+        cross_len = np.sqrt(_dot(corner_cross, corner_cross))
+        cot = corner_dot / cross_len
+        side2 = _dot(sides, sides)
+        circum = _circumcenter_from(corners[0], out[1], back[1], side2[0], corner_dot[1], side2[2])
+        self._triangles = corners, sides, corner_cross[1], cross_len[1], circum
+        area = 0.5 * cross_len[1]
 
         # diagonal stars: the Voronoi area gains |side|^2 cot / 8 at both
         # ends of a side, the cotan weight of an edge is half the sum of the
         # cotangents facing it, and every orbit takes its representative's
         # value
         tails = mesh.tri_vertices.T     # side i runs from tails[i] to heads[i]
-        heads = np.roll(tails, -1, axis=0)
-        side2 = _dot(sides, sides)
+        heads = tails[[1, 2, 0]]
         self._longest_edge = math.sqrt(side2.max())
         voronoi = (side2 * cot / 8.0).ravel()
         star0 = (np.bincount(tails.ravel(), voronoi, V)
@@ -109,7 +115,7 @@ class DecBackend(Backend):
         self._ops = {}
 
     def dimension(self, q: int) -> int:
-        return self.mesh.simplex_count(q) if 0 <= q <= 2 else 0
+        return self._counts[q] if 0 <= q <= 2 else 0
 
     # -- assembly ------------------------------------------------------------
 
@@ -117,11 +123,11 @@ class DecBackend(Backend):
         """The coboundary of degree q: an edge runs from its low to its high
         vertex; a triangle's sides are sorted by edge index, the summing order."""
         mesh = self.mesh
-        n, k = mesh.simplex_count(q + 1), q + 2
+        n, k = self._counts[q + 1], q + 2
         faces, signs = ((mesh.edge_vertices, np.tile([-1.0, 1.0], n)) if q == 0 else
                         (mesh.tri_edges, mesh.tri_edge_signs.ravel().astype(float)))
         return sp.csr_matrix((signs, faces.ravel(), np.arange(0, k * n + 1, k)),
-                             shape=(n, mesh.simplex_count(q))).sorted_indices()
+                             shape=(n, self._counts[q])).sorted_indices()
 
     def _codifferential(self, q: int) -> sp.csr_matrix:
         """d* on degree q, diag(1 / star_{q-1}) @ d.T @ diag(star_q) for the d
@@ -147,14 +153,13 @@ class DecBackend(Backend):
             e, t = e[keep], t[keep]
             ends = mesh.positions[mesh.edge_vertices[e]]
             evec = ends[:, 1] - ends[:, 0]
-            vals = _dot(normal[t], np.cross(field[t], evec)) / twice_area[t]
+            vals = _dot(normal[t], _cross(field[t], evec)) / twice_area[t]
             return self._replicate(e, t, vals, 1, 2)
         # Whitney 1-form of each side at the circumcenter, from the
         # barycentric gradients, paired with the Killing field there
-        grads = np.cross(normal, np.roll(sides, -1, axis=0)) / twice_area[:, None]
+        grads = _cross(normal, sides[[1, 2, 0]]) / twice_area[:, None]
         lam = 1.0 + _dot(grads, circum - corners)
-        whitney = (lam[:, :, None] * np.roll(grads, -1, axis=0)
-                   - np.roll(lam, -1, axis=0)[:, :, None] * grads)
+        whitney = lam[:, :, None] * grads[[1, 2, 0]] - lam[[1, 2, 0], :, None] * grads
         flux = mesh.tri_edge_signs * _dot(whitney, field).T       # (F, 3)
         return self._assemble_contraction_10(0.5 * twice_area, flux)
 
@@ -162,16 +167,14 @@ class DecBackend(Backend):
         """Interior product: 1-cochains to 0-cochains.  A vertex's row is the
         area-weighted mean of the Whitney fluxes of the triangles around it."""
         mesh = self.mesh
-        V, E = mesh.simplex_count(0), mesh.simplex_count(1)
+        V, E, _ = self._counts
         weighted = area[:, None] * flux                           # (F, 3)
         # both triangles of an edge hold both its ends, so each end gets the
         # same sum of two fluxes; the corner facing a side gets that one flux
         edge_sum = np.bincount(mesh.tri_edges.ravel(), weighted.ravel(), E)
         r = np.concatenate([mesh.edge_vertices.ravel(), mesh.tri_vertices.ravel()])
-        c = np.concatenate([np.repeat(np.arange(E), 2),
-                            np.roll(mesh.tri_edges, -1, axis=1).ravel()])
-        vals = np.concatenate([np.repeat(edge_sum, 2),
-                               np.roll(weighted, -1, axis=1).ravel()])
+        c = np.concatenate([np.repeat(np.arange(E), 2), mesh.tri_edges[:, [1, 2, 0]].ravel()])
+        vals = np.concatenate([np.repeat(edge_sum, 2), weighted[:, [1, 2, 0]].ravel()])
         vals /= np.bincount(mesh.tri_vertices.ravel(), np.repeat(area, 3), V)[r]
         # rows of representative vertices; a vertex fixed by the symmetry (a
         # pole) keeps its representative edges, and replication fills in the
@@ -189,7 +192,7 @@ class DecBackend(Backend):
         mesh = self.mesh
         (r, r_sign), (c, c_sign) = mesh.walk(q_row, rows), mesh.walk(q_col, cols)
         return sp.csr_matrix(((vals * (r_sign * c_sign)).ravel(), (r.ravel(), c.ravel())),
-                             shape=(mesh.simplex_count(q_row), mesh.simplex_count(q_col)))
+                             shape=(self._counts[q_row], self._counts[q_col]))
 
     #: the builder of each operator matrix, called with the degree, under its
     #: (op, degree) key; an operator is zero on a degree with no key
@@ -228,6 +231,9 @@ class DecBackend(Backend):
     def laplacian(self, w: InvariantForm) -> InvariantForm:
         return self._matvec("laplacian", w, w.degree)
 
+    def norm(self, w: InvariantForm) -> float:
+        return _norm(w.coeffs, self._stars[w.degree]) if self.dimension(w.degree) else 0.0
+
     def inner_product(self, a: InvariantForm, b: InvariantForm) -> float:
         a._check_compatible(b)
         return float(a.coeffs @ (self._stars[a.degree] * b.coeffs))
@@ -258,10 +264,10 @@ class DecBackend(Backend):
                                   % (q, np.argmin(finite)))
         if self.dimension(q):
             defect = x - self.mesh.orbit_sign[q] * x[self.mesh.orbit_rep[q]]
-            d2, x2 = (float(v @ (self._stars[q] * v)) for v in (defect, x))
-            if d2 > ZERO_RTOL ** 2 * x2:
+            d, n = _norm(defect, self._stars[q]), _norm(x, self._stars[q])
+            if d > ZERO_RTOL * n:
                 raise NotInvariant("degree-%d cochain is not invariant under the mesh "
-                                   "symmetry (defect %.3g)" % (q, math.sqrt(d2 / x2)))
+                                   "symmetry (defect %.3g)" % (q, d / n))
 
     def _reduced(self, q: int):
         """Green's system on the degree-q orbit representatives, kept under
@@ -303,9 +309,12 @@ class DecBackend(Backend):
         reps, col, sw, K, H, inverse = entry or self._reduced(q)
         b = sw * w.coeffs[reps]
         b -= H.T @ (H @ b)
-        bnorm = math.sqrt(float(b @ b))
+        bnorm = _norm(b)
         if bnorm == 0.0:
             return self.zero(q)
+        if not 2.0 ** -500 < bnorm < 2.0 ** 500:
+            # solve at unit scale, where no square underflows or overflows
+            return self.green(InvariantForm(self, q, w.coeffs / bnorm)).scale(bnorm)
         steps = 1
         if inverse is not None:
             x = inverse @ b
@@ -320,8 +329,7 @@ class DecBackend(Backend):
                 inverse = np.linalg.inv(A)
                 self._ops["green", q] = (reps, col, sw, K, H, inverse)
                 x = inverse @ b
-        r = b - K @ x
-        residual = math.sqrt(float(r @ r)) / bnorm
+        residual = _norm(b - K @ x) / bnorm
         if not residual <= CG_TOL:
             raise SolverError(residual, steps)
         x -= H.T @ (H @ x)
@@ -336,7 +344,7 @@ class DecBackend(Backend):
 
     def permutation_matrix(self, q: int) -> sp.csr_matrix:
         """Signed permutation of degree-q cochains induced by the symmetry."""
-        m = self.mesh.simplex_count(q)
+        m = self._counts[q]
         images, signs = self.mesh.walk(q)
         return sp.csr_matrix(
             (signs[1].astype(float), (images[1], np.arange(m))), shape=(m, m)
@@ -366,6 +374,19 @@ class DecBackend(Backend):
     def vertex_heights(self) -> np.ndarray:
         """The z-coordinate sampled at the mesh vertices."""
         return self.mesh.positions[:, 2].copy()
+
+
+def _norm(x: np.ndarray, star=1.0) -> float:
+    """sqrt(x . star x); m |x / m| with m = max|x| when that square is not a
+    normal float, so no underflow or overflow changes it (0, NaN, inf stay)."""
+    square = float(np.vdot(x, star * x))      # x @ (star x), without the overflow warning
+    if _TINY <= square < math.inf:
+        return math.sqrt(square)
+    m = float(np.abs(x).max(initial=0.0))
+    if not 0.0 < m < math.inf:
+        return m
+    x = x / m
+    return m * math.sqrt(float(np.vdot(x, star * x)))
 
 
 def _cg(system, b, tol: float, limit: int):

@@ -180,9 +180,12 @@ class EquivariantElement:
         )
 
     def norm(self) -> float:
-        """Euclidean combination of the coefficient norms."""
-        return math.sqrt(sum(self.backend.norm(f) ** 2
-                             for f in self.terms.values()))
+        """Euclidean combination of the coefficient norms, taken at the scale
+        of the largest when a square could underflow or overflow."""
+        norms = [self.backend.norm(f) for f in self.terms.values()]
+        m = max(norms, default=0.0)
+        m = m if 0.0 < m < math.inf and not 2.0 ** -500 < m < 2.0 ** 500 else 1.0
+        return m * math.sqrt(sum((n / m) ** 2 for n in norms))
 
 
 def _bump(mono: Monomial, j: int) -> Monomial:

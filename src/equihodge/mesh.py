@@ -7,7 +7,10 @@ permutation it induces on vertices, edges and triangles (and the orbit
 partition) is tracked explicitly so that geometric operators can be
 assembled orbit-by-orbit and commute with the symmetry exactly.
 :meth:`SymmetricMesh.walk` is the one place that applies the symmetry; the
-order check, the orbits and the DEC operators all read it.
+order check, the orbits and the DEC operators all read it.  Kernels here
+and in the DEC geometry use whole-array operations only, on columns where
+numpy's axis helpers (``np.cross``, ``np.roll``, ``argmin``) cost more
+than the work, with the same rounding; :func:`_dot` stays on ``matmul``.
 """
 
 from __future__ import annotations
@@ -24,9 +27,12 @@ from .errors import MeshError
 
 def _canon_tris(tris: np.ndarray) -> np.ndarray:
     """Rotate each row cyclically so its smallest vertex comes first
-    (orientation kept)."""
-    shift = np.argmin(tris, axis=1)[:, None]
-    return np.take_along_axis(tris, (shift + np.arange(3)) % 3, axis=1)
+    (orientation kept; a tie goes to the earlier corner, as argmin's does)."""
+    a, b, c = tris.T
+    out = tris.copy()
+    for rows, order in (((b < a) & (b <= c), [1, 2, 0]), ((c < a) & (c < b), [2, 0, 1])):
+        out[rows] = tris[rows][:, order]
+    return out
 
 
 @dataclass
@@ -65,7 +71,7 @@ class SymmetricMesh:
         tv = _canon_tris(np.asarray(tris, dtype=np.int64).reshape(-1, 3))
         self.tri_vertices = tv
         nv, nt = len(self.positions), len(tv)
-        tail, head = tv, np.roll(tv, -1, axis=1)
+        tail, head = tv, tv[:, [1, 2, 0]]
         keys, side_edge = np.unique(
             np.minimum(tail, head) * nv + np.maximum(tail, head),
             return_inverse=True,
@@ -123,7 +129,8 @@ class SymmetricMesh:
         (default all) and the signs they pick up, the running product of
         esign (+1 off the edges).  The only code that applies the symmetry."""
         perm = (self.vperm, self.eperm, self.tperm)[q]
-        images = np.tile(np.arange(len(perm)) if idx is None else idx, (self.n_sym, 1))
+        images = np.empty((self.n_sym, len(perm) if idx is None else len(idx)), np.intp)
+        images[0] = np.arange(len(perm)) if idx is None else idx
         signs = np.ones_like(images)
         for k in range(1, self.n_sym):
             images[k] = perm[images[k - 1]]
@@ -139,11 +146,11 @@ class SymmetricMesh:
 
     def _build_permutations(self, edge_keys: np.ndarray):
         nv = self.num_vertices
-        img = self.vperm[self.edge_vertices]
-        eperm = _lookup(edge_keys, img.min(axis=1) * nv + img.max(axis=1))
+        a, b = self.vperm[self.edge_vertices].T
+        eperm = _lookup(edge_keys, np.minimum(a, b) * nv + np.maximum(a, b))
         if eperm is None:
             raise MeshError("symmetry does not map edges to edges")
-        esign = np.where(img[:, 0] < img[:, 1], 1, -1)
+        esign = np.where(a < b, 1, -1)
 
         def tri_keys(tv):
             return (tv[:, 0] * nv + tv[:, 1]) * nv + tv[:, 2]
@@ -163,11 +170,13 @@ class SymmetricMesh:
             # sigma^(n_sym - 1) after sigma is the identity
             if not np.array_equal(images[-1][images[1]], images[0]):
                 raise MeshError("symmetry does not have order dividing n_sym")
-            self.orbit_rep[q] = images.min(axis=0)
-            # the sign at the power of sigma that reaches the representative;
+            self.orbit_rep[q] = rep = np.minimum.reduce(images)
+            # the sign at the first power of sigma that reaches the
+            # representative, as argmin finds it (k = 0 on a fixed simplex);
             # off the edges every sign is +1
-            self.orbit_sign[q] = signs[0] if q != 1 else signs[
-                images.argmin(axis=0), np.arange(len(signs[0]))]
+            self.orbit_sign[q] = sign = signs[0].copy()
+            for image, s in zip(images[::-1], signs[::-1]) if q == 1 else ():
+                np.copyto(sign, s, where=image == rep)
 
     # -- geometry -----------------------------------------------------------
     #
@@ -176,19 +185,17 @@ class SymmetricMesh:
 
     def tri_vectors(self, t):
         """The three corner positions of triangle(s) t."""
-        return np.moveaxis(self.positions[self.tri_vertices[t]], -2, 0)
-
-    def tri_circumcenter(self, t) -> np.ndarray:
-        return _circumcenter(*self.tri_vectors(t))
-
-    def solid_angle(self, t):
-        """Signed spherical area (positive for outward orientation)."""
-        return _solid_angle(*self.tri_vectors(t))
+        return self.positions[self.tri_vertices[t].T]
 
 
 def _circumcenter(pa, pb, pc) -> np.ndarray:
     ab, ac = pb - pa, pc - pa
-    g11, g12, g22 = _dot(ab, ab), _dot(ab, ac), _dot(ac, ac)
+    return _circumcenter_from(pa, ab, ac, _dot(ab, ab), _dot(ab, ac), _dot(ac, ac))
+
+
+def _circumcenter_from(pa, ab, ac, g11, g12, g22) -> np.ndarray:
+    """The circumcenter from corner pa, the sides ab and ac that leave it and
+    their dot products g11 = ab.ab, g12 = ab.ac and g22 = ac.ac."""
     det = g11 * g22 - g12 * g12
     alpha = (g22 * g11 / 2.0 - g12 * g22 / 2.0) / det
     beta = (g11 * g22 / 2.0 - g12 * g11 / 2.0) / det
@@ -196,9 +203,16 @@ def _circumcenter(pa, pb, pc) -> np.ndarray:
 
 
 def _solid_angle(a, b, c):
-    num = _dot(a, np.cross(b, c))
+    """Signed spherical area (positive for outward orientation)."""
+    num = _dot(a, _cross(b, c))
     den = 1.0 + _dot(a, b) + _dot(b, c) + _dot(c, a)
     return 2.0 * np.arctan2(num, den)
+
+
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cross products along the last axis, rounded as ``np.cross`` rounds."""
+    x0, x1, x2, y0, y1, y2 = x[..., 0], x[..., 1], x[..., 2], y[..., 0], y[..., 1], y[..., 2]
+    return np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=-1)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -240,7 +254,7 @@ def build_symmetric_sphere(n_sym: int, level: int,
     step = 2 if zigzag else 1          # ring positions the symmetry shifts by
     W = step * n_sym                   # vertices per ring
     R = max(2, W // 2)
-    positions = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
+    positions = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
     vperm = [0, 1]
 
     def vid(r, k):
@@ -254,15 +268,8 @@ def build_symmetric_sphere(n_sym: int, level: int,
             if zigzag:
                 theta += zigzag * band if k % 2 else -zigzag * band
             phi = 2.0 * math.pi * (k + offset) / W
-            positions.append(
-                np.array(
-                    [
-                        math.sin(theta) * math.cos(phi),
-                        math.sin(theta) * math.sin(phi),
-                        math.cos(theta),
-                    ]
-                )
-            )
+            positions.append((math.sin(theta) * math.cos(phi),
+                              math.sin(theta) * math.sin(phi), math.cos(theta)))
             vperm.append(vid(r, k + step))
 
     tris = []
@@ -298,8 +305,8 @@ def build_symmetric_sphere(n_sym: int, level: int,
 
 def _orient_outward(positions, tris):
     tris = np.array(tris)
-    pa, pb, pc = np.moveaxis(positions[tris], 1, 0)
-    inward = _dot(np.cross(pb - pa, pc - pa), (pa + pb + pc) / 3.0) < 0
+    pa, pb, pc = positions[tris.T]
+    inward = _dot(_cross(pb - pa, pc - pa), (pa + pb + pc) / 3.0) < 0
     tris[inward] = tris[inward][:, [0, 2, 1]]
     return tris
 
@@ -309,7 +316,7 @@ def subdivide(mesh: SymmetricMesh) -> SymmetricMesh:
 
     The midpoint of edge ``e`` becomes vertex ``V + e``."""
     nv = mesh.num_vertices
-    mid = mesh.positions[mesh.edge_vertices].sum(axis=1)
+    mid = np.add(*mesh.positions[mesh.edge_vertices.T])
     a, b, c = mesh.tri_vertices.T
     mab, mbc, mca = (nv + mesh.tri_edges).T
     tris = np.stack(

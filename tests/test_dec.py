@@ -253,6 +253,61 @@ def test_a_form_that_is_not_closed_is_rejected_at_every_scale(dec2, s):
     assert info.value.index == 0
 
 
+#: scales from 1e-300 to 1e305: a DEC answer divided by the scale must not move
+EXTREME_SCALES = [10.0 ** e for e in range(-300, 301, 50)] + [1e305]
+
+
+@pytest.mark.parametrize("s", EXTREME_SCALES)
+def test_extend_and_moment_map_do_not_depend_on_the_scale(dec2, s):
+    """Each norm is taken at the scale of its input when its square would
+    underflow or overflow.  Below 1e-170, extend(s vol) once returned one
+    term and moment_map zero; from 1e200 on the solve raised SolverError."""
+    backend, unit = dec2
+    vol = backend.volume_form_cochain().scale(s)
+    report = extend(vol)
+    assert report.status == "extended" and len(report.terms) == 2
+    assert np.abs(report.terms[1].terms[(1,)].coeffs / s - unit).max() <= 1e-14
+    assert np.abs(moment_map(vol).coeffs / s - unit).max() <= 1e-14
+
+
+def test_conjugate_gradients_run_at_unit_scale():
+    """At level 3 the vertex system is solved by conjugate gradients, whose
+    step divided 0 by 0 on a right-hand side of norm 1e-300; Green's operator
+    now solves for b / |b| when |b| lies outside 2^-500 to 2^500."""
+    backend = DecBackend(build_symmetric_sphere(4, 3, zigzag=0.1))
+    vol = backend.volume_form_cochain()
+    unit = moment_map(vol).coeffs
+    for s in (1e-300, 1e-200, 1e200, 1e305):
+        assert np.abs(moment_map(vol.scale(s)).coeffs / s - unit).max() <= 1e-13
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e155, 1e160, 1e300])
+def test_a_norm_does_not_depend_on_the_scale(dec2, s):
+    """B.norm(1e-200 vol) was 0.0, and an element norm above about 1.3e154
+    raised OverflowError from its square."""
+    backend, _ = dec2
+    vol = backend.volume_form_cochain()
+    element = EquivariantElement.from_form(vol.scale(s))
+    assert backend.norm(vol.scale(s)) / s == pytest.approx(backend.norm(vol), rel=1e-12)
+    assert element.norm() / s == pytest.approx(backend.norm(vol), rel=1e-12)
+    x = s * vol.coeffs
+    x[3] = np.nan
+    assert np.isnan(backend.norm(InvariantForm(backend, 2, x)))
+    x[3] = np.inf
+    assert backend.norm(InvariantForm(backend, 2, x)) == np.inf
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-300, 1e152, 1e156, 1e160, 1e300])
+def test_a_non_invariant_input_is_refused_at_every_scale(dec2, s):
+    """Fault (c)'s noise cochain times 1e152 to 1e160 came back "extended"
+    with residual inf: the invariance test and the residual gate each
+    compared inf with inf."""
+    backend, _ = dec2
+    noise = np.random.default_rng(20260).standard_normal(backend.dimension(2))
+    with pytest.raises(NotInvariant):
+        extend(backend.form(2, s * noise))
+
+
 @pytest.mark.parametrize("level", range(4))
 def test_extend_partial_accepts_the_terms_extend_made(level):
     """d(a_1) = boundary(a_0) holds for extend's own terms up to the residual
@@ -465,6 +520,24 @@ def _chordal_areas(mesh):
     p = mesh.positions[np.array(mesh.tris)]
     return 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
                                 axis=1)
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("n_sym,zigzag", [(4, 0.1), (5, 0.0)])
+def test_the_shared_triangle_geometry_is_that_of_the_standalone_formulas(n_sym, zigzag, level):
+    """Construction takes each triangle's cross product, twice its area and
+    its circumcenter from the corner products the cotangents use; they keep
+    the bits of np.cross on pb - pa and pc - pa and of _circumcenter."""
+    from equihodge.mesh import _circumcenter, _dot
+
+    dec = DecBackend(build_symmetric_sphere(n_sym, level, zigzag=zigzag))
+    pa, pb, pc = dec.mesh.tri_vectors(slice(None))
+    corners, sides, cross, twice_area, circum = dec._triangles
+    reference = np.cross(pb - pa, pc - pa)
+    for got, want in ((corners, np.stack([pa, pb, pc])), (cross, reference),
+                      (twice_area, np.sqrt(_dot(reference, reference))),
+                      (circum, _circumcenter(pa, pb, pc))):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_sym,level,zigzag", [(4, 1, 0.1), (5, 2, 0.0)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from equihodge import MeshError, build_symmetric_sphere, subdivide
+from equihodge.mesh import _canon_tris, _circumcenter, _cross, _solid_angle
 
 
 @pytest.mark.parametrize("n_sym,zigzag", [(4, 0.0), (5, 0.0), (4, 0.1)])
@@ -88,14 +89,14 @@ def test_orbit_partition():
 
 def test_solid_angles_sum_to_full_sphere():
     mesh = build_symmetric_sphere(4, 1, zigzag=0.1)
-    total = sum(mesh.solid_angle(t) for t in range(mesh.num_tris))
+    total = sum(_solid_angle(*mesh.tri_vectors(t)) for t in range(mesh.num_tris))
     assert total == pytest.approx(4 * np.pi, rel=1e-12)
 
 
 def test_circumcenter_is_equidistant():
     mesh = build_symmetric_sphere(4, 0, zigzag=0.1)
     for t in range(mesh.num_tris):
-        c = mesh.tri_circumcenter(t)
+        c = _circumcenter(*mesh.tri_vectors(t))
         d = [np.linalg.norm(c - p) for p in mesh.tri_vectors(t)]
         assert max(d) - min(d) < 1e-12
 
@@ -116,3 +117,57 @@ def test_incidence_arrays(n_sym, zigzag, level):
     assert np.array_equal(rebuilt, d1)
     # every edge lies in exactly two triangles
     assert np.array_equal(np.sum(d1 != 0, axis=0), np.full(E, 2))
+
+
+#: every family and level the rewritten kernels are checked on
+ALL_MESHES = [(n_sym, zigzag, level) for n_sym in (3, 4, 5, 6)
+              for zigzag in (0.0, 0.1) for level in range(4)]
+
+
+def _walk_by_tile(mesh, q, idx=None):
+    """The walk as it was first written: np.tile of the start row."""
+    perm = (mesh.vperm, mesh.eperm, mesh.tperm)[q]
+    images = np.tile(np.arange(len(perm)) if idx is None else idx, (mesh.n_sym, 1))
+    signs = np.ones_like(images)
+    for k in range(1, mesh.n_sym):
+        images[k] = perm[images[k - 1]]
+        if q == 1:
+            signs[k] = signs[k - 1] * mesh.esign[images[k - 1]]
+    return images, signs
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_sym,zigzag,level", ALL_MESHES)
+def test_kernels_match_the_formulations_they_replace(n_sym, zigzag, level):
+    """The whole-array kernels give the bits of the numpy idioms they
+    replace: argmin + take_along_axis for the canonical rotation, np.cross,
+    argmin over the walk for the orbit signs (k = 0 on the fixed poles) and
+    np.tile for the walk's start row."""
+    mesh = build_symmetric_sphere(n_sym, level, zigzag=zigzag)
+    rng = np.random.default_rng(level)
+    # rotated and mirrored corners, their images, and rows with ties
+    for tris in (mesh.tri_vertices[:, [1, 2, 0]], mesh.tri_vertices[:, [2, 1, 0]],
+                 mesh.vperm[mesh.tri_vertices], rng.integers(0, 3, (50, 3))):
+        shift = np.argmin(tris, axis=1)[:, None]
+        assert _same_bits(_canon_tris(tris),
+                          np.take_along_axis(tris, (shift + np.arange(3)) % 3, axis=1))
+    corners = mesh.tri_vectors(slice(None))
+    sides = corners[[1, 2, 0]] - corners
+    for x, y in ((sides[0], -sides[2]), (sides[[2, 0, 1]], -sides[[1, 2, 0]]),
+                 (corners[0], corners[1])):
+        assert _same_bits(_cross(x, y), np.cross(x, y))
+    for q in range(3):
+        images, signs = mesh.walk(q)
+        ref_images, ref_signs = _walk_by_tile(mesh, q)
+        assert _same_bits(images, ref_images) and _same_bits(signs, ref_signs)
+        idx = rng.integers(0, mesh.simplex_count(q), 9)
+        for got, ref in zip(mesh.walk(q, idx), _walk_by_tile(mesh, q, idx)):
+            assert _same_bits(got, ref)
+        first = images.argmin(axis=0)
+        assert _same_bits(mesh.orbit_rep[q], images.min(axis=0))
+        assert _same_bits(mesh.orbit_sign[q], signs[first, np.arange(images.shape[1])])
+    # the poles are orbits of length 1, reached at k = 0
+    assert [o for o in mesh.orbits[0] if len(o) == 1] == [[0], [1]]
