@@ -59,7 +59,8 @@ class TruncationError(EquihodgeError):
 
 
 class SolverError(EquihodgeError):
-    """An iterative solve failed to converge."""
+    """A linear solve, dense or iterative, left a relative residual above
+    its tolerance."""
 
     def __init__(self, residual, iterations):
         self.residual = residual

@@ -19,7 +19,8 @@ On top of that contract this module builds, once and for all:
 * Green's operator, harmonic projection, the inner product and the
   harmonic basis of the rational backends, all in those eigen-coordinates
   with each coordinate's eigenvalue read from the same cache (the mesh
-  backend supplies its own, with an iterative Green solve),
+  backend supplies its own, with a dense or conjugate-gradient Green
+  solve),
 * the three-way Hodge decomposition, with its Green solves one degree
   below and above the form.
 
@@ -116,8 +117,10 @@ class InvariantForm:
 
     @cached_property
     def entries(self) -> Tuple[Tuple[int, Fraction], ...]:
-        """The nonzero ``(index, value)`` pairs, in increasing index order."""
-        return tuple((i, c) for i, c in enumerate(self.coeffs) if c)
+        """The nonzero ``(index, value)`` pairs, in increasing index order;
+        on a mesh form the values are Python floats."""
+        values = self.coeffs if self.backend.is_exact else self.coeffs.tolist()
+        return tuple((i, c) for i, c in enumerate(values) if c)
 
     @cached_property
     def coeffs(self) -> Tuple[Fraction, ...]:
@@ -351,7 +354,19 @@ class Backend(ABC):
             return 0.0
         # the square is a sum of nonnegative terms, so the root needs no
         # clamp, and a NaN value in w gives a NaN norm
-        return math.sqrt(float(self.inner_product(w, w)))
+        square = self.inner_product(w, w)
+        if not self.is_exact:  # a formal wrapper of the mesh
+            return math.sqrt(square)
+        # the rational is scaled by 4**-k to near 1 before float() and its
+        # root back by 2**k, so none over- or underflows; in float range this
+        # is sqrt(float(square)) bit for bit
+        p, q = square.coeff.numerator, square.coeff.denominator
+        k = (p.bit_length() - q.bit_length()) // 2
+        scaled = (p << -2 * k) / q if k < 0 else p / (q << 2 * k)
+        try:
+            return math.ldexp(math.sqrt(scaled * math.pi ** square.pi_power), k)
+        except OverflowError:
+            return math.inf
 
 
 class ExactBackend(Backend):

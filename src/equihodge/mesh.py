@@ -147,9 +147,7 @@ class SymmetricMesh:
     def _build_permutations(self, edge_keys: np.ndarray):
         nv = self.num_vertices
         a, b = self.vperm[self.edge_vertices].T
-        eperm = _lookup(edge_keys, np.minimum(a, b) * nv + np.maximum(a, b))
-        if eperm is None:
-            raise MeshError("symmetry does not map edges to edges")
+        eperm = _lookup(edge_keys, np.minimum(a, b) * nv + np.maximum(a, b), "edges")
         esign = np.where(a < b, 1, -1)
 
         def tri_keys(tv):
@@ -157,10 +155,8 @@ class SymmetricMesh:
 
         own = tri_keys(self.tri_vertices)
         order = np.argsort(own)
-        found = _lookup(own[order],
-                        tri_keys(_canon_tris(self.vperm[self.tri_vertices])))
-        if found is None:
-            raise MeshError("symmetry does not map triangles to triangles")
+        images = tri_keys(_canon_tris(self.vperm[self.tri_vertices]))
+        found = _lookup(own[order], images, "triangles")
         self.eperm, self.esign, self.tperm = eperm, esign, order[found]
 
     def _build_orbits(self):
@@ -220,11 +216,16 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
-    """Positions of ``keys`` in ``sorted_keys``, or None if one is missing."""
-    pos = np.searchsorted(sorted_keys, keys)
-    pos[pos == len(sorted_keys)] = 0
-    return pos if np.array_equal(sorted_keys[pos], keys) else None
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray, what: str) -> np.ndarray:
+    """Positions of ``keys``, those of the symmetry's images of the ``what``
+    (edges or triangles), in the distinct ``sorted_keys``; raises
+    :class:`MeshError` unless ``keys`` is a permutation of them."""
+    order = np.argsort(keys, kind="stable")
+    if not np.array_equal(keys[order], sorted_keys):
+        raise MeshError("symmetry does not map %s to %s" % (what, what))
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    return pos
 
 
 def build_symmetric_sphere(n_sym: int, level: int,

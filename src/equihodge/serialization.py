@@ -3,9 +3,10 @@
 Two line-oriented formats, each versioned with a header line:
 
 ``equihodge-form v1``
-    backend tag, degree, dimension, then sparse ``index value`` lines.
-    Exact backends write values as exact fractions ``p/q``; the mesh
-    backend writes ``repr`` floats, which round-trip bit for bit.
+    backend tag, degree, dimension, then one ``index value`` line per
+    nonzero entry, on every backend: the value is an exact fraction ``p/q``
+    on the exact backends and a ``repr`` float on the mesh (DEC) backend,
+    which reads back bit for bit.
 
 ``equihodge-report v1``
     extension-report status and per-stage data followed by one embedded
@@ -22,10 +23,9 @@ Malformed input raises :class:`FormatError` with the offending line.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Tuple
-
-import numpy as np
 
 from .errors import FormatError, MeshError
 from .forms import Backend, InvariantForm
@@ -36,7 +36,6 @@ from .equivariant import (
     format_monomial,
     monomial_degree,
 )
-from .mesh import build_symmetric_sphere
 
 FORM_HEADER = "equihodge-form v1"
 REPORT_HEADER = "equihodge-report v1"
@@ -80,6 +79,7 @@ def backend_from_tag(tag: str) -> Backend:
             v = tuple(int(x) for x in params["v"].split(":"))
             return TorusBackend(int(params["n"]), int(params["K"]), v)
         from .dec import DecBackend
+        from .mesh import build_symmetric_sphere
 
         return DecBackend(build_symmetric_sphere(
             int(params["nsym"]), int(params["level"]),
@@ -128,41 +128,31 @@ def serialize_form(w: InvariantForm) -> str:
         "degree: %d" % w.degree,
         "dim: %d" % w.backend.dimension(w.degree),
     ]
-    if w.backend.is_exact:
-        for i, c in w.entries:
-            lines.append("%d %s" % (i, c))
-    else:
-        for i, c in enumerate(np.asarray(w.coeffs)):
-            if c != 0.0:
-                lines.append("%d %r" % (i, float(c)))
+    lines.extend("%d %s" % entry for entry in w.entries)
     return "\n".join(lines) + "\n"
 
 
 class _Reader:
-    """Line cursor that reports 1-based line numbers in errors: ``lineno``
-    counts the lines consumed, so it is the number of the last one read."""
+    """Cursor over the non-blank lines that reports 1-based line numbers in
+    errors: ``lineno`` is the number of the last line read.  The end of the
+    input reads as ``None`` on the text's last line."""
 
     def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.lineno = 0
+        lines = text.splitlines()
+        self.lines = [(n, line) for n, line in enumerate(map(str.strip, lines), 1)
+                      if line] + [(len(lines), None)]
+        self.pos = self.lineno = 0
 
     def next(self, what: str) -> str:
-        while self.lineno < len(self.lines):
-            line = self.lines[self.lineno].strip()
-            self.lineno += 1
-            if line:
-                return line
-        raise FormatError("unexpected end of input, expected %s" % what,
-                          self.lineno)
+        self.lineno, line = self.lines[self.pos]
+        if line is None:
+            raise FormatError("unexpected end of input, expected %s" % what,
+                              self.lineno)
+        self.pos += 1
+        return line
 
     def peek(self):
-        pos = self.lineno
-        while pos < len(self.lines):
-            line = self.lines[pos].strip()
-            if line:
-                return line
-            pos += 1
-        return None
+        return self.lines[self.pos][1]
 
     def field(self, name: str) -> str:
         line = self.next("'%s:' field" % name)
@@ -171,49 +161,38 @@ class _Reader:
             raise FormatError("expected %r, got %r" % (prefix, line), self.lineno)
         return line[len(prefix):].strip()
 
-
-def _parse_fraction(text: str, lineno: int) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as ex:
-        raise FormatError("bad fraction %r (%s)" % (text, ex), lineno)
-    return value
+    def header(self, expected: str, what: str, backend: Backend = None) -> Backend:
+        """Read the header line ``expected`` and the ``backend:`` field: the
+        backend rebuilt from its tag, or ``backend`` if the tags agree."""
+        line = self.next(what)
+        if line != expected:
+            raise FormatError("expected %r, got %r" % (expected, line), self.lineno)
+        tag = self.field("backend")
+        if backend is None:
+            try:
+                return backend_from_tag(tag)
+            except FormatError as ex:
+                raise FormatError(str(ex), self.lineno) from ex
+        if backend.tag != tag:
+            raise FormatError("form was written for backend %r, not %r"
+                              % (tag, backend.tag), self.lineno)
+        return backend
 
 
 def _read_form(reader: _Reader, backend: Backend = None) -> InvariantForm:
-    header = reader.next("form header")
-    if header != FORM_HEADER:
-        raise FormatError("expected %r, got %r" % (FORM_HEADER, header),
-                          reader.lineno)
-    tag = reader.field("backend")
-    if backend is None:
-        try:
-            backend = backend_from_tag(tag)
-        except FormatError as ex:
-            raise FormatError(str(ex), reader.lineno) from ex
-    elif backend.tag != tag:
-        raise FormatError(
-            "form was written for backend %r, not %r" % (tag, backend.tag),
-            reader.lineno,
-        )
+    backend = reader.header(FORM_HEADER, "form header", backend)
     try:
         degree = int(reader.field("degree"))
         dim = int(reader.field("dim"))
     except ValueError as ex:
         raise FormatError(str(ex), reader.lineno)
     if dim != backend.dimension(degree):
-        raise FormatError(
-            "dimension %d does not match backend degree-%d dimension %d"
-            % (dim, degree, backend.dimension(degree)),
-            reader.lineno,
-        )
+        raise FormatError("dimension %d does not match backend degree-%d dimension %d"
+                          % (dim, degree, backend.dimension(degree)), reader.lineno)
+    parse = Fraction if backend.is_exact else float
     entries = {}
-    while True:
-        line = reader.peek()
-        if line is None or not line.lstrip("-")[:1].isdigit():
-            break
-        line = reader.next("coefficient entry")
-        parts = line.split()
+    while (reader.peek() or "").lstrip("-")[:1].isdigit():
+        parts = reader.next("coefficient entry").split()
         if len(parts) != 2:
             raise FormatError("coefficient lines are 'index value'",
                               reader.lineno)
@@ -226,17 +205,16 @@ def _read_form(reader: _Reader, backend: Backend = None) -> InvariantForm:
                               reader.lineno)
         if idx in entries:
             raise FormatError("index %d given twice" % idx, reader.lineno)
-        if backend.is_exact:
-            entries[idx] = _parse_fraction(parts[1], reader.lineno)
-        else:
-            try:
-                entries[idx] = float(parts[1])
-            except ValueError:
-                entries[idx] = np.nan
-            # an unreadable value counts as NaN; float() also reads "nan" and
-            # "inf", and no cochain takes such a value
-            if not np.isfinite(entries[idx]):
-                raise FormatError("bad float %r" % parts[1], reader.lineno)
+        try:
+            entries[idx] = value = parse(parts[1])
+        except (ValueError, ZeroDivisionError) as ex:
+            if parse is Fraction:
+                raise FormatError("bad fraction %r (%s)" % (parts[1], ex), reader.lineno)
+            value = math.nan
+        # an unreadable float counts as NaN; float() also reads "nan" and
+        # "inf", and no cochain takes such a value
+        if parse is float and not math.isfinite(value):
+            raise FormatError("bad float %r" % parts[1], reader.lineno)
     if backend.is_exact:
         return InvariantForm.from_values(backend, degree, entries)
     return backend.form(degree, [entries.get(i, 0) for i in range(dim)])
@@ -248,9 +226,8 @@ def parse_form(text: str, backend: Backend = None) -> InvariantForm:
     the form."""
     reader = _Reader(text)
     form = _read_form(reader, backend)
-    extra = reader.peek()
-    if extra is not None:
-        reader.next("trailing line")
+    if reader.peek() is not None:
+        extra = reader.next("trailing line")
         raise FormatError("unexpected %r after the form" % extra, reader.lineno)
     return form
 
@@ -284,15 +261,7 @@ def serialize_report(report: ExtensionReport) -> str:
 
 def parse_report(text: str) -> ExtensionReport:
     reader = _Reader(text)
-    header = reader.next("report header")
-    if header != REPORT_HEADER:
-        raise FormatError("expected %r, got %r" % (REPORT_HEADER, header),
-                          reader.lineno)
-    tag = reader.field("backend")
-    try:
-        backend = backend_from_tag(tag)
-    except FormatError as ex:
-        raise FormatError(str(ex), reader.lineno) from ex
+    backend = reader.header(REPORT_HEADER, "report header")
     status = reader.field("status")
     if status not in ("extended", "obstructed"):
         raise FormatError("unknown status %r" % status, reader.lineno)
@@ -303,7 +272,7 @@ def parse_report(text: str) -> ExtensionReport:
         residual_line = reader.lineno
         obs_text = reader.field("stage-obstructions")
         obs_line = reader.lineno
-        obstructions = [float(x) for x in obs_text.split()] if obs_text else []
+        obstructions = [float(x) for x in obs_text.split()]
         obs_stage_text = reader.field("obstruction-stage")
         obs_stage_line = reader.lineno
         obstruction_stage = None if obs_stage_text == "-" else int(obs_stage_text)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from equihodge import MeshError, build_symmetric_sphere, subdivide
-from equihodge.mesh import _canon_tris, _circumcenter, _cross, _solid_angle
+from equihodge.mesh import (SymmetricMesh, _canon_tris, _circumcenter, _cross,
+                            _solid_angle)
 
 
 @pytest.mark.parametrize("n_sym,zigzag", [(4, 0.0), (5, 0.0), (4, 0.1)])
@@ -21,6 +22,18 @@ def test_parameter_validation():
         build_symmetric_sphere(4, -1)
     with pytest.raises(MeshError):
         build_symmetric_sphere(4, 0, zigzag=0.5)
+
+
+def test_a_vertex_map_that_is_no_rotation_of_the_mesh_is_refused():
+    """A vertex permutation must map edges to edges, and triangles to
+    triangles of the same orientation, which a mirror does not."""
+    mesh = build_symmetric_sphere(4, 0)
+    p = mesh.positions
+    mirror = [int(np.argmin(np.linalg.norm(p - q, axis=1))) for q in p * [1, -1, 1]]
+    swapped = mesh.vperm[[1, 0, *range(2, len(p))]]
+    for vperm, what in ((swapped, "edges"), (mirror, "triangles")):
+        with pytest.raises(MeshError, match="does not map %s to %s" % (what, what)):
+            SymmetricMesh(p, mesh.tri_vertices, 4, 0, np.array(vperm))
 
 
 def test_subdivision_counts():

@@ -137,6 +137,29 @@ def test_mesh_backend_form_round_trip():
     assert np.array_equal(again.coeffs, w.coeffs)  # repr floats are exact
 
 
+def test_dec_values_are_written_as_repr_floats_and_read_back_bit_for_bit():
+    """Each nonzero value of an invariant DEC cochain, the smallest subnormal
+    and 1e300 among them, is written as repr(float) and reads back bit for
+    bit, through parse_form and inside a report."""
+    from equihodge import DecBackend
+
+    dec = DecBackend(build_symmetric_sphere(4, 0, zigzag=0.1))
+    mesh = dec.mesh
+    per_orbit = np.zeros(dec.dimension(2))
+    per_orbit[np.unique(mesh.orbit_rep[2])[:7]] = [
+        5e-324, 1e-300, -0.1, 1 / 3, 1e300, 0.0, -2.5]
+    w = dec.form(2, mesh.orbit_sign[2] * per_orbit[mesh.orbit_rep[2]])
+    text = serialize_form(w)
+    entries = text.splitlines()[4:]
+    assert entries == ["%d %r" % (i, float(w.coeffs[i]))
+                       for i in np.flatnonzero(w.coeffs)]
+    assert {line.split()[1] for line in entries} == {
+        "5e-324", "1e-300", "-0.1", "0.3333333333333333", "1e+300", "-2.5"}
+    for again in (parse_form(text), parse_report(serialize_report(extend(w))).input):
+        assert again.coeffs.dtype == w.coeffs.dtype
+        assert again.coeffs.tobytes() == w.coeffs.tobytes()
+
+
 def _dec_volume():
     from equihodge import DecBackend
 
@@ -243,6 +266,26 @@ def test_nothing_may_follow_a_form(tail, message):
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize("parse,keep,what", [
+    (parse_form, 0, "form header"),
+    (parse_form, 2, "'degree:' field"),
+    (parse_report, 0, "report header"),
+    (parse_report, 15, "term header"),
+])
+def test_the_end_of_input_is_reported_on_the_text_s_last_line(parse, keep, what):
+    """Blank lines at the end still count: the error names the last line."""
+    if parse is parse_form:
+        text = serialize_form(make_sphere_backend(4, stages=1).two_form((1, 2)))
+    else:  # the first 15 lines end with term 0
+        text = "\n".join(_sphere_report_lines())
+    lines = text.splitlines()[:keep] + ["", "  ", ""]
+    with pytest.raises(FormatError) as exc:
+        parse("\n".join(lines) + "\n")
+    assert exc.value.line == len(lines)
+    assert str(exc.value) == "line %d: unexpected end of input, expected %s" % (
+        len(lines), what)
+
+
 def test_report_round_trip_extended():
     b = make_sphere_backend(6)
     report = extend(b.two_form((0, 1)))
@@ -329,6 +372,23 @@ def test_obstructed_report_needs_a_positive_residual():
         parse_report("\n".join(lines) + "\n")
     assert exc.value.line == 6
     assert "positive residual" in str(exc.value)
+
+
+@pytest.mark.parametrize("coeff", [10 ** 200, Fraction(1, 10 ** 200)],
+                         ids=["huge", "tiny"])
+def test_an_obstructed_report_of_a_huge_or_tiny_form_round_trips(coeff):
+    """The obstruction scales with the input: float() of its exact square
+    overflowed at 10**200 and gave 0.0 at 10**-200, a residual the parser
+    refuses."""
+    from equihodge import COS
+
+    b = make_torus_backend(2, 2, (1, 0))
+    unit = extend(b.basis_form(2, (0, 0), COS, (0, 1))).obstruction
+    report = extend(b.basis_form(2, (0, 0), COS, (0, 1), coeff=coeff))
+    assert report.status == "obstructed"
+    assert report.obstruction == pytest.approx(float(coeff) * unit, rel=1e-15)
+    text = serialize_report(report)
+    assert serialize_report(parse_report(text)) == text
 
 
 def test_obstructed_report_has_no_final_residual():

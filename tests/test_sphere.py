@@ -7,6 +7,7 @@ values below were derived by hand from the round metric
 Legendre eigenrelation.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,19 @@ def test_total_area(sphere):
     one = sphere.zero_form((1,))
     ip = sphere.inner_product(one, one)
     assert ip.coeff == 4 and ip.pi_power == 1
+
+
+def test_an_exact_norm_neither_overflows_nor_underflows():
+    """The exact square is scaled into float range before its root, so a
+    huge or tiny rational has the norm of its float-range multiple."""
+    b = make_sphere_backend(8)
+    unit = b.norm(b.two_form((1,)))
+    assert b.norm(b.two_form((10 ** 200, 1))) == pytest.approx(1e200 * unit, rel=1e-15)
+    assert (b.norm(b.two_form((Fraction(1, 10 ** 200),)))
+            == pytest.approx(1e-200 * unit, rel=1e-15))
+    for k in (-1000, -400, 400, 1000):
+        assert b.norm(b.two_form((Fraction(2) ** k,))) == math.ldexp(unit, k)
+    assert b.norm(b.two_form((10 ** 400,))) == math.inf
 
 
 def test_harmonic_dimensions(sphere):
