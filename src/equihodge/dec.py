@@ -15,7 +15,9 @@ Green's operator acts on invariant cochains, the discrete Omega(M)^G: it
 restricts the right-hand side to the orbit representatives, solves the
 reduced Laplacian there (kept in the table under ``("green", q)``) and
 prolongs the result, deflating right-hand side and result once by the
-harmonic space (dimensions 1, 0, 1).  A reduced system of at most
+harmonic space (dimensions 1, 0, 1).  It solves at unit scale, reached by
+scaling the reduced right-hand side by an exact power of two, so its result
+is exactly homogeneous in powers of two.  A reduced system of at most
 ``DIRECT_MAX`` unknowns (on the nsym-4 mesh: levels 0-2, except degree 1 at
 level 2) is solved densely with the harmonic rows added: the first solve on
 a degree is one ``numpy.linalg.solve``, the first reuse stores the inverse in
@@ -300,7 +302,8 @@ class DecBackend(Backend):
         wider system runs conjugate gradients on K.  The harmonic part is
         removed before and after, and a residual |b - K x| above CG_TOL
         times |b| raises :class:`SolverError` on every path (H x = 0 for
-        b orthogonal to H, so K x = A x)."""
+        b orthogonal to H, so K x = A x).  b is first scaled by the power of
+        two that brings |b| into [1/2, 1), and x back by its inverse."""
         q = w.degree
         if not self.dimension(q):
             return self.zero(q)
@@ -312,9 +315,11 @@ class DecBackend(Backend):
         bnorm = _norm(b)
         if bnorm == 0.0:
             return self.zero(q)
-        if not 2.0 ** -500 < bnorm < 2.0 ** 500:
-            # solve at unit scale, where no square underflows or overflows
-            return self.green(InvariantForm(self, q, w.coeffs / bnorm)).scale(bnorm)
+        # solve at unit scale, reached by an exact power of two: no square
+        # under- or overflows, and the result is homogeneous in powers of two
+        unit = math.ldexp(1.0, -math.frexp(bnorm)[1])
+        b *= unit
+        bnorm *= unit
         steps = 1
         if inverse is not None:
             x = inverse @ b
@@ -333,7 +338,7 @@ class DecBackend(Backend):
         if not residual <= CG_TOL:
             raise SolverError(residual, steps)
         x -= H.T @ (H @ x)
-        return InvariantForm(self, q, self.mesh.orbit_sign[q] * (x / sw)[col])
+        return InvariantForm(self, q, self.mesh.orbit_sign[q] * (x / (sw * unit))[col])
 
     def is_zero(self, w: InvariantForm, relative_to=None) -> bool:
         if relative_to is None:

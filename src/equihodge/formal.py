@@ -108,6 +108,9 @@ class FormalGeneratorBackend(Backend):
         a._check_compatible(b)
         return self.base.inner_product(self._unwrap(a), self._unwrap(b))
 
+    def norm(self, w: InvariantForm) -> float:
+        return self.base.norm(self._unwrap(w))
+
     def harmonic_basis(self, q: int) -> List[InvariantForm]:
         return [self._wrap(h) for h in self.base.harmonic_basis(q)]
 

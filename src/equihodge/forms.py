@@ -350,16 +350,12 @@ class Backend(ABC):
         return HodgeSplit(harmonic=harmonic, exact=exact, coexact=coexact)
 
     def norm(self, w: InvariantForm) -> float:
-        if self.dimension(w.degree) == 0:
-            return 0.0
-        # the square is a sum of nonnegative terms, so the root needs no
-        # clamp, and a NaN value in w gives a NaN norm
+        # the exact norm (the mesh backend and the formal wrapper define
+        # their own): the rational square, 0 on an empty form, is scaled by
+        # 4**-k to near 1 before float() and its root back by 2**k, so none
+        # over- or underflows; in float range this is sqrt(float(square))
+        # bit for bit
         square = self.inner_product(w, w)
-        if not self.is_exact:  # a formal wrapper of the mesh
-            return math.sqrt(square)
-        # the rational is scaled by 4**-k to near 1 before float() and its
-        # root back by 2**k, so none over- or underflows; in float range this
-        # is sqrt(float(square)) bit for bit
         p, q = square.coeff.numerator, square.coeff.denominator
         k = (p.bit_length() - q.bit_length()) // 2
         scaled = (p << -2 * k) / q if k < 0 else p / (q << 2 * k)

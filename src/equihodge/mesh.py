@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -35,42 +34,31 @@ def _canon_tris(tris: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
 class SymmetricMesh:
     """Oriented triangulated sphere with an exact cyclic symmetry.
 
-    Besides the simplex lists it holds the two incidence arrays the
-    discrete operators are assembled from, both indexed by triangle:
-    ``tri_vertices[t]`` are the corners of triangle ``t``, and side ``i``,
-    which runs from ``tri_vertices[t, i]`` to ``tri_vertices[t, (i + 1) % 3]``,
-    is edge ``tri_edges[t, i]`` and agrees with that edge's (low, high)
-    orientation when ``tri_edge_signs[t, i]`` is +1.  ``orbit_rep[q][i]`` is
-    the first member of the orbit of the q-simplex ``i``.  ``tris``, the
-    rows of ``tri_vertices`` as a list of tuples, is built on first read.
+    Built from (V, 3) unit vectors ``positions``, (F, 3) outward oriented
+    corners ``tris``, the symmetry's order ``n_sym`` and vertex permutation
+    ``vperm``, the refinement ``level`` and the base rings' latitude
+    stagger ``zigzag``.  Besides the (low, high) edge rows
+    ``edge_vertices`` it holds the two incidence arrays the discrete
+    operators are assembled from, both indexed by triangle:
+    ``tri_vertices[t]`` are the corners of triangle ``t``, smallest first,
+    and side ``i``, which runs from ``tri_vertices[t, i]`` to
+    ``tri_vertices[t, (i + 1) % 3]``, is edge ``tri_edges[t, i]`` and agrees
+    with that edge's orientation when ``tri_edge_signs[t, i]`` is +1.  The
+    symmetry maps edges by ``eperm`` with signs ``esign`` and triangles by
+    ``tperm``.  ``orbit_rep[q][i]`` is the first member of the orbit of the
+    q-simplex ``i``; an invariant cochain x has
+    ``x[i] = orbit_sign[q][i] * x[orbit_rep[q][i]]``.
     """
 
-    positions: np.ndarray          # (V, 3) unit vectors
-    tris: InitVar[np.ndarray]      # (F, 3) corners, outward oriented
-    n_sym: int
-    level: int
-    vperm: np.ndarray              # vertex permutation of the symmetry
-    zigzag: float = 0.0            # latitude stagger of the base rings
-
-    tri_vertices: np.ndarray = field(init=False)    # (F, 3) canonical cyclic
-    edge_vertices: np.ndarray = field(init=False)   # (E, 2) rows of edges
-    tri_edges: np.ndarray = field(init=False)       # (F, 3) edge of each side
-    tri_edge_signs: np.ndarray = field(init=False)  # (F, 3) +1 or -1
-    eperm: np.ndarray = field(init=False)
-    esign: np.ndarray = field(init=False)
-    tperm: np.ndarray = field(init=False)
-    orbit_rep: Dict[int, np.ndarray] = field(init=False)  # orbit[0] per simplex
-    # an invariant cochain x has x[i] = orbit_sign[q][i] * x[orbit_rep[q][i]]
-    orbit_sign: Dict[int, np.ndarray] = field(init=False)
-
-    def __post_init__(self, tris):
-        tv = _canon_tris(np.asarray(tris, dtype=np.int64).reshape(-1, 3))
-        self.tri_vertices = tv
-        nv, nt = len(self.positions), len(tv)
+    def __init__(self, positions: np.ndarray, tris: np.ndarray, n_sym: int,
+                 level: int, vperm: np.ndarray, zigzag: float = 0.0):
+        self.positions, self.n_sym, self.level = positions, n_sym, level
+        self.vperm, self.zigzag = vperm, zigzag
+        self.tri_vertices = tv = _canon_tris(np.asarray(tris, dtype=np.int64).reshape(-1, 3))
+        nv, nt = len(positions), len(tv)
         tail, head = tv, tv[:, [1, 2, 0]]
         keys, side_edge = np.unique(
             np.minimum(tail, head) * nv + np.maximum(tail, head),
@@ -89,12 +77,6 @@ class SymmetricMesh:
         self._build_permutations(keys)
         self._build_orbits()
 
-    def __getattr__(self, name):
-        if name != "tris":
-            raise AttributeError(name)
-        self.tris = list(map(tuple, self.tri_vertices.tolist()))
-        return self.tris
-
     # -- combinatorics ------------------------------------------------------
 
     @property
@@ -108,6 +90,11 @@ class SymmetricMesh:
     @property
     def num_tris(self) -> int:
         return len(self.tri_vertices)
+
+    @functools.cached_property
+    def tris(self) -> List[Tuple[int, int, int]]:
+        """The rows of tri_vertices as tuples."""
+        return list(map(tuple, self.tri_vertices.tolist()))
 
     @functools.cached_property
     def edges(self) -> List[Tuple[int, int]]:
@@ -137,9 +124,6 @@ class SymmetricMesh:
             if q == 1:
                 signs[k] = signs[k - 1] * self.esign[images[k - 1]]
         return images, signs
-
-    def simplex_count(self, q: int) -> int:
-        return (self.num_vertices, self.num_edges, self.num_tris)[q]
 
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_tris

@@ -273,12 +273,43 @@ def test_extend_and_moment_map_do_not_depend_on_the_scale(dec2, s):
 def test_conjugate_gradients_run_at_unit_scale():
     """At level 3 the vertex system is solved by conjugate gradients, whose
     step divided 0 by 0 on a right-hand side of norm 1e-300; Green's operator
-    now solves for b / |b| when |b| lies outside 2^-500 to 2^500."""
+    now scales b by the power of two that brings |b| into [1/2, 1)."""
     backend = DecBackend(build_symmetric_sphere(4, 3, zigzag=0.1))
     vol = backend.volume_form_cochain()
     unit = moment_map(vol).coeffs
     for s in (1e-300, 1e-200, 1e200, 1e305):
         assert np.abs(moment_map(vol.scale(s)).coeffs / s - unit).max() <= 1e-13
+
+
+@pytest.fixture(scope="module")
+def unit_answers():
+    """Per level 0-3 (dense solves at 0-2, CG at 3), the nsym-4 zigzag
+    backend, its volume cochain and the t-coefficients of extend(volume) and
+    moment_map(volume), taken after two warm-up calls of each so that every
+    later dense solve multiplies by the stored inverse."""
+    out = {}
+    for level in range(4):
+        backend = DecBackend(build_symmetric_sphere(4, level, zigzag=0.1))
+        vol = backend.volume_form_cochain()
+        for _ in range(3):
+            t = extend(vol).terms[1].terms[(1,)].coeffs
+            mu = moment_map(vol).coeffs
+        out[level] = vol, t, mu
+    return out
+
+
+@pytest.mark.parametrize("k", [1, -1, 100, -100, 600, -600, 1000, -1000])
+@pytest.mark.parametrize("level", range(4))
+def test_extend_and_moment_map_are_exactly_homogeneous_in_powers_of_two(
+        unit_answers, level, k):
+    """Green's operator reaches unit scale by an exact power of two, so
+    scaling the input by 2^k scales the answer by 2^k bit for bit.  It used
+    to solve again for w / |b| when |b| lay outside 2^-500 to 2^500, which
+    changed the last bits at k = +-600 and +-1000."""
+    vol, t, mu = unit_answers[level]
+    s = 2.0 ** k
+    assert np.array_equal(extend(vol.scale(s)).terms[1].terms[(1,)].coeffs, s * t)
+    assert np.array_equal(moment_map(vol.scale(s)).coeffs, s * mu)
 
 
 @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e155, 1e160, 1e300])
@@ -382,7 +413,7 @@ class CooAssembly(DecBackend):
 
     def _assemble_contraction_10(self, area, flux):
         mesh = self.mesh
-        V, E = mesh.simplex_count(0), mesh.simplex_count(1)
+        V, E = mesh.num_vertices, mesh.num_edges
         v, t = mesh.tri_vertices.ravel(), np.repeat(np.arange(mesh.num_tris), 3)
         keep = mesh.orbit_rep[0][v] == v
         v, t = v[keep], t[keep]
@@ -409,7 +440,7 @@ def test_assembly_rounds_like_the_sparse_product_chain(n_sym, zigzag, level):
     except MeshError:
         return
     ref = CooAssembly(mesh)
-    V, E, F = (mesh.simplex_count(q) for q in range(3))
+    V, E, F = (dec.dimension(q) for q in range(3))
     d0 = sp.csr_matrix((np.tile([-1.0, 1.0], E),
                         (np.repeat(np.arange(E), 2), mesh.edge_vertices.ravel())),
                        shape=(E, V))

@@ -1,5 +1,8 @@
 """Tests for backends extended by formal higher-degree generators."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from equihodge import (
@@ -123,3 +126,19 @@ def test_star_over_dec_raises_a_typed_error():
     w = wrapped.form(2, base.volume_form_cochain().coeffs)
     with pytest.raises(BackendMismatch):
         wrapped.star(w)
+
+
+@pytest.mark.parametrize("e", [200, -200], ids=["huge", "tiny"])
+@pytest.mark.parametrize("tag", ["dec:nsym=4,level=0,zigzag=0.1", "sphere:N=4,stages=3"])
+def test_a_formal_wrapper_takes_its_base_s_norm(tag, e):
+    """Over the mesh the wrapper took the root of the float inner product:
+    inf, with an overflow warning, at scale 1e200 and 0.0 at 1e-200."""
+    base = backend_from_tag(tag)
+    if base.is_exact:
+        w = base.two_form((0, 1)).scale(Fraction(10) ** e)
+    else:
+        w = base.volume_form_cochain().scale(10.0 ** e)
+    wrapped = with_formal_generators(
+        base, [FormalGenerator(4, "p4", zero_operator(base))])
+    norm = wrapped.norm(wrapped.form(2, w.coeffs))
+    assert norm == base.norm(w) and 0.0 < norm < math.inf

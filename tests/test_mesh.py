@@ -92,7 +92,7 @@ def test_orbit_partition():
     mesh = build_symmetric_sphere(4, 0, zigzag=0.1)
     for q in range(3):
         covered = sorted(i for orbit in mesh.orbits[q] for i in orbit)
-        assert covered == list(range(mesh.simplex_count(q)))
+        assert covered == list(range((mesh.num_vertices, mesh.num_edges, mesh.num_tris)[q]))
         for orbit in mesh.orbits[q]:
             assert mesh.n_sym % len(orbit) == 0
     # the two poles are fixed points of the rotation
@@ -176,7 +176,7 @@ def test_kernels_match_the_formulations_they_replace(n_sym, zigzag, level):
         images, signs = mesh.walk(q)
         ref_images, ref_signs = _walk_by_tile(mesh, q)
         assert _same_bits(images, ref_images) and _same_bits(signs, ref_signs)
-        idx = rng.integers(0, mesh.simplex_count(q), 9)
+        idx = rng.integers(0, (mesh.num_vertices, mesh.num_edges, mesh.num_tris)[q], 9)
         for got, ref in zip(mesh.walk(q, idx), _walk_by_tile(mesh, q, idx)):
             assert _same_bits(got, ref)
         first = images.argmin(axis=0)
