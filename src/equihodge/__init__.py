@@ -10,6 +10,8 @@ invariant form alpha extends to the equivariantly closed
 alpha_hat = alpha + P(alpha) + P^2(alpha) + ... whenever the harmonic
 obstruction vanishes at every stage; the library computes the series,
 certifies closedness, and reports obstructions.
+
+Exact runs need no numpy or scipy: mesh and DEC names load them on first use.
 """
 
 from .errors import (
@@ -47,8 +49,6 @@ from .sphere import SphereBackend, make_sphere_backend
 from .torus import COS, SIN, TorusBackend, make_torus_backend
 from .product import ProductBackend, make_product_backend
 from .formal import FormalGenerator, FormalGeneratorBackend, with_formal_generators
-from .mesh import SymmetricMesh, build_symmetric_sphere, subdivide
-from .dec import DecBackend, dec_backend
 from .serialization import (
     backend_from_tag,
     format_report,
@@ -115,3 +115,21 @@ __all__ = [
 ]
 
 __version__ = "1.0.0"
+
+#: names that need numpy and scipy.sparse, each with its submodule; bound on first access
+_LAZY = {"mesh": "mesh", "SymmetricMesh": "mesh", "build_symmetric_sphere": "mesh",
+         "subdivide": "mesh", "dec": "dec", "DecBackend": "dec", "dec_backend": "dec"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module
+
+    module = import_module("." + _LAZY[name], __name__)
+    globals()[name] = value = module if name == _LAZY[name] else getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) - {"_LAZY", "__getattr__", "__dir__"} | set(_LAZY))

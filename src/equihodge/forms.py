@@ -41,6 +41,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Number
 from typing import Dict, List, Tuple
 
 from .errors import BackendMismatch
@@ -305,10 +306,18 @@ class Backend(ABC):
         return InvariantForm(self, q, np.zeros(self.dimension(q)))
 
     def form(self, q: int, coeffs) -> InvariantForm:
-        """Build a form with validation of the coefficient count and values."""
+        """Build a form, validating the coefficients' shape, kind, count and values."""
         dim = self.dimension(q)
-        if self.is_exact:
+        shape = getattr(coeffs, "shape", None)
+        if shape is not None and len(shape) != 1:
+            raise BackendMismatch("degree-%d coefficients have shape %s, not (%d,)"
+                                  % (q, shape, dim))
+        if self.is_exact or shape is None:
             coeffs = tuple(coeffs)
+            odd = [i for i, c in enumerate(coeffs) if not isinstance(c, Number)]
+            if odd:
+                raise BackendMismatch("degree-%d coefficient %d is not a number" % (q, odd[0]))
+        if self.is_exact:
             bad = [i for i, c in enumerate(coeffs) if c != c or c in (math.inf, -math.inf)]
         else:
             import numpy as np

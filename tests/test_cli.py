@@ -1,13 +1,18 @@
-"""End-to-end tests of the command-line interface (invoked in process)."""
+"""End-to-end tests of the command-line interface (invoked in process, and
+in fresh processes where a test is about what a process imports)."""
 
 import hashlib
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from equihodge import backend_from_tag, parse_form, parse_report, serialize_form
-from equihodge.cli import OUTPUT_DIR_VAR, _build_parser, main
+from equihodge.cli import OUTPUT_DIR_VAR, PRESETS, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -335,3 +340,120 @@ def test_one_parser_serves_every_invocation_of_a_process(capsys):
     _build_parser.cache_clear()
     assert [outcome(capsys, argv) for argv in sequence] == alone
     assert _build_parser.cache_info().misses == 1
+
+
+#: runs each JSON argv list of argv[2] through cli.main in this fresh process
+#: and prints [argv, exit code, stdout] for each; with argv[1] == "blocked",
+#: importing numpy or scipy raises ImportError, and ["library"] stands for a
+#: direct call of extend on make_sphere_backend(8)
+FRESH_RUN = """
+import contextlib, io, json, sys
+
+class Blocker:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("numpy", "scipy"):
+            raise ImportError("blocked import of " + name)
+
+if sys.argv[1] == "blocked":
+    sys.meta_path.insert(0, Blocker())
+import equihodge as eh
+from equihodge import cli
+
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            if argv == ["library"]:
+                alpha = eh.make_sphere_backend(8).symplectic_scenario()[0]
+                print(eh.format_report(eh.extend(alpha)))
+                code = 0
+            else:
+                code = cli.main(argv)
+        except ImportError as ex:
+            code = "ImportError: %s" % ex
+    results.append([argv, code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def fresh(script, *args):
+    """Standard output of ``python -c script *args`` in a fresh process that
+    imports equihodge from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_exact_runs_import_neither_numpy_nor_scipy():
+    """Every verb on every exact preset, and extend called on an exact
+    backend, give the same exit code and output when importing numpy or
+    scipy raises; the DEC preset and the convergence study, run under the
+    same blocker, show that it blocks."""
+    exact = sorted(name for name, (tag, _) in PRESETS.items() if not tag.startswith("dec:"))
+    argvs = [[verb, "--preset", name] for name in exact
+             for verb in ("extend", "verify", "hodge", "moment-map")] + [["library"]]
+    controls = [["extend", "--preset", "dec/volume"], ["convergence", "--levels", "0"]]
+    free = json.loads(fresh(FRESH_RUN, "free", json.dumps(argvs)))
+    blocked = json.loads(fresh(FRESH_RUN, "blocked", json.dumps(argvs + controls)))
+    assert blocked[:len(argvs)] == free
+    codes = {tuple(argv): code for argv, code, _ in free}
+    assert len(exact) == 6 and set(codes.values()) == {0, 1}
+    for name in ("torus-free/dx", "product/symplectic-product"):
+        assert codes["moment-map", "--preset", name] == 1
+    assert codes["extend", "--preset", "sphere/symplectic"] == 0
+    for argv, code, out in blocked[len(argvs):]:
+        assert code.startswith("ImportError: blocked import of "), argv
+
+
+#: dir(equihodge) in a fresh process: the same whether or not the mesh and
+#: DEC names have been resolved yet
+PACKAGE_DIR = sorted("""
+    Backend BackendMismatch COS DecBackend EquihodgeError EquivariantElement
+    ExactBackend ExtensionReport FormalGenerator FormalGeneratorBackend
+    FormatError GeneratorSpec HodgeSplit InvariantForm MeshError Monomial
+    NotClosed NotInvariant ObstructionDetected PiScalar PreconditionViolated
+    ProductBackend ResidualNotZero SIN SolverError SphereBackend SymmetricMesh
+    TorusBackend TruncationError __all__ __builtins__ __cached__ __doc__
+    __file__ __loader__ __name__ __package__ __path__ __spec__ __version__
+    backend_from_tag build_symmetric_sphere cartan_d coefficient_d dec
+    dec_backend equivariant errors extend extend_partial formal format_monomial
+    format_report forms make_product_backend make_sphere_backend
+    make_torus_backend mesh moment_map monomial_degree obstruction_residual
+    p_operator parse_form parse_report partial_d product scalars serialization
+    serialize_form serialize_report sphere subdivide torus verify_extension
+    with_formal_generators
+""".split())
+
+
+def test_the_mesh_and_dec_names_resolve_on_first_access():
+    """import equihodge loads neither numpy nor scipy; a mesh or DEC name
+    imports its submodule when first read and is then bound in the package,
+    and dir() lists the same names before and after."""
+    script = """
+import json, sys
+import equihodge as eh
+loaded = sorted({"numpy", "scipy", "equihodge.mesh", "equihodge.dec"} & set(sys.modules))
+before = dir(eh)
+bound_before = "dec_backend" in vars(eh)
+assert eh.DecBackend is eh.dec.DecBackend and eh.dec_backend is eh.DecBackend
+assert eh.SymmetricMesh is eh.mesh.SymmetricMesh
+star = {}
+exec("from equihodge import *", star)
+try:
+    eh.nope
+    unknown = "no error"
+except AttributeError as ex:
+    unknown = str(ex)
+print(json.dumps([loaded, before, bound_before, "dec_backend" in vars(eh), dir(eh),
+                  sorted(set(eh.__all__) - set(star)), unknown, hasattr(eh, "nope")]))
+"""
+    loaded, before, bound_before, bound_after, after, unbound, unknown, has = \
+        json.loads(fresh(script))
+    assert loaded == []
+    assert before == after == PACKAGE_DIR
+    assert (bound_before, bound_after) == (False, True)
+    assert unbound == []
+    assert unknown == "module 'equihodge' has no attribute 'nope'" and has is False

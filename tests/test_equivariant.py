@@ -1,6 +1,7 @@
 """Tests of the equivariant model: boundary operator, Cartan differential,
 the extension iteration, obstructions, and partial-extension continuation."""
 
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -151,6 +152,27 @@ def test_a_non_finite_coefficient_is_refused_by_its_index(name, value):
         backend.form(2, coeffs)
     coeffs[2] = coeffs[5] = 1
     assert backend.form(2, coeffs).degree == 2
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_BACKENDS))
+def test_coefficients_that_are_not_a_flat_sequence_of_numbers_are_refused(name):
+    """Backend.form raises BackendMismatch, not a numpy, Fraction or
+    broadcasting error later on, for an array that has not one axis (naming
+    its shape) and for an entry that is not a number (naming its index)."""
+    backend = NON_FINITE_BACKENDS[name]()
+    dim = backend.dimension(2)
+    for coeffs in (np.ones((dim, 2)), np.ones((dim, 1)), np.float64(1)):
+        with pytest.raises(BackendMismatch, match=re.escape(
+                "degree-2 coefficients have shape %s, not (%d,)" % (coeffs.shape, dim))):
+            backend.form(2, coeffs)
+    for bad in ([1], None, "1", np.ones(2)):
+        coeffs = [1] * dim
+        coeffs[3] = coeffs[5] = bad
+        with pytest.raises(BackendMismatch, match="degree-2 coefficient 3 is not a number"):
+            backend.form(2, coeffs)
+    with pytest.raises(BackendMismatch, match="degree-2 coefficient 0 is not a number"):
+        backend.form(2, [[1]] * dim)
+    assert backend.form(2, (c for c in [1] * dim)) == backend.form(2, np.ones(dim))
 
 
 def test_partial_d_of_volume(sphere):
