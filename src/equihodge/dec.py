@@ -14,10 +14,10 @@ matrix commutes with the symmetry exactly.
 Green's operator acts on invariant cochains, the discrete Omega(M)^G: it
 restricts the right-hand side to the orbit representatives, solves the
 reduced Laplacian there (kept in the table under ``("green", q)``) and
-prolongs the result, deflating right-hand side and result once by the
-harmonic space (dimensions 1, 0, 1).  It solves at unit scale, reached by
-scaling the reduced right-hand side by an exact power of two, so its result
-is exactly homogeneous in powers of two.  A reduced system of at most
+prolongs the result, deflating the right-hand side twice and the result
+once by the harmonic space (dimensions 1, 0, 1).  It solves at unit scale,
+reached by scaling the reduced right-hand side by an exact power of two, so
+its result is exactly homogeneous in powers of two.  A reduced system of at most
 ``DIRECT_MAX`` unknowns (on the nsym-4 mesh: levels 0-2, except degree 1 at
 level 2) is solved densely with the harmonic rows added: the first solve on
 a degree is one ``numpy.linalg.solve``, the first reuse stores the inverse in
@@ -300,7 +300,8 @@ class DecBackend(Backend):
         builds the entry solves once, the first call that finds it built
         stores A's inverse there, and every later call multiplies by it.  A
         wider system runs conjugate gradients on K.  The harmonic part is
-        removed before and after, and a residual |b - K x| above CG_TOL
+        removed twice from b, so none of order eps |b| is left that no x
+        matches, and once from x; a residual |b - K x| above CG_TOL
         times |b| raises :class:`SolverError` on every path (H x = 0 for
         b orthogonal to H, so K x = A x).  b is first scaled by the power of
         two that brings |b| into [1/2, 1), and x back by its inverse."""
@@ -311,6 +312,9 @@ class DecBackend(Backend):
         entry = self._ops.get(("green", q))
         reps, col, sw, K, H, inverse = entry or self._reduced(q)
         b = sw * w.coeffs[reps]
+        # Gram-Schmidt twice: one pass leaves a harmonic part of order
+        # eps |b|, which K x = b cannot match once the rest is that small
+        b -= H.T @ (H @ b)
         b -= H.T @ (H @ b)
         bnorm = _norm(b)
         if bnorm == 0.0:

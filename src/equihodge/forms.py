@@ -41,7 +41,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from numbers import Number
+from numbers import Real
 from typing import Dict, List, Tuple
 
 from .errors import BackendMismatch
@@ -312,9 +312,12 @@ class Backend(ABC):
         if shape is not None and len(shape) != 1:
             raise BackendMismatch("degree-%d coefficients have shape %s, not (%d,)"
                                   % (q, shape, dim))
-        if self.is_exact or shape is None:
+        # an array of booleans, integers or floats is numpy's to convert;
+        # anything else is checked entry by entry: each must be a real number
+        kind = getattr(getattr(coeffs, "dtype", None), "kind", "O")
+        if self.is_exact or kind not in "biuf":
             coeffs = tuple(coeffs)
-            odd = [i for i, c in enumerate(coeffs) if not isinstance(c, Number)]
+            odd = [i for i, c in enumerate(coeffs) if not isinstance(c, Real)]
             if odd:
                 raise BackendMismatch("degree-%d coefficient %d is not a number" % (q, odd[0]))
         if self.is_exact:

@@ -51,6 +51,11 @@ class SymmetricMesh:
     ``tperm``.  ``orbit_rep[q][i]`` is the first member of the orbit of the
     q-simplex ``i``; an invariant cochain x has
     ``x[i] = orbit_sign[q][i] * x[orbit_rep[q][i]]``.
+
+    The orientation is checked, not repaired: :class:`MeshError` unless
+    every edge lies in two triangles whose sides run along it in opposite
+    directions.  That the common orientation is the outward one is the
+    caller's promise.
     """
 
     def __init__(self, positions: np.ndarray, tris: np.ndarray, n_sym: int,
@@ -74,6 +79,8 @@ class SymmetricMesh:
             raise MeshError("an edge does not lie in exactly two triangles")
         self.tri_edges = side_edge.reshape(nt, 3)
         self.tri_edge_signs = np.where(tail < head, 1, -1)
+        if np.any(np.bincount(side_edge, self.tri_edge_signs.reshape(-1))):
+            raise MeshError("the triangles are not consistently oriented")
         self._build_permutations(keys)
         self._build_orbits()
 
@@ -273,10 +280,8 @@ def build_symmetric_sphere(n_sym: int, level: int,
                 tris.append((a0, b0, b1))
                 tris.append((a0, b1, a1))
 
-    positions = np.array(positions)
-    tris = _orient_outward(positions, tris)
     mesh = SymmetricMesh(
-        positions=positions,
+        positions=np.array(positions),
         tris=tris,
         n_sym=n_sym,
         level=0,
@@ -286,14 +291,6 @@ def build_symmetric_sphere(n_sym: int, level: int,
     for _ in range(level):
         mesh = subdivide(mesh)
     return mesh
-
-
-def _orient_outward(positions, tris):
-    tris = np.array(tris)
-    pa, pb, pc = positions[tris.T]
-    inward = _dot(_cross(pb - pa, pc - pa), (pa + pb + pc) / 3.0) < 0
-    tris[inward] = tris[inward][:, [0, 2, 1]]
-    return tris
 
 
 def subdivide(mesh: SymmetricMesh) -> SymmetricMesh:

@@ -3,12 +3,13 @@
 Invariant forms for the circle subaction generated by a constant integer
 vector field v are spanned by real trigonometric modes cos(k.x), sin(k.x)
 with ``k . v = 0`` and ``|k_i| <= K``, times coordinate covectors dx_I.
-Every mode is a Laplacian eigenfunction with eigenvalue ``|k|^2``, so the
-basis is the eigenbasis and both eigen-transforms are the identity;
-harmonic forms are exactly the k = 0 modes.  ``d``, the star and the
-contraction map each basis form to a signed sum of at most n basis forms,
-the columns that the engine of :class:`~equihodge.forms.ExactBackend`
-caches and applies.
+A basis form is its label ``(k, phase, I)``: cos (phase COS) or sin
+(phase SIN) of k.x times dx_I, k the canonical mode.  Every mode is a
+Laplacian eigenfunction with eigenvalue ``|k|^2``, so the basis is the
+eigenbasis and both eigen-transforms are the identity; harmonic forms are
+exactly the k = 0 modes.  ``d``, the star and the contraction map each
+basis form to a signed sum of at most n basis forms, the columns that the
+engine of :class:`~equihodge.forms.ExactBackend` caches and applies.
 
 The real cos/sin basis keeps all scalars rational; the torus volume
 ``(2*pi)^n`` is carried symbolically as a power of pi in inner products.
@@ -60,36 +61,18 @@ class TorusBackend(ExactBackend):
         self.tag = "torus:n=%d,K=%d,v=%s" % (n, K, ":".join(str(x) for x in v))
         self._pi_power = n
 
-        # invariant canonical modes: k.v = 0, |k_i| <= K
-        modes = []
-        for k in product(range(-K, K + 1), repeat=n):
-            kc, _ = _canonical(k)
-            if kc != k:
-                continue
-            if sum(a * b for a, b in zip(k, v)) != 0:
-                continue
-            modes.append(k)
-        modes.sort()
-        self._modes = modes
-        # scalar function basis: (mode index, phase); k = 0 has cos only
-        funcs = []
-        for mi, k in enumerate(modes):
-            funcs.append((mi, COS))
-            if any(k):
-                funcs.append((mi, SIN))
-        self._funcs = funcs
-        self._func_index: Dict[Tuple[int, int], int] = {
-            f: i for i, f in enumerate(funcs)
-        }
-        # per-degree basis: (func index, I)
-        self._basis: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
-        self._index: Dict[int, Dict[Tuple[int, Tuple[int, ...]], int]] = {}
+        # invariant canonical modes, in increasing order: k.v = 0, |k_i| <= K
+        self._modes = [k for k in product(range(-K, K + 1), repeat=n)
+                       if _canonical(k)[0] == k
+                       and sum(a * b for a, b in zip(k, v)) == 0]
+        # scalar functions (k, phase); k = 0 has cos only
+        funcs = [(k, phase) for k in self._modes
+                 for phase in ((COS, SIN) if any(k) else (COS,))]
+        # per-degree basis: the label (k, phase, I) of trig(k.x) dx_I
+        self._basis: Dict[int, List[tuple]] = {}
+        self._index: Dict[int, Dict[tuple, int]] = {}
         for q in range(n + 1):
-            basis = [
-                (fi, I)
-                for I in combinations(range(n), q)
-                for fi in range(len(funcs))
-            ]
+            basis = [f + (I,) for I in combinations(range(n), q) for f in funcs]
             self._basis[q] = basis
             self._index[q] = {key: i for i, key in enumerate(basis)}
 
@@ -98,43 +81,40 @@ class TorusBackend(ExactBackend):
 
     # -- operator columns ----------------------------------------------------
 
-    def _column(self, op, q: int, k: int) -> InvariantForm:
-        # e_k is the basis function fi = cos or sin of k.x, times dx_I
-        fi, I = self._basis[q][k]
-        mi, phase = self._funcs[fi]
+    def _column(self, op, q: int, i: int) -> InvariantForm:
+        # e_i is its label (k, phase, I): cos or sin of k.x, times dx_I
+        k, phase, I = self._basis[q][i]
         if op == "d":
             # d_a cos = -k_a sin and d_a sin = k_a cos; dx_a ^ dx_I moves
             # dx_a past the axes of I below a
-            flip = self._func_index.get((mi, SIN if phase == COS else COS))
-            sign = -1 if phase == COS else 1
-            terms = [((flip, tuple(sorted(I + (a,)))),
-                      sign * ka * (-1) ** sum(i < a for i in I))
-                     for a, ka in enumerate(self._modes[mi])
-                     if ka and a not in I]
+            flip, sign = (SIN, -1) if phase == COS else (COS, 1)
+            terms = [((k, flip, tuple(sorted(I + (a,)))),
+                      sign * ka * (-1) ** sum(j < a for j in I))
+                     for a, ka in enumerate(k) if ka and a not in I]
             p = q + 1
         elif op == "star":  # the sign of the shuffle (I, complement)
-            comp = tuple(i for i in range(self.n) if i not in I)
-            terms = [((fi, comp), (-1) ** sum(i > j for i in I for j in comp))]
+            comp = tuple(j for j in range(self.n) if j not in I)
+            terms = [((k, phase, comp), (-1) ** sum(a > b for a in I for b in comp))]
             p = self.n - q
         elif op == ("contraction", 0):  # i_v dx_I, v a constant field
-            terms = [((fi, I[:pos] + I[pos + 1:]), (-1) ** pos * self.v[a])
+            terms = [((k, phase, I[:pos] + I[pos + 1:]), (-1) ** pos * self.v[a])
                      for pos, a in enumerate(I) if self.v[a]]
             p = q - 1
         elif op in ("coords", "image"):  # the basis is the eigenbasis
-            terms, p = [((fi, I), 1)], q
+            terms, p = [((k, phase, I), 1)], q
         else:
-            return super()._column(op, q, k)
+            return super()._column(op, q, i)
         return InvariantForm.from_values(
             self, p, {self._index[p][key]: Fraction(c) for key, c in terms})
 
     # -- spectral data -----------------------------------------------------
 
-    def _eigen(self, q: int, k: int):
-        # eigenvalue |mode|^2; squared norm the rational part of (2 pi)^n
-        # for mode 0 and of (2 pi)^n / 2 otherwise
-        mode = self._modes[self._funcs[self._basis[q][k][0]][0]]
-        return (Fraction(sum(c * c for c in mode)),
-                Fraction(2 ** self.n, 2 if any(mode) else 1))
+    def _eigen(self, q: int, i: int):
+        # eigenvalue |k|^2; squared norm the rational part of (2 pi)^n
+        # for k = 0 and of (2 pi)^n / 2 otherwise
+        k = self._basis[q][i][0]
+        return (Fraction(sum(c * c for c in k)),
+                Fraction(2 ** self.n, 2 if any(k) else 1))
 
     # -- convenience constructors ------------------------------------------
 
@@ -158,9 +138,8 @@ class TorusBackend(ExactBackend):
                                    self.n))
         if phase == SIN and not any(kc):
             return self.zero(q)
-        fi = self._func_index[(self._modes.index(kc), phase)]
         return InvariantForm.from_values(self, q, {
-            self._index[q][(fi, I)]: Fraction(coeff) * (s if phase == SIN else 1)})
+            self._index[q][(kc, phase, I)]: Fraction(coeff) * (s if phase == SIN else 1)})
 
 
 #: alias of the class: the name the README examples and perfbench build it by

@@ -275,9 +275,7 @@ class TorusOracle:
         for q in range(self.n + 1):
             items = []
             for i in range(backend.dimension(q)):
-                fi, I = backend._basis[q][i]
-                mi, phase = backend._funcs[fi]
-                k = backend._modes[mi]
+                k, phase, I = backend._basis[q][i]
                 arg = sum(c * _x[ax] for ax, c in enumerate(k))
                 fn = sp.cos(arg) if phase == 0 else sp.sin(arg)
                 items.append((tuple(I), fn))
@@ -876,33 +874,29 @@ class TorusReference(_Reference):
     def __init__(self, backend):
         super().__init__()
         self.n, self.v, self.pi_power = backend.n, backend.v, backend.n
-        self._modes, self._funcs = backend._modes, backend._funcs
         self._basis = {q: backend._basis[q] for q in range(self.n + 1)}
-        self._func_index = {f: i for i, f in enumerate(self._funcs)}
 
     def dim(self, q):
         return len(self._basis.get(q, ()))
 
     def _formula(self, op, q, k):
-        fi, I = self._basis[q][k]
-        mi, phase = self._funcs[fi]
+        mode, phase, I = self._basis[q][k]
         terms = []
         if op == "d":
-            for a, ka in enumerate(self._modes[mi]):
+            for a, ka in enumerate(mode):
                 if ka and a not in I:
-                    fj = self._func_index[mi, 1 - phase]
-                    terms.append(((fj, tuple(sorted(I + (a,)))), _perm_sign((a,) + I)
-                                  * (-ka if phase == COS else ka)))
+                    terms.append(((mode, 1 - phase, tuple(sorted(I + (a,)))),
+                                  _perm_sign((a,) + I) * (-ka if phase == COS else ka)))
         elif op == "star":
             comp = tuple(a for a in range(self.n) if a not in I)
-            terms.append(((fi, comp), _perm_sign(I + comp)))
+            terms.append(((mode, phase, comp), _perm_sign(I + comp)))
         elif op == "codifferential":
             # d* = (-1)^(n(q+1)+1) * d * on an oriented Riemannian n-manifold
             p, w = self.apply("star", *self.apply(
                 "d", *self.apply("star", q, _unit(self.dim(q), k))))
             return _neg(w) if (self.n * (q + 1) + 1) % 2 else w
         else:  # ("contraction", 0)
-            terms = [((fi, I[:pos] + I[pos + 1:]), (-1) ** pos * self.v[a])
+            terms = [((mode, phase, I[:pos] + I[pos + 1:]), (-1) ** pos * self.v[a])
                      for pos, a in enumerate(I)]
         p = self.degree(op, q)
         out = [Fraction(0)] * self.dim(p)
@@ -914,7 +908,7 @@ class TorusReference(_Reference):
         return [0 if i != k else self.eigenbasis(q)[k][2] for i in range(self.dim(q))]
 
     def _listing(self, q):
-        modes = [self._modes[self._funcs[fi][0]] for fi, _ in self._basis.get(q, ())]
+        modes = [k for k, _, _ in self._basis.get(q, ())]
         return [(Fraction(sum(c * c for c in k)), _unit(len(modes), i),
                  Fraction(2 ** self.n, 2 if any(k) else 1))
                 for i, k in enumerate(modes)]

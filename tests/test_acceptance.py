@@ -147,9 +147,8 @@ def test_criterion_04_spectral_oracle_exact():
             coeffs = [Fraction(0)] * t.dimension(q)
             coeffs[i] = Fraction(1)
             w = t.form(q, coeffs)
-            fi, _ = t._basis[q][i]
-            mi, _ = t._funcs[fi]
-            lam = sum(c * c for c in t._modes[mi])  # [DERIVED] |k|^2
+            k, _, _ = t._basis[q][i]
+            lam = sum(c * c for c in k)  # [DERIVED] |k|^2
             assert t.laplacian(w) == w.scale(lam)
 
 

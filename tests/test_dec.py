@@ -706,6 +706,26 @@ def test_green_removes_the_harmonic_part_of_its_result_to_rounding(level):
             assert abs(dec.inner_product(g, h)) <= 2e-15 * dec.norm(g) * dec.norm(h)
 
 
+@pytest.mark.parametrize("level", [1, 3])
+def test_green_of_a_harmonic_or_nearly_harmonic_cochain_solves(level):
+    """Green's operator takes a harmonic cochain to rounding-sized noise
+    and h + eps g to eps G(g) up to the rounding of h, on the dense (level
+    1) and the CG (level 3) path: the right-hand side is deflated twice, so
+    no harmonic part of order 1e-16 |b| is left that K x = b cannot match."""
+    dec = DecBackend(build_symmetric_sphere(4, level, zigzag=0.1))
+    rng = np.random.default_rng(45)
+    for q in (0, 2):
+        h = dec.harmonic_basis(q)[0]
+        assert dec.norm(dec.green(h)) <= 1e-15 * dec.norm(h)
+        g = invariant_cochain(rng, dec, q)
+        g -= dec.harmonic_projection(g)
+        g = g.scale(dec.norm(h) / dec.norm(g))
+        gg = dec.green(g)
+        for eps in (1e-7, 1e-10, 1e-13):
+            err = dec.green(h + g.scale(eps)) - gg.scale(eps)
+            assert dec.norm(err) <= 1e-13 / eps * dec.norm(gg.scale(eps))
+
+
 def _dense_reference(dec, w):
     """Green's operator on w by one np.linalg.solve of K + H^T H, from the
     parts of the backend's ("green", q) entry."""

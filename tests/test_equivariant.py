@@ -2,6 +2,7 @@
 the extension iteration, obstructions, and partial-extension continuation."""
 
 import re
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -173,6 +174,33 @@ def test_coefficients_that_are_not_a_flat_sequence_of_numbers_are_refused(name):
     with pytest.raises(BackendMismatch, match="degree-2 coefficient 0 is not a number"):
         backend.form(2, [[1]] * dim)
     assert backend.form(2, (c for c in [1] * dim)) == backend.form(2, np.ones(dim))
+
+
+def _array_of_lists(dim):
+    out = np.empty(dim, dtype=object)
+    out[:] = [[1]] * dim
+    return out
+
+
+NOT_REAL = {
+    "object-array-of-lists": _array_of_lists,
+    "string-array": lambda dim: np.array(["1"] * dim),
+    "complex-array": lambda dim: np.ones(dim, dtype=complex),
+    "complex-list": lambda dim: [1 + 0j] * dim,
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_REAL))
+@pytest.mark.parametrize("name", ["dec", "sphere"])
+def test_an_entry_that_is_not_a_real_number_is_refused_by_its_index(name, case):
+    """Every entry must be a real number, in a list or in an array of any
+    dtype: numpy does not read strings, drop imaginary parts or raise its
+    own error first."""
+    backend = NON_FINITE_BACKENDS[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BackendMismatch, match="degree-2 coefficient 0 is not a number"):
+            backend.form(2, NOT_REAL[case](backend.dimension(2)))
 
 
 def test_partial_d_of_volume(sphere):

@@ -36,6 +36,17 @@ def test_a_vertex_map_that_is_no_rotation_of_the_mesh_is_refused():
             SymmetricMesh(p, mesh.tri_vertices, 4, 0, np.array(vperm))
 
 
+def test_a_triangulation_that_is_not_consistently_oriented_is_refused():
+    """One flipped triangle orbit traverses its edges in the direction of
+    their other triangles; the mesh is refused, not repaired."""
+    mesh = build_symmetric_sphere(4, 1, zigzag=0.1)
+    tris = mesh.tri_vertices.copy()
+    orbit = mesh.orbits[2][5]
+    tris[orbit] = tris[orbit][:, [0, 2, 1]]
+    with pytest.raises(MeshError, match="not consistently oriented"):
+        SymmetricMesh(mesh.positions, tris, 4, 1, mesh.vperm, 0.1)
+
+
 def test_subdivision_counts():
     mesh = build_symmetric_sphere(4, 0)
     fine = subdivide(mesh)
@@ -135,6 +146,12 @@ def test_incidence_arrays(n_sym, zigzag, level):
 #: every family and level the rewritten kernels are checked on
 ALL_MESHES = [(n_sym, zigzag, level) for n_sym in (3, 4, 5, 6)
               for zigzag in (0.0, 0.1) for level in range(4)]
+
+
+@pytest.mark.parametrize("n_sym,zigzag,level", ALL_MESHES)
+def test_every_triangle_is_oriented_outward(n_sym, zigzag, level):
+    mesh = build_symmetric_sphere(n_sym, level, zigzag=zigzag)
+    assert np.all(_solid_angle(*mesh.positions[mesh.tri_vertices.T]) > 0)
 
 
 def _walk_by_tile(mesh, q, idx=None):

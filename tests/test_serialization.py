@@ -18,6 +18,7 @@ from equihodge import (
     parse_report,
     serialize_form,
     serialize_report,
+    verify_extension,
 )
 
 
@@ -484,3 +485,69 @@ def test_report_term_header_names_its_position(old, new, position):
         parse_report("\n".join(lines) + "\n")
     assert exc.value.line == lineno
     assert "expected 'term: %d'" % position in str(exc.value)
+
+
+def _form_lines():
+    return serialize_form(make_sphere_backend(4, stages=1).two_form((1, 2))).splitlines()
+
+
+def _dec_form_lines():
+    return ["equihodge-form v1", "backend: dec:nsym=4,level=0,zigzag=0.1",
+            "degree: 0", "dim: 34", "0 1.5"]
+
+
+#: (id, the lines read, the line replaced, its new text, the error's line
+#: and message); the report header alone is its first 8 lines
+CORRUPTED = [
+    ("tag-parameter", _form_lines, 2, "backend: sphere:N4,stages=1",
+     2, "malformed backend parameter 'N4'"),
+    ("field-name", _form_lines, 3, "degre: 2", 3, "expected 'degree:', got 'degre: 2'"),
+    ("header-line", _form_lines, 1, "equihodge-form v2",
+     1, "expected 'equihodge-form v1', got 'equihodge-form v2'"),
+    ("degree", _form_lines, 3, "degree: two",
+     3, "invalid literal for int() with base 10: 'two'"),
+    ("dim", _form_lines, 4, "dim: 9.0", 4, "invalid literal for int() with base 10: '9.0'"),
+    ("entry-fields", _form_lines, 5, "0 1 2", 5, "coefficient lines are 'index value'"),
+    ("entry-index", _form_lines, 5, "0x 1", 5, "bad index '0x'"),
+    ("entry-float", _dec_form_lines, 5, "0 1.5e", 5, "bad float '1.5e'"),
+    ("report-field-value", _sphere_report_lines, 4, "terminated-at-stage: one",
+     4, "invalid literal for int() with base 10: 'one'"),
+    ("term-header", _sphere_report_lines, 9, "term: 0 monomials: one",
+     9, "malformed term header 'term: 0 monomials: one'"),
+    ("monomial", _sphere_report_lines, 10, "monomial: x", 10, "bad monomial 'x'"),
+    ("term-without-monomials", _sphere_report_lines, 16, "term: 1 monomials: 0",
+     16, "term with no monomials"),
+    ("report-without-terms", lambda: _sphere_report_lines()[:8], 8, "terms: 0",
+     8, "report carries no terms"),
+]
+
+
+@pytest.mark.parametrize("lines,lineno,new,line,message",
+                         [case[1:] for case in CORRUPTED], ids=[case[0] for case in CORRUPTED])
+def test_a_corrupted_input_is_refused_on_its_line(lines, lineno, new, line, message):
+    text = lines()
+    parse = parse_report if text[0] == "equihodge-report v1" else parse_form
+    text[lineno - 1] = new
+    with pytest.raises(FormatError) as exc:
+        parse("\n".join(text) + "\n")
+    assert exc.value.line == line
+    assert str(exc.value) == "line %d: %s" % (line, message)
+
+
+def test_truncation_on_a_dec_preset_is_refused(capsys):
+    from equihodge.cli import main
+
+    assert main(["extend", "--preset", "dec/volume", "--truncation", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error (extend): --truncation applies to sphere and "
+                              "torus backends\n")
+
+
+def test_a_report_on_a_nested_product_round_trips_byte_for_byte():
+    b = backend_from_tag("product:[product:[sphere:N=2,stages=1|sphere:N=2,stages=1]"
+                         "|sphere:N=2,stages=1]")
+    text = serialize_report(extend(sum(b.harmonic_basis(2)[1:], b.harmonic_basis(2)[0])))
+    again = parse_report(text)
+    assert again.input.backend.tag == b.tag
+    assert serialize_report(again) == text
+    assert verify_extension(again) == 0.0

@@ -63,9 +63,11 @@ def test_torus_inner_products_and_harmonic_parts_match_the_oracle():
     for q in range(3):
         dim = t.dimension(q)
         for i in range(dim):
-            fi, I = t._basis[q][i]
+            k, phase, I = t._basis[q][i]
+            fi = t._index[0][(k, phase, ())]
             for j in range(dim):
-                fj, J = t._basis[q][j]
+                kj, phasej, J = t._basis[q][j]
+                fj = t._index[0][(kj, phasej, ())]
                 ip = t.inner_product(_unit(t, q, i), _unit(t, q, j))
                 assert ip.pi_power == 2
                 expected = scalar[fi][fj] if I == J else 0

@@ -86,9 +86,7 @@ def test_eigenvalues_diagonal():
             coeffs = [Fraction(0)] * b.dimension(q)
             coeffs[i] = Fraction(1)
             w = b.form(q, coeffs)
-            fi, _ = b._basis[q][i]
-            mi, _ = b._funcs[fi]
-            k = b._modes[mi]
+            k, _, _ = b._basis[q][i]
             lam = sum(c * c for c in k)
             assert b.laplacian(w) == w.scale(lam)
             if lam:
