@@ -23,14 +23,18 @@ level 2) is solved densely with the harmonic rows added: the first solve on
 a degree is one ``numpy.linalg.solve``, the first reuse stores the inverse in
 the table entry, and every later solve is one matrix-vector product.  A
 wider system runs conjugate gradients on its CSR matrix.  Every path ends in
-one check: a residual above ``CG_TOL`` raises :class:`SolverError`.
-The restriction raises :class:`NotInvariant` on a cochain that is not
-invariant and :class:`BackendMismatch` on one with a value that is not
-finite.  The extension stage and the Hodge split solve one degree away from
-their input.
+one check: a residual above ``CG_TOL`` raises :class:`SolverError`.  Before
+solving, Green's operator checks a cochain not marked invariant
+(:class:`NotInvariant`, or :class:`BackendMismatch` on a value that is not
+finite).  The check marks what it passes, each operator matrix passes its
+input's mark on, and Green's operator marks its result; a sum, multiple or
+negation is unmarked.  Entry points check their input on every call, so a
+run checks once, at entry.  The extension stage and the Hodge split solve
+one degree away from their input.
 
 A cochain is zero only when all its values are; the closedness, symmetry and
-harmonic tests instead compare norms with ``ZERO_RTOL`` times the input's.
+harmonic tests instead compare norms with ``ZERO_RTOL`` times the input's
+(closedness and harmonic pass an all-zero cochain without taking a norm).
 No norm underflows or overflows: each is taken at the scale of its input.
 """
 
@@ -220,10 +224,13 @@ class DecBackend(Backend):
         return self._ops[op, q]
 
     def _matvec(self, op, w: InvariantForm, out_q: int) -> InvariantForm:
+        # every matrix commutes with the symmetry: the result keeps w's mark
         mat = self._matrix(op, w.degree)
         if mat is None:
             return self.zero(out_q)
-        return InvariantForm(self, out_q, mat @ w.coeffs)
+        out = InvariantForm(self, out_q, mat @ w.coeffs)
+        out._invariant = w._invariant
+        return out
 
     def star(self, w: InvariantForm) -> InvariantForm:
         """Raises :class:`BackendMismatch`: stars are dual cochains, not forms."""
@@ -258,7 +265,8 @@ class DecBackend(Backend):
     def require_invariant(self, w: InvariantForm) -> None:
         """Raises :class:`BackendMismatch` when a value of w is not finite, and
         :class:`NotInvariant` when the defect |w - Q R w| / |w| in the star
-        norm (R restricts to orbit representatives, Q prolongs) > ZERO_RTOL."""
+        norm (R restricts to orbit representatives, Q prolongs) > ZERO_RTOL;
+        otherwise marks w invariant, so :meth:`green` does not check it again."""
         q, x = w.degree, w.coeffs
         finite = np.isfinite(x)
         if not finite.all():
@@ -270,6 +278,7 @@ class DecBackend(Backend):
             if d > ZERO_RTOL * n:
                 raise NotInvariant("degree-%d cochain is not invariant under the mesh "
                                    "symmetry (defect %.3g)" % (q, d / n))
+        w._invariant = True
 
     def _reduced(self, q: int):
         """Green's system on the degree-q orbit representatives, kept under
@@ -293,22 +302,23 @@ class DecBackend(Backend):
 
     def green(self, w: InvariantForm) -> InvariantForm:
         """Solve of Laplacian x = w - H(w) in the coordinates of :meth:`_reduced`
-        (Euclidean norm = star norm); restricting w raises :class:`NotInvariant`.
-        A system of at most DIRECT_MAX unknowns is solved with the dense
-        A = K + H^T H, whose inverse is K's pseudo-inverse on right-hand
+        (Euclidean norm = star norm), after :meth:`require_invariant` on a w
+        not marked invariant; the result, prolonged from the representatives,
+        is marked.  A system of at most DIRECT_MAX unknowns is solved with the
+        dense A = K + H^T H, whose inverse is K's pseudo-inverse on right-hand
         sides orthogonal to H (K's kernel is spanned by H^T): the call that
-        builds the entry solves once, the first call that finds it built
-        stores A's inverse there, and every later call multiplies by it.  A
-        wider system runs conjugate gradients on K.  The harmonic part is
-        removed twice from b, so none of order eps |b| is left that no x
-        matches, and once from x; a residual |b - K x| above CG_TOL
-        times |b| raises :class:`SolverError` on every path (H x = 0 for
-        b orthogonal to H, so K x = A x).  b is first scaled by the power of
-        two that brings |b| into [1/2, 1), and x back by its inverse."""
+        builds the entry solves once, the first that finds it built stores
+        A's inverse there, and every later call multiplies by it.  A wider
+        system runs conjugate gradients on K.  The harmonic part is removed
+        twice from b, so none of order eps |b| is left that no x matches, and
+        once from x; a residual |b - K x| above CG_TOL times |b| raises
+        :class:`SolverError` on every path (H x = 0 for b orthogonal to H, so
+        K x = A x).  b is scaled by 2^k into [1/2, 1), and x back by 2^-k."""
         q = w.degree
         if not self.dimension(q):
             return self.zero(q)
-        self.require_invariant(w)
+        if not w._invariant:
+            self.require_invariant(w)
         entry = self._ops.get(("green", q))
         reps, col, sw, K, H, inverse = entry or self._reduced(q)
         b = sw * w.coeffs[reps]
@@ -342,12 +352,14 @@ class DecBackend(Backend):
         if not residual <= CG_TOL:
             raise SolverError(residual, steps)
         x -= H.T @ (H @ x)
-        return InvariantForm(self, q, self.mesh.orbit_sign[q] * (x / (sw * unit))[col])
+        out = InvariantForm(self, q, self.mesh.orbit_sign[q] * (x / (sw * unit))[col])
+        out._invariant = True
+        return out
 
     def is_zero(self, w: InvariantForm, relative_to=None) -> bool:
-        if relative_to is None:
-            return not w.coeffs.any()
-        return self.norm(w) <= ZERO_RTOL * relative_to.norm()
+        if not w.coeffs.any():
+            return True
+        return relative_to is not None and self.norm(w) <= ZERO_RTOL * relative_to.norm()
 
     # -- symmetry helpers -----------------------------------------------------
 

@@ -14,7 +14,8 @@ and the canonical extension of a closed invariant form alpha is the
 finite Neumann series alpha_hat = alpha + P(alpha) + P^2(alpha) + ...
 
 ``extend``, ``moment_map``, ``obstruction_residual`` and ``extend_partial``
-test their input in one private check, ``_require_closed`` (invariant, closed).
+test their input in one private check, ``_require_closed`` (invariant, closed);
+``p_operator`` checks that its input is invariant.
 Every P-term comes from one private stage function, ``_d_star_green``.
 Before Green's operator is invoked, the stage checks every contracted
 coefficient form for a harmonic component.  A nonzero harmonic part
@@ -263,9 +264,12 @@ def _d_star_green(boundary: EquivariantElement, stage: int,
 def p_operator(x: EquivariantElement) -> EquivariantElement:
     """P = (I (x) d* G) boundary; every coefficient of the result is coexact.
 
-    Raises :class:`ObstructionDetected` when a boundary coefficient has a
-    nonzero harmonic part.
+    Raises :class:`NotInvariant` or :class:`BackendMismatch` first, when x
+    is not invariant or holds a value that is not finite, as every entry
+    point does, and :class:`ObstructionDetected` when a boundary
+    coefficient has a nonzero harmonic part.
     """
+    _require_invariant(x)
     return _d_star_green(partial_d(x), 0, x)
 
 

@@ -92,8 +92,14 @@ class InvariantForm:
     built from them and cached the first time someone reads it.  A form
     made from a dense tuple (:meth:`Backend.form`) stores that tuple
     instead, and finds its entries by one scan on first use.  A mesh form
-    stores its numpy array as :attr:`coeffs`.
+    stores its numpy array as :attr:`coeffs`, never written, and the mark
+    :attr:`_invariant`.
     """
+
+    #: True once the mesh backend's invariance check passed on this form, or
+    #: on the input it was computed from by operators that commute with the
+    #: symmetry; a sum, a multiple or a negation is not marked
+    _invariant = False
 
     def __init__(self, backend, degree: int, coeffs, entries=None):
         self.backend = backend
@@ -287,7 +293,8 @@ class Backend(ABC):
 
     def is_zero(self, w: InvariantForm, relative_to=None) -> bool:
         """Identically zero; given the run's input (a form or element) as
-        ``relative_to``, the float backend compares norms instead."""
+        ``relative_to``, the float backend compares the norms of a form with
+        a nonzero value instead."""
         return not w.entries
 
     def require_invariant(self, w: InvariantForm) -> None:
@@ -318,6 +325,12 @@ class Backend(ABC):
         if self.is_exact or kind not in "biuf":
             coeffs = tuple(coeffs)
             odd = [i for i, c in enumerate(coeffs) if not isinstance(c, Real)]
+            if odd:
+                # a numpy boolean is not a numbers.Real: every numpy scalar
+                # counts as the Python one it holds
+                coeffs = tuple(c.item() if getattr(c, "shape", None) == () else c
+                               for c in coeffs)
+                odd = [i for i, c in enumerate(coeffs) if not isinstance(c, Real)]
             if odd:
                 raise BackendMismatch("degree-%d coefficient %d is not a number" % (q, odd[0]))
         if self.is_exact:

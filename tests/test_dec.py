@@ -28,6 +28,7 @@ from equihodge import (
     extend_partial,
     moment_map,
     obstruction_residual,
+    p_operator,
     with_formal_generators,
 )
 
@@ -653,6 +654,92 @@ def test_a_cochain_that_is_not_finite_is_refused_before_any_solve(bad):
             with pytest.raises(BackendMismatch, match="coefficient 5 is not finite"):
                 entry(w)
     assert dec._ops == {}
+
+
+def count_checks(monkeypatch, backend):
+    """Count the calls of the backend's full invariance check."""
+    calls = []
+
+    def counted(w):
+        calls.append(w.degree)
+        DecBackend.require_invariant(backend, w)
+
+    monkeypatch.setattr(backend, "require_invariant", counted)
+    return calls
+
+
+def test_an_entry_point_checks_its_input_in_full_on_every_call(monkeypatch):
+    """Each entry point checks each coefficient of its input once per call,
+    also when the same object comes in again; Green's solves inside the run
+    check nothing more, since every operator maps invariant cochains to
+    invariant ones and the input passed."""
+    dec = DecBackend(build_symmetric_sphere(4, 1, zigzag=0.1))
+    vol = dec.volume_form_cochain()
+    terms = extend(vol).terms
+    w = invariant_cochain(np.random.default_rng(35), dec, 1)
+    calls = count_checks(monkeypatch, dec)
+    for entry, x, degree in ((extend, vol, 2), (moment_map, vol, 2),
+                             (obstruction_residual, vol, 2),
+                             (lambda t: extend_partial(t, 1), terms, 2),
+                             (dec.hodge_decompose, w, 1)):
+        for _ in range(2):
+            calls.clear()
+            entry(x)
+            assert calls == [degree]
+
+
+def test_green_checks_what_is_not_known_to_be_invariant(dec, monkeypatch):
+    """d and d* of an unchecked cochain are still refused by Green's operator
+    and the Hodge split; the check's pass, an operator matrix and Green's
+    operator mark their result, and a sum, a multiple or a negation of
+    marked cochains is checked again."""
+    rng = np.random.default_rng(36)
+    noise0, noise2 = random_cochain(rng, dec, 0), random_cochain(rng, dec, 2)
+    for derived in (dec.d(noise0), dec.codifferential(noise2)):
+        with pytest.raises(NotInvariant, match="degree-1 cochain is not invariant"):
+            dec.green(derived)
+        with pytest.raises(NotInvariant, match="degree-1 cochain is not invariant"):
+            dec.hodge_decompose(derived)
+    a, b = invariant_cochain(rng, dec, 0), invariant_cochain(rng, dec, 0)
+    calls = count_checks(monkeypatch, dec)
+    dec.green(a)
+    assert calls == [0]
+    assert a._invariant and dec.green(a)._invariant and dec.d(a)._invariant
+    calls.clear()
+    dec.green(dec.green(a))
+    dec.green(dec.codifferential(dec.d(a)))
+    assert calls == []
+    for unmarked in (a + b, a - b, a.scale(2.0), -a):
+        assert not unmarked._invariant
+        dec.green(unmarked)
+    assert calls == [0] * 4
+
+
+def test_extend_partial_refuses_a_non_invariant_later_term():
+    """A non-invariant a_1 is not checked for invariance by extend_partial:
+    its relation d(a_1) = boundary(a_0) fails, and the contraction of a
+    0-form, the only boundary it feeds, is zero, so no solve sees it."""
+    dec = DecBackend(build_symmetric_sphere(4, 1, zigzag=0.1))
+    a0, a1 = extend(dec.volume_form_cochain()).terms
+    noise = random_cochain(np.random.default_rng(37), dec, 0)
+    bad = EquivariantElement(dec, 2, {(1,): a1.terms[(1,)] + noise})
+    with pytest.raises(PreconditionViolated) as info:
+        extend_partial([a0, bad], 1)
+    assert info.value.index == 1
+
+
+def test_p_operator_checks_its_input_first():
+    """p_operator refuses a cochain holding a NaN, and a non-invariant one,
+    by the input's own degree, where it once reported an obstruction of
+    residual 0 and a degree-0 right-hand side."""
+    dec = DecBackend(build_symmetric_sphere(4, 1, zigzag=0.1))
+    x = dec.volume_form_cochain().coeffs.copy()
+    x[5] = np.nan
+    with pytest.raises(BackendMismatch, match="degree-2 coefficient 5 is not finite"):
+        p_operator(EquivariantElement.from_form(InvariantForm(dec, 2, x)))
+    noise = random_cochain(np.random.default_rng(20260), dec, 2)
+    with pytest.raises(NotInvariant, match="degree-2 cochain is not invariant"):
+        p_operator(EquivariantElement.from_form(noise))
 
 
 def test_the_degree_2_harmonic_form_is_invariant_bit_for_bit():

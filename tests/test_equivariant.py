@@ -203,6 +203,18 @@ def test_an_entry_that_is_not_a_real_number_is_refused_by_its_index(name, case):
             backend.form(2, NOT_REAL[case](backend.dimension(2)))
 
 
+@pytest.mark.parametrize("container", [np.array, list], ids=["array", "list"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_BACKENDS) + ["torus"])
+def test_a_numpy_boolean_counts_as_the_python_one(name, container):
+    """Numpy booleans, in an array or a list, give the form of the Python
+    booleans on every backend: the exact backends once refused both as not
+    a number, and the mesh refused the list while it took the array."""
+    backend = (make_torus_backend(2, 2, (1, 0)) if name == "torus"
+               else NON_FINITE_BACKENDS[name]())
+    flags = [i % 3 == 1 for i in range(backend.dimension(2))]
+    assert backend.form(2, container(np.array(flags))) == backend.form(2, flags)
+
+
 def test_partial_d_of_volume(sphere):
     # boundary(dz^dphi) = t * i_V(dz^dphi) = t * (-dz)
     x = embed(sphere.two_form((1,)))
